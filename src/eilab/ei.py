@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import EILabError, EmptyGrid, NonPositivePivot, UnknownObjective
 from .kernels import KernelSpec, covariance
-from .posterior import FittedPosterior, PosteriorMoments, TrajectoryState, add_point
+from .posterior import CandidatePosterior, FittedPosterior, PosteriorMoments, TrajectoryState, add_point
 from .precision import PrecisionContext, raw_context
 from .quadrature import integrate
 
@@ -129,7 +129,7 @@ def ei_integral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     Requires s > 0 (use the closed-form definition at design points).
     """
     mp = ctx.mp
-    moments = posterior_for_oracle(state, x)
+    moments = FittedPosterior(state).moments(x)
     sigma = mp.sqrt(moments.variance)
     if sigma == 0:
         raise EILabError("integral oracle needs positive posterior variance")
@@ -145,12 +145,13 @@ def ei_integral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     return sigma / mp.sqrt(2 * mp.pi) * mp.exp(-h * h / 2) * val
 
 
-def posterior_for_oracle(state: TrajectoryState, x) -> PosteriorMoments:
-    return FittedPosterior(state).moments(x)
-
-
 def _tie_key(x):
     return (abs(x), 0 if x < 0 else 1)
+
+
+def _grid_candidates(state: TrajectoryState, grid: CandidateGrid) -> CandidatePosterior:
+    design = set(state.points)
+    return CandidatePosterior(c for c in grid.points(state.ctx) if c not in design)
 
 
 def argmax_ei(state: TrajectoryState, grid: CandidateGrid) -> EIEvaluation:
@@ -160,36 +161,37 @@ def argmax_ei(state: TrajectoryState, grid: CandidateGrid) -> EIEvaluation:
     smaller |x|, then toward the negative sign; the result is independent of
     scoring order.
     """
-    fitted = FittedPosterior(state)
-    best, _ = _argmax_with_fitted(state, grid, fitted)
+    best, _, _ = _argmax(FittedPosterior(state), _grid_candidates(state, grid))
     return best
 
 
-def _argmax_with_fitted(state, grid, fitted):
-    ctx = state.ctx
-    mp = ctx.mp
-    design = set(state.points)
-    candidates = [c for c in grid.points(ctx) if c not in design]
+def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
+    """EI argmax over ``candidates`` synced to ``fitted``.
+
+    Returns the winner's evaluation, the number of clamped variances and the
+    winner's index in ``candidates``.
+    """
     if not candidates:
         raise EmptyGrid("no candidates remain after filtering design points")
-    evaluations = []
+    candidates.sync(fitted)
+    ctx = fitted.ctx
+    mp = ctx.mp
+    fstar = fitted.state.best
+    values = []
     clamps = 0
-    fstar = state.best
-    for c in candidates:
-        moments = fitted.moments(c)
-        if moments.clamped:
-            clamps += 1
-        sigma = mp.sqrt(moments.variance)
-        value = _ei_value(ctx, fstar, moments.mean, sigma)
-        evaluations.append(EIEvaluation(point=c, ei=value, moments=moments))
-    top = max(ev.ei for ev in evaluations)
+    for i in range(len(candidates)):
+        moments = candidates.moments(i)
+        clamps += moments.clamped
+        values.append(_ei_value(ctx, fstar, moments.mean, mp.sqrt(moments.variance)))
+    top = max(values)
     slack = top * ctx.tol(-(ctx.digits // 2))
+    points = candidates.points
     best = None
-    for ev in evaluations:
-        if ev.ei + slack >= top:
-            if best is None or _tie_key(ev.point) < _tie_key(best.point):
-                best = ev
-    return best, clamps
+    for i, value in enumerate(values):
+        if value + slack >= top and (best is None or _tie_key(points[i]) < _tie_key(points[best])):
+            best = i
+    moments = candidates.moments(best)
+    return EIEvaluation(point=moments.point, ei=values[best], moments=moments), clamps, best
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,10 @@ def run_trajectory(
 ) -> TrajectoryRun:
     """Run ``steps`` EI iterations from the seed point x1.
 
-    Each iteration factors the current Gram matrix once, scores every grid
-    candidate against it, appends the argmax, and evaluates the objective
+    The grid is built once.  Each iteration factors the current Gram matrix
+    once, brings the candidates' posterior state up to the new design (one
+    covariance per candidate; see ``CandidatePosterior``), scores EI on every
+    remaining candidate, appends the argmax, and evaluates the objective
     there.  On a factorization failure the run stops cleanly and returns the
     partial trajectory with the failing design size recorded.  ``jitter``
     turns on the exploratory diagonal shift (recorded per iteration); the
@@ -282,17 +286,19 @@ def run_trajectory(
             solve_dps=ctx.working_dps,
         )
     ]
+    candidates = _grid_candidates(state, grid)
     chosen = []
     aborted_at = None
     abort_reason = None
     for _ in range(steps):
         try:
             fitted = FittedPosterior(state, jitter=jitter)
-            best, clamps = _argmax_with_fitted(state, grid, fitted)
+            best, clamps, index = _argmax(fitted, candidates)
         except NonPositivePivot as exc:
             aborted_at = state.size
             abort_reason = f"NonPositivePivot: {exc}"
             break
+        candidates.remove(index)
         state = add_point(state, best.point, f(best.point))
         chosen.append(best)
         records.append(
@@ -303,7 +309,7 @@ def run_trajectory(
                 ei=best.ei,
                 condition=fitted.condition,
                 variance_clamps=clamps,
-                solve_dps=fitted._factor.solve_dps,
+                solve_dps=fitted.solve_dps,
                 jitter=fitted.jitter_used,
             )
         )

@@ -134,7 +134,6 @@ class CholeskyFactor:
                 a[i][i] = a[i][i] + shift
         self.ctx = ctx
         self.n = n
-        self._entries = a
         _, pivots = _factor(mp, a, wdps=ctx.working_dps, floor_check=True)
         self.pivots = pivots
         self.pivot_ratio = max(pivots) / min(pivots)
@@ -147,10 +146,9 @@ class CholeskyFactor:
             self.solve_dps = ctx.working_dps
         smp = raw_context(self.solve_dps)
         if self.solve_dps != ctx.working_dps:
-            hi = [[smp.mpf(a[i][j]) for j in range(n)] for i in range(n)]
-            self._L, _ = _factor(smp, hi, floor_check=False)
-        else:
-            self._L, _ = _factor(smp, a, floor_check=False)
+            a = [[smp.mpf(a[i][j]) for j in range(n)] for i in range(n)]
+        L, _ = _factor(smp, a, floor_check=False)
+        self._L = tuple(tuple(row) for row in L)
         self._smp = smp
 
     def solve(self, rhs):
@@ -165,11 +163,12 @@ class CholeskyFactor:
         x = _solve_upper_t(smp, self._L, y)
         return [mp.mpf(v) for v in x]
 
-    def forward(self, rhs):
-        """Return L^-1 rhs at the solve precision (for quadratic forms)."""
-        smp = self._smp
-        b = [smp.mpf(v) for v in rhs]
-        return _solve_lower(smp, self._L, b)
+    @property
+    def lower(self):
+        """The lower Cholesky factor at the solve precision, as a tuple of
+        rows.  Row i depends only on the leading (i+1)x(i+1) block, so the
+        factor of a design grown by one point shares all earlier rows."""
+        return self._L
 
     @property
     def solve_mp(self):

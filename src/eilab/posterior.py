@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
+
 from .errors import DuplicatePoint, EILabError, NonPositivePivot
 from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance, spectral_density, _params, _power_tail_cutoff
 from .linalg import CholeskyFactor, _solve_lower, _solve_upper_t
@@ -114,6 +116,25 @@ def _covariance_fn(kernel, ctx):
     return lambda x: covariance(kernel, x, ctx)
 
 
+def _checked_moments(ctx, x, mean, variance, clamp_threshold) -> PosteriorMoments:
+    """Moments at working precision, with the negative-variance clamp."""
+    clamped = False
+    if variance < 0:
+        # Tiny negatives are cancellation roundoff; anything beyond the
+        # clamp threshold means the precision budget is spent and the
+        # value would be fiction.
+        mp = ctx.mp
+        if variance < -clamp_threshold:
+            raise NonPositivePivot(
+                f"posterior variance {mp.nstr(variance, 6)} at "
+                f"{mp.nstr(x, 12)} is negative beyond the cancellation "
+                "budget: design too degenerate at this precision"
+            )
+        clamped = True
+        variance = mp.mpf(0)
+    return PosteriorMoments(point=x, mean=mean, variance=variance, clamped=clamped)
+
+
 class FittedPosterior:
     """One factorization of the design Gram matrix, reusable across queries.
 
@@ -133,23 +154,22 @@ class FittedPosterior:
         gram = [[cov(pts[i] - pts[j]) for j in range(n)] for i in range(n)]
         factor = CholeskyFactor(gram, ctx, jitter=jitter)
         self.jitter_used = factor.jitter_used
+        self.solve_dps = factor.solve_dps
         smp = factor.solve_mp
         self.state = state
         self.ctx = ctx
         self._cov = cov
         self._factor = factor
+        self._lower = factor.lower
         self._smp = smp
         self._same_mp = smp is mp
-        self._beta_hi = self._inject_and_solve(list(state.values))
+        values = list(state.values)
+        # w = L^-1 f feeds the incremental mean; beta = G^-1 f the direct one.
+        self._w_hi = _solve_lower(smp, self._lower, values if self._same_mp else [smp.mpf(v) for v in values])
+        self._beta_hi = _solve_upper_t(smp, self._lower, self._w_hi)
         self._g0_hi = smp.mpf(cov(mp.mpf(0)))
         self._clamp_threshold = ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))
         self.condition = factor.pivot_ratio
-
-    def _inject_and_solve(self, rhs):
-        smp = self._smp
-        b = rhs if self._same_mp else [smp.mpf(v) for v in rhs]
-        y = _solve_lower(smp, self._factor._L, b)
-        return _solve_upper_t(smp, self._factor._L, y)
 
     def moments(self, x) -> PosteriorMoments:
         ctx = self.ctx
@@ -163,29 +183,14 @@ class FittedPosterior:
         g = [cov(x - p) for p in pts]
         smp = self._smp
         g_hi = g if self._same_mp else [smp.mpf(v) for v in g]
-        z = _solve_lower(smp, self._factor._L, g_hi)
+        z = _solve_lower(smp, self._lower, g_hi)
         var_hi = self._g0_hi
         for zi in z:
             var_hi -= zi * zi
         mean_hi = smp.mpf(0)
         for gi, bi in zip(g_hi, self._beta_hi):
             mean_hi += gi * bi
-        mean = mp.mpf(mean_hi)
-        variance = mp.mpf(var_hi)
-        clamped = False
-        if variance < 0:
-            # Tiny negatives are cancellation roundoff; anything beyond the
-            # clamp threshold means the precision budget is spent and the
-            # value would be fiction.
-            if variance < -self._clamp_threshold:
-                raise NonPositivePivot(
-                    f"posterior variance {mp.nstr(variance, 6)} at "
-                    f"{mp.nstr(x, 12)} is negative beyond the cancellation "
-                    "budget: design too degenerate at this precision"
-                )
-            clamped = True
-            variance = mp.mpf(0)
-        return PosteriorMoments(point=x, mean=mean, variance=variance, clamped=clamped)
+        return _checked_moments(ctx, x, mp.mpf(mean_hi), mp.mpf(var_hi), self._clamp_threshold)
 
     def weights(self, x):
         """Interpolation weights lambda = G^-1 g(x) at working precision."""
@@ -194,6 +199,92 @@ class FittedPosterior:
         cov = self._cov
         g = [cov(x - p) for p in self.state.points]
         return self._factor.solve(g)
+
+
+class CandidatePosterior:
+    """Posterior moments over a fixed candidate set, kept across a growing design.
+
+    For each candidate c the state holds z(c) = L^-1 g(c), the variance
+    G(0) - sum z^2 and the mean sum z_j w_j with w = L^-1 f, at the solve
+    precision of the factor it was last synced to.  When the design gains
+    one point x_K, ``sync`` costs one covariance and K multiply-adds per
+    candidate: the new forward-substitution entry
+
+        z_K(c) = (G(c - x_K) - sum_{j<K} L_{K,j} z_j(c)) / L_{K,K}
+
+    (the bordered Cholesky factor organised by column; Rasmussen & Williams,
+    GPML 2006, sec. 2.2 and Alg. 2.1).  The leading rows of L do not change
+    when a point is appended, so z and the variance are bit-identical to the
+    direct forward solve of ``FittedPosterior.moments``; only the rounding
+    order of the mean differs.  The state is rebuilt from scratch when the
+    solve precision or the jitter changes, or when the design does not
+    extend the previous one.  Values are raw ``mpf`` tuples combined with
+    ``mpmath.libmp`` at the solve context's precision and rounding,
+    exactly as the ``mpf`` operators combine them.  A state serves one run:
+    one kernel and one precision context.
+    """
+
+    def __init__(self, points):
+        self.points = list(points)
+        self._fitted = None
+        self._z = self._var = self._mean = None
+
+    def __len__(self):
+        return len(self.points)
+
+    def sync(self, fitted: FittedPosterior) -> None:
+        """Bring the state up to the design and factor of ``fitted``."""
+        state, prev = fitted.state, self._fitted
+        done = 0
+        if prev is not None and (prev.solve_dps, prev.jitter_used) == (fitted.solve_dps, fitted.jitter_used):
+            done = prev.state.size
+            if state.points[:done] != prev.state.points or state.values[:done] != prev.state.values:
+                done = 0
+        if not done:
+            # Free the old state before the new one grows.
+            self._z = self._var = self._mean = None
+            n = len(self.points)
+            self._z = [[] for _ in range(n)]
+            self._var = [fitted._g0_hi._mpf_] * n
+            self._mean = [fzero] * n
+        prec, rnd = fitted._smp._prec_rounding
+        for k in range(done, state.size):
+            self._advance(fitted, k, prec, rnd)
+        self._fitted = fitted
+
+    def _advance(self, fitted, k, prec, rnd):
+        row = [v._mpf_ for v in fitted._lower[k][:k]]
+        diag = fitted._lower[k][k]._mpf_
+        w = fitted._w_hi[k]._mpf_
+        xk = fitted.state.points[k]
+        cov = fitted._cov
+        zs, var, mean = self._z, self._var, self._mean
+        for i, c in enumerate(self.points):
+            z = zs[i]
+            s = cov(c - xk)._mpf_
+            for a, b in zip(row, z):
+                s = mpf_sub(s, mpf_mul(a, b, prec, rnd), prec, rnd)
+            s = mpf_div(s, diag, prec, rnd)
+            z.append(s)
+            var[i] = mpf_sub(var[i], mpf_mul(s, s, prec, rnd), prec, rnd)
+            mean[i] = mpf_add(mean[i], mpf_mul(s, w, prec, rnd), prec, rnd)
+
+    def moments(self, i) -> PosteriorMoments:
+        """Working-precision moments at candidate ``i`` for the synced design.
+
+        Raises ``NonPositivePivot`` like ``FittedPosterior.moments`` when the
+        variance is negative beyond the cancellation budget.
+        """
+        fitted = self._fitted
+        mp = fitted.ctx.mp
+        prec, rnd = mp._prec_rounding
+        mean = mp.make_mpf(mpf_pos(self._mean[i], prec, rnd))
+        variance = mp.make_mpf(mpf_pos(self._var[i], prec, rnd))
+        return _checked_moments(fitted.ctx, self.points[i], mean, variance, fitted._clamp_threshold)
+
+    def remove(self, i) -> None:
+        """Take candidate ``i`` out of the set (it joined the design)."""
+        del self.points[i], self._z[i], self._var[i], self._mean[i]
 
 
 def posterior(state: TrajectoryState, x) -> PosteriorMoments:
