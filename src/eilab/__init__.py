@@ -44,7 +44,7 @@ from .kernels import (
     spectral_exponent,
     spectral_exponent_logscale,
 )
-from .linalg import CholeskyFactor, SpdSystem, condition_estimate, gram_det, solve_spd
+from .linalg import CholeskyFactor, gram_det
 from .posterior import (
     FittedPosterior,
     PosteriorMoments,

@@ -28,7 +28,7 @@ import time
 from .config import ExperimentConfig, load_config
 from .ei import run_trajectory
 from .errors import EILabError
-from .kernels import GaussianKernel, OrnsteinUhlenbeckKernel, gaussian_as_spectral_power, legendre_conjugate
+from .kernels import legendre_conjugate, spectral_power_form
 from .reports import RunReport, bound_to_dict, write_outputs
 from .verifier import (
     decay_scan,
@@ -75,23 +75,30 @@ def _trajectory_iterations(run, ctx):
     return rows
 
 
-def cmd_trajectory(config: ExperimentConfig) -> RunReport:
-    """Run the EI loop and mirror the (K, x_K, EI) table."""
-    ctx = config.precision()
+def _run_into(report: RunReport, config: ExperimentConfig, ctx):
+    """Run the configured trajectory and record its iterations and any abort
+    in ``report``; returns the run."""
     run = run_trajectory(
         config.kernel(), config.objective, config.x1, config.steps, config.grid(), ctx,
         jitter=config.jitter,
     )
-    report = RunReport(command="trajectory", config=config, digits=ctx.digits)
     report.iterations = _trajectory_iterations(run, ctx)
-    report.columns = ["K", "x", "ei"]
-    report.rows = [
-        {"K": it["K"], "x": it["x"], "ei": it["ei"] or ""} for it in report.iterations
-    ]
     if run.aborted:
         report.status = "aborted"
         report.abort_size = run.aborted_at
         report.abort_reason = run.abort_reason
+    return run
+
+
+def cmd_trajectory(config: ExperimentConfig) -> RunReport:
+    """Run the EI loop and mirror the (K, x_K, EI) table."""
+    ctx = config.precision()
+    report = RunReport(command="trajectory", config=config, digits=ctx.digits)
+    _run_into(report, config, ctx)
+    report.columns = ["K", "x", "ei"]
+    report.rows = [
+        {"K": it["K"], "x": it["x"], "ei": it["ei"] or ""} for it in report.iterations
+    ]
     return report
 
 
@@ -106,12 +113,8 @@ def cmd_contrast(config: ExperimentConfig) -> RunReport:
     """Run the configured kernel and report trajectory coverage per K."""
     ctx = config.precision()
     mp = ctx.mp
-    run = run_trajectory(
-        config.kernel(), config.objective, config.x1, config.steps, config.grid(), ctx,
-        jitter=config.jitter,
-    )
     report = RunReport(command="contrast", config=config, digits=ctx.digits)
-    report.iterations = _trajectory_iterations(run, ctx)
+    run = _run_into(report, config, ctx)
     report.columns = ["K", "x", "max_gap"]
     pts = run.state.points
     report.rows = [
@@ -122,10 +125,6 @@ def cmd_contrast(config: ExperimentConfig) -> RunReport:
         }
         for k in range(1, len(pts) + 1)
     ]
-    if run.aborted:
-        report.status = "aborted"
-        report.abort_size = run.aborted_at
-        report.abort_reason = run.abort_reason
     return report
 
 
@@ -133,16 +132,7 @@ def cmd_spectral(config: ExperimentConfig) -> RunReport:
     """Tabulate s*, the conjugate value, and the rate F(K) over a K range."""
     ctx = config.precision()
     mp = ctx.mp
-    kernel = config.kernel()
-    if isinstance(kernel, GaussianKernel):
-        kernel = gaussian_as_spectral_power(kernel, ctx)
-    if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        from .errors import VariantUnsupported
-
-        raise VariantUnsupported(
-            "spectral tabulation requires super-exponential spectral decay; "
-            "the Ornstein-Uhlenbeck kernel has none"
-        )
+    kernel = spectral_power_form(config.kernel(), ctx)
     k_min, k_max = config.spectral_range()
     report = RunReport(command="spectral", config=config, digits=ctx.digits)
     report.columns = ["K", "s_star", "conjugate", "conjugate_numeric", "rate", "rate_over_k"]
@@ -199,21 +189,10 @@ def cmd_verify(config: ExperimentConfig, suite: str) -> RunReport:
         report.notes["threshold"] = sweep.threshold
         bounds = list(sweep.reports)
     elif suite == "thm3-bounds":
-        run = run_trajectory(
-            config.kernel(),
-            config.objective,
-            config.x1,
-            config.steps,
-            config.grid(),
-            ctx,
-            jitter=config.jitter,
-        )
-        report.iterations = _trajectory_iterations(run, ctx)
-        if run.aborted:
-            report.status = "aborted"
-            report.abort_size = run.aborted_at
-            report.abort_reason = run.abort_reason
-        bounds = trajectory_envelope_check(run.state.points, config.kernel(), ctx)
+        # Refuse a kernel without a rate function before the run, not after.
+        spectral = spectral_power_form(config.kernel(), ctx)
+        run = _run_into(report, config, ctx)
+        bounds = trajectory_envelope_check(run.state.points, spectral, ctx)
 
     report.bounds = [bound_to_dict(b, ctx) for b in bounds]
     if not report.rows and bounds:

@@ -79,25 +79,37 @@ class EIEvaluation:
     moments: PosteriorMoments
 
 
+def closed_form_at(ctx: PrecisionContext, t, closed_form, *args):
+    """``closed_form(mp, *args)`` evaluated at a precision fit for the scale t.
+
+    The Gaussian-tail closed forms here (EI, and the improvement tail
+    integral of the verifier) subtract terms that agree to relative size
+    ~1/t^2 once |t| is large.  For |t| > 16 the arguments are lifted exactly
+    to a precision raised by int(2 log10|t|) + 8 digits, the form is
+    evaluated there and the result rounded back to working precision;
+    otherwise it runs at working precision.
+    """
+    mp = ctx.mp
+    at = abs(t)
+    if at > 16:
+        hp = raw_context(ctx.working_dps + int(2 * mp.log10(at)) + 8)
+        return mp.mpf(closed_form(hp, *(hp.mpf(a) for a in args)))
+    return closed_form(mp, *args)
+
+
+def _ei_closed(mp, fstar, mean, sigma):
+    u = (fstar - mean) / sigma
+    phi = mp.exp(-u * u / 2) / mp.sqrt(2 * mp.pi)
+    big_phi = mp.erfc(-u / mp.sqrt(2)) / 2
+    return (fstar - mean) * big_phi + sigma * phi
+
+
 def _ei_value(ctx: PrecisionContext, fstar, mean, sigma):
     mp = ctx.mp
     if sigma == 0:
         gap = fstar - mean
         return gap if gap > 0 else mp.mpf(0)
-    u = (fstar - mean) / sigma
-    au = abs(u)
-    if au > 16:
-        extra = int(2 * mp.log10(au)) + 8
-        hp = raw_context(ctx.working_dps + extra)
-        f_, m_, s_ = hp.mpf(fstar), hp.mpf(mean), hp.mpf(sigma)
-        u_ = (f_ - m_) / s_
-        phi = hp.exp(-u_ * u_ / 2) / hp.sqrt(2 * hp.pi)
-        big_phi = hp.erfc(-u_ / hp.sqrt(2)) / 2
-        value = mp.mpf((f_ - m_) * big_phi + s_ * phi)
-    else:
-        phi = mp.exp(-u * u / 2) / mp.sqrt(2 * mp.pi)
-        big_phi = mp.erfc(-u / mp.sqrt(2)) / 2
-        value = (fstar - mean) * big_phi + sigma * phi
+    value = closed_form_at(ctx, (fstar - mean) / sigma, _ei_closed, fstar, mean, sigma)
     return value if value > 0 else mp.mpf(0)
 
 
@@ -134,15 +146,26 @@ def ei_integral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     if sigma == 0:
         raise EILabError("integral oracle needs positive posterior variance")
     h = (moments.mean - state.best) / sigma
+    val = improvement_tail_quadrature(ctx, h)
+    return sigma / mp.sqrt(2 * mp.pi) * mp.exp(-h * h / 2) * val
+
+
+def improvement_tail_quadrature(ctx: PrecisionContext, h):
+    """integral_0^inf w exp(-wh - w^2/2) dw by quadrature, for either sign of h.
+
+    This is the improvement tail integral_0^inf w exp(-(w+h)^2/2) dw with
+    the factor exp(-h^2/2) taken out (callers multiply it back): the
+    remaining integrand keeps a scale near 1 for large |h|.  The integral
+    is truncated where the integrand falls below the working roundoff and
+    split at the integrand's peak.
+    """
+    mp = ctx.mp
+    h = mp.mpf(h)
     budget = mp.mpf(ctx.working_dps + 10) * mp.log(10)
     upper = max(mp.mpf(0), -h) + mp.sqrt(2 * budget) + 5
     peak = (-h + mp.sqrt(h * h + 4)) / 2
     points = [0, peak, upper] if peak < upper else [0, upper]
-    # exp(-(w+h)^2/2) = exp(-h^2/2) * exp(-wh - w^2/2); integrating the
-    # right-hand factor keeps the integrand scale near 1 for large |h|.
-    integrand = lambda w: mp.exp(-w * h - w * w / 2) * w
-    val = integrate(ctx, integrand, points)
-    return sigma / mp.sqrt(2 * mp.pi) * mp.exp(-h * h / 2) * val
+    return integrate(ctx, lambda w: mp.exp(-w * h - w * w / 2) * w, points)
 
 
 def _tie_key(x):

@@ -28,6 +28,18 @@ class DuplicatePoint(EILabError):
     """A design point coincides exactly with an existing one."""
 
 
+def require_distinct(values, what: str) -> None:
+    """Raise ``DuplicatePoint`` naming the first pair of equal ``values``.
+
+    One pass over a dict: mpf and mpc values hash consistently with ``==``.
+    """
+    seen = {}
+    for j, value in enumerate(values):
+        i = seen.setdefault(value, j)
+        if i != j:
+            raise DuplicatePoint(f"{what} {i} and {j} coincide")
+
+
 class VariantUnsupported(EILabError):
     """The requested operation is not defined for this kernel variant."""
 

@@ -29,6 +29,7 @@ function F(K) = T*(2K+1) - (2K+1) ln K.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -111,33 +112,35 @@ class OrnsteinUhlenbeckKernel:
 
 KernelSpec = Union[GaussianKernel, SpectralPowerKernel, OrnsteinUhlenbeckKernel]
 
-# Resolved per-(kernel, dps) numeric parameters; kernels are immutable so the
-# cache is write-once per key.
-_PARAM_CACHE: dict = {}
-
-
+# Resolved numeric parameters per (kernel, mpmath context).  Raw contexts are
+# shared per dps, so a key is a (kernel, dps) pair; the bound matters because
+# the randomized verifier trials build a new kernel per trial.
+@functools.lru_cache(maxsize=256)
 def _params(kernel: KernelSpec, mp):
-    key = (kernel, mp.dps)
-    got = _PARAM_CACHE.get(key)
-    if got is not None:
-        return got
     if isinstance(kernel, GaussianKernel):
         a = resolve_param(kernel.a, mp)
         gamma = resolve_param(kernel.gamma, mp)
         pref = gamma / (2 * mp.sqrt(mp.pi * a))
-        got = (a, gamma, pref, 4 * a)
-    elif isinstance(kernel, SpectralPowerKernel):
+        return (a, gamma, pref, 4 * a)
+    if isinstance(kernel, SpectralPowerKernel):
         a = resolve_param(kernel.a, mp)
         b = resolve_param(kernel.b, mp)
         c0 = resolve_param(kernel.c0, mp)
         gamma = resolve_param(kernel.gamma, mp)
-        got = (a, b, c0, gamma)
-    else:
-        theta = resolve_param(kernel.theta, mp)
-        gamma = resolve_param(kernel.gamma, mp)
-        got = (theta, gamma)
-    _PARAM_CACHE[key] = got
-    return got
+        return (a, b, c0, gamma)
+    theta = resolve_param(kernel.theta, mp)
+    gamma = resolve_param(kernel.gamma, mp)
+    return (theta, gamma)
+
+
+def _power_law(kernel, mp):
+    """(a, b, amplitude) of a Gaussian or spectral-power density, which is
+    amplitude * exp(-a |t|^b) in both cases."""
+    if isinstance(kernel, GaussianKernel):
+        a, gamma, _, _ = _params(kernel, mp)
+        return a, mp.mpf(2), gamma / (2 * mp.pi)
+    a, b, c0, gamma = _params(kernel, mp)
+    return a, b, gamma * c0
 
 
 def gaussian_as_spectral_power(kernel: GaussianKernel, ctx: PrecisionContext):
@@ -147,9 +150,26 @@ def gaussian_as_spectral_power(kernel: GaussianKernel, ctx: PrecisionContext):
     exactly, so the converted kernel feeds the Legendre machinery with the
     same normalization the closed-form covariance uses.
     """
-    mp = ctx.mp
-    a, gamma, _, _ = _params(kernel, mp)
-    return SpectralPowerKernel(a=a, b=2, c0=gamma / (2 * mp.pi), gamma=1)
+    a, _, amplitude = _power_law(kernel, ctx.mp)
+    return SpectralPowerKernel(a=a, b=2, c0=amplitude, gamma=1)
+
+
+def spectral_power_form(kernel: KernelSpec, ctx: PrecisionContext) -> SpectralPowerKernel:
+    """The kernel as a member of the spectral-power family, which the
+    Legendre and rate-function machinery needs.
+
+    Gaussian kernels convert exactly (``gaussian_as_spectral_power``); the
+    Ornstein-Uhlenbeck kernel has no super-exponential spectral decay and
+    raises ``VariantUnsupported``.
+    """
+    if isinstance(kernel, SpectralPowerKernel):
+        return kernel
+    if isinstance(kernel, GaussianKernel):
+        return gaussian_as_spectral_power(kernel, ctx)
+    raise VariantUnsupported(
+        "rate-function machinery requires super-exponential spectral decay; "
+        "the Ornstein-Uhlenbeck kernel has none"
+    )
 
 
 def _power_tail_cutoff(mp, a, b, log_amplitude, budget_dps):
@@ -216,14 +236,8 @@ def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
         # The density decays only polynomially, so the oscillatory integral
         # needs series acceleration over half-periods instead of tanh-sinh.
         return 2 * mp.quadosc(f, [0, mp.inf], period=2 * mp.pi / abs(x))
-    if isinstance(kernel, GaussianKernel):
-        a, gamma, _, _ = _params(kernel, mp)
-        amp = gamma / (2 * mp.pi)
-        cutoff = _power_tail_cutoff(mp, a, 2, mp.log(amp), ctx.working_dps + 10)
-    else:
-        a, b, c0, gamma = _params(kernel, mp)
-        amp = gamma * c0
-        cutoff = _power_tail_cutoff(mp, a, b, mp.log(amp), ctx.working_dps + 10)
+    a, b, amp = _power_law(kernel, mp)
+    cutoff = _power_tail_cutoff(mp, a, b, mp.log(amp), ctx.working_dps + 10)
     return 2 * integrate(ctx, f, [0, cutoff], floor=amp)
 
 

@@ -22,18 +22,8 @@ symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch, NonPositivePivot
 from .precision import PrecisionContext, raw_context
-
-
-@dataclass
-class SpdSystem:
-    """A symmetric positive-definite system ``matrix @ x = rhs``."""
-
-    matrix: list
-    rhs: list
 
 
 def _factor(mp, a, wdps=None, floor_check=True):
@@ -152,7 +142,12 @@ class CholeskyFactor:
         self._smp = smp
 
     def solve(self, rhs):
-        """Solve for one right-hand side; result at working precision."""
+        """Solve for one right-hand side; result at working precision.
+
+        The residual ||matrix @ x - rhs|| / ||rhs|| is at most
+        10**-(digits - guard_digits) for any matrix that passes the pivot
+        floor.  Raises ``DimensionMismatch`` for a wrong-length ``rhs``.
+        """
         if len(rhs) != self.n:
             raise DimensionMismatch(
                 f"rhs has length {len(rhs)}, expected {self.n}"
@@ -173,26 +168,6 @@ class CholeskyFactor:
     @property
     def solve_mp(self):
         return self._smp
-
-
-def solve_spd(system: SpdSystem, ctx: PrecisionContext, jitter: bool = False):
-    """Solve an SPD system via Cholesky factorization (never by inversion).
-
-    The residual ``||matrix @ x - rhs|| / ||rhs||`` is at most
-    10**-(digits - guard_digits) for any matrix that passes the pivot floor.
-    Raises ``NonPositivePivot`` for numerically non-positive-definite input
-    and ``DimensionMismatch`` for shape errors.
-    """
-    factor = CholeskyFactor(system.matrix, ctx, jitter=jitter)
-    return factor.solve(system.rhs)
-
-
-def condition_estimate(matrix, ctx: PrecisionContext):
-    """Ratio of the largest to smallest factorization pivot.
-
-    A cheap conditioning proxy used only for diagnostics in reports.
-    """
-    return CholeskyFactor(matrix, ctx).pivot_ratio
 
 
 def gram_det(vectors, ctx: PrecisionContext):

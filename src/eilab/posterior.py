@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
-from .errors import DuplicatePoint, EILabError, NonPositivePivot
-from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance, spectral_density, _params, _power_tail_cutoff
+from .errors import EILabError, NonPositivePivot, require_distinct
+from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance, spectral_density, _params, _power_law, _power_tail_cutoff
 from .linalg import CholeskyFactor, _solve_lower, _solve_upper_t
 from .precision import PrecisionContext
 from .quadrature import integrate
@@ -66,13 +66,7 @@ class TrajectoryState:
             raise EILabError("a trajectory state needs at least the seed point")
         if len(self.points) != len(self.values):
             raise EILabError("points and values differ in length")
-        n = len(self.points)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.points[i] == self.points[j]:
-                    raise DuplicatePoint(
-                        f"design points {i} and {j} coincide exactly"
-                    )
+        require_distinct(self.points, "design points")
         if self.best != min(self.values):
             raise EILabError("best is not the minimum of the values")
 
@@ -88,11 +82,13 @@ class TrajectoryState:
 
 
 def add_point(state: TrajectoryState, x, f_x) -> TrajectoryState:
-    """Return the state extended by one evaluation; best is kept current."""
+    """Return the state extended by one evaluation; best is kept current.
+
+    Raises ``DuplicatePoint`` (from the new state's own check) when x is
+    already in the design.
+    """
     ctx = state.ctx
     x = ctx.mpf(x)
-    if any(x == p for p in state.points):
-        raise DuplicatePoint(f"point {ctx.to_str(x, 30)} is already in the design")
     v = ctx.mpf(f_x)
     best = state.best if state.best <= v else v
     return TrajectoryState(
@@ -102,18 +98,6 @@ def add_point(state: TrajectoryState, x, f_x) -> TrajectoryState:
         values=state.values + (v,),
         best=best,
     )
-
-
-def _covariance_fn(kernel, ctx):
-    """A fast closure over the resolved kernel parameters."""
-    mp = ctx.mp
-    if kernel.variant == "gaussian":
-        _, _, pref, four_a = _params(kernel, mp)
-        return lambda x: pref * mp.exp(-x * x / four_a)
-    if kernel.variant == "ou":
-        theta, gamma = _params(kernel, mp)
-        return lambda x: gamma * mp.exp(-theta * abs(x))
-    return lambda x: covariance(kernel, x, ctx)
 
 
 def _checked_moments(ctx, x, mean, variance, clamp_threshold) -> PosteriorMoments:
@@ -148,17 +132,16 @@ class FittedPosterior:
     def __init__(self, state: TrajectoryState, jitter: bool = False):
         ctx = state.ctx
         mp = ctx.mp
-        cov = _covariance_fn(state.kernel, ctx)
+        kernel = state.kernel
         pts = state.points
         n = len(pts)
-        gram = [[cov(pts[i] - pts[j]) for j in range(n)] for i in range(n)]
+        gram = [[covariance(kernel, pts[i] - pts[j], ctx) for j in range(n)] for i in range(n)]
         factor = CholeskyFactor(gram, ctx, jitter=jitter)
         self.jitter_used = factor.jitter_used
         self.solve_dps = factor.solve_dps
         smp = factor.solve_mp
         self.state = state
         self.ctx = ctx
-        self._cov = cov
         self._factor = factor
         self._lower = factor.lower
         self._smp = smp
@@ -167,7 +150,7 @@ class FittedPosterior:
         # w = L^-1 f feeds the incremental mean; beta = G^-1 f the direct one.
         self._w_hi = _solve_lower(smp, self._lower, values if self._same_mp else [smp.mpf(v) for v in values])
         self._beta_hi = _solve_upper_t(smp, self._lower, self._w_hi)
-        self._g0_hi = smp.mpf(cov(mp.mpf(0)))
+        self._g0_hi = smp.mpf(covariance(kernel, 0, ctx))
         self._clamp_threshold = ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))
         self.condition = factor.pivot_ratio
 
@@ -179,8 +162,7 @@ class FittedPosterior:
         for k, p in enumerate(pts):
             if x == p:
                 return PosteriorMoments(point=x, mean=self.state.values[k], variance=mp.mpf(0))
-        cov = self._cov
-        g = [cov(x - p) for p in pts]
+        g = [covariance(self.state.kernel, x - p, ctx) for p in pts]
         smp = self._smp
         g_hi = g if self._same_mp else [smp.mpf(v) for v in g]
         z = _solve_lower(smp, self._lower, g_hi)
@@ -194,10 +176,9 @@ class FittedPosterior:
 
     def weights(self, x):
         """Interpolation weights lambda = G^-1 g(x) at working precision."""
-        mp = self.ctx.mp
-        x = mp.mpf(x)
-        cov = self._cov
-        g = [cov(x - p) for p in self.state.points]
+        ctx = self.ctx
+        x = ctx.mpf(x)
+        g = [covariance(self.state.kernel, x - p, ctx) for p in self.state.points]
         return self._factor.solve(g)
 
 
@@ -257,11 +238,11 @@ class CandidatePosterior:
         diag = fitted._lower[k][k]._mpf_
         w = fitted._w_hi[k]._mpf_
         xk = fitted.state.points[k]
-        cov = fitted._cov
+        kernel, ctx = fitted.state.kernel, fitted.ctx
         zs, var, mean = self._z, self._var, self._mean
         for i, c in enumerate(self.points):
             z = zs[i]
-            s = cov(c - xk)._mpf_
+            s = covariance(kernel, c - xk, ctx)._mpf_
             for a, b in zip(row, z):
                 s = mpf_sub(s, mpf_mul(a, b, prec, rnd), prec, rnd)
             s = mpf_div(s, diag, prec, rnd)
@@ -343,12 +324,7 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
         theta, _ = _params(kernel, mp)
         points = [0, theta, mp.inf]
     else:
-        if kernel.variant == "gaussian":
-            a, gamma, _, _ = _params(kernel, mp)
-            b, amp = mp.mpf(2), gamma / (2 * mp.pi)
-        else:
-            a, b, c0, gamma = _params(kernel, mp)
-            amp = gamma * c0
+        a, b, amp = _power_law(kernel, mp)
         cutoff = _power_tail_cutoff(
             mp, a, b, mp.log(amp * lam_scale * lam_scale), budget
         )

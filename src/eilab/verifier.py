@@ -12,19 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .ei import ei_integral_oracle, expected_improvement
-from .errors import DimensionMismatch, DuplicatePoint, EILabError
-from .kernels import (
-    GaussianKernel,
-    KernelSpec,
-    SpectralPowerKernel,
-    covariance,
-    gaussian_as_spectral_power,
-    rate_function,
-)
+from .ei import closed_form_at, ei_integral_oracle, expected_improvement, improvement_tail_quadrature
+from .errors import DimensionMismatch, DuplicatePoint, EILabError, require_distinct
+from .kernels import GaussianKernel, KernelSpec, SpectralPowerKernel, covariance, rate_function, spectral_power_form
 from .linalg import gram_det
 from .posterior import FittedPosterior, TrajectoryState, variance_spectral_oracle
-from .precision import PrecisionContext, raw_context
+from .precision import PrecisionContext
+# Not called here: perfbench/tracing.py wraps these two module attributes by name.
+from .precision import raw_context
 from .quadrature import integrate
 
 
@@ -57,6 +52,25 @@ def _holds_leq(ctx: PrecisionContext, lhs, rhs) -> bool:
     return lhs <= rhs + slack
 
 
+def _leq_report(ctx: PrecisionContext, label, k, lhs, rhs, ratio, context) -> BoundReport:
+    """The report of lhs <= rhs, judged with ``_holds_leq``."""
+    return BoundReport(
+        label=label, k=k, lhs=lhs, rhs=rhs, ratio=ratio,
+        satisfied=_holds_leq(ctx, lhs, rhs), context=context,
+    )
+
+
+def _agreement_report(ctx: PrecisionContext, label, k, value, other, reference, tol, context) -> BoundReport:
+    """The report that |value - other| / |reference| is at most ``tol``.
+
+    ``reference`` is one of the two compared values (the oracle, or the
+    closed form where that is the trusted side), floored at the working
+    roundoff so that a vanishing reference does not divide by zero.
+    """
+    rel = abs(value - other) / max(abs(reference), ctx.eps())
+    return BoundReport(label=label, k=k, lhs=rel, rhs=tol, ratio=rel, satisfied=rel <= tol, context=context)
+
+
 @dataclass(frozen=True)
 class LagrangeWeights:
     """Interpolation weights lambda_k = prod_{l != k} (x - x_l)/(x_k - x_l).
@@ -76,10 +90,7 @@ def lagrange_weights(x, nodes, ctx: PrecisionContext) -> LagrangeWeights:
     x = mp.mpf(x)
     ns = [mp.mpf(v) for v in nodes]
     k = len(ns)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if ns[i] == ns[j]:
-                raise DuplicatePoint(f"nodes {i} and {j} coincide")
+    require_distinct(ns, "nodes")
     weights = []
     for i in range(k):
         w = mp.mpf(1)
@@ -154,12 +165,7 @@ def vandermonde_distance(z, zs, ctx: PrecisionContext):
     mp = ctx.mp
     z = mp.mpc(z)
     pts = _as_mpc_list(mp, zs)
-    for i in range(len(pts)):
-        if pts[i] == z:
-            raise DuplicatePoint("z coincides with a z_k")
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                raise DuplicatePoint(f"z_{i} and z_{j} coincide")
+    require_distinct(pts + [z], "points (z_1..z_K, z)")
     numerator = mp.mpf(1)
     for p in pts:
         numerator *= abs(z - p)
@@ -182,12 +188,8 @@ def gram_distance_oracle(z, zs, ctx: PrecisionContext):
         raise EILabError(f"Gram oracle supports at most {_GRAM_ORACLE_MAX} points")
     z = mp.mpc(z)
     pts = _as_mpc_list(mp, zs)
-    for i in range(len(pts)):
-        if pts[i] == z:
-            raise DuplicatePoint("z coincides with a z_k")
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                raise DuplicatePoint(f"z_{i} and z_{j} coincide")
+    require_distinct(pts + [z], "points (z_1..z_K, z)")
+
     def row(w):
         out, cur = [], mp.mpc(1)
         for _ in range(k + 1):
@@ -201,16 +203,6 @@ def gram_distance_oracle(z, zs, ctx: PrecisionContext):
     return ctx.mp.sqrt(g_full / g_base)
 
 
-def _spectral_form(kernel: KernelSpec, ctx: PrecisionContext) -> SpectralPowerKernel:
-    if isinstance(kernel, SpectralPowerKernel):
-        return kernel
-    if isinstance(kernel, GaussianKernel):
-        return gaussian_as_spectral_power(kernel, ctx)
-    raise EILabError(
-        "rate-function checks need a kernel with super-exponential spectral decay"
-    )
-
-
 def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext):
     """Check e^-K <= sigma^2 / (e^F(K) prod_k |x - x_k|^2) <= e^2K in logs.
 
@@ -221,7 +213,7 @@ def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext)
     k = len(nodes)
     if k < 2:
         raise EILabError("sandwich check needs at least 2 nodes")
-    spectral = _spectral_form(kernel, ctx)
+    spectral = spectral_power_form(kernel, ctx)
     state = TrajectoryState(
         kernel=kernel,
         ctx=ctx,
@@ -246,24 +238,8 @@ def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext)
         "rate": ctx.to_str(rate, 30),
         "log_sigma2": ctx.to_str(log_sigma2, 30),
     }
-    lower = BoundReport(
-        label="sandwich-lower",
-        k=k,
-        lhs=mp.mpf(-k),
-        rhs=log_ratio,
-        ratio=log_ratio,
-        satisfied=_holds_leq(ctx, mp.mpf(-k), log_ratio),
-        context=context,
-    )
-    upper = BoundReport(
-        label="sandwich-upper",
-        k=k,
-        lhs=log_ratio,
-        rhs=mp.mpf(2 * k),
-        ratio=log_ratio,
-        satisfied=_holds_leq(ctx, log_ratio, mp.mpf(2 * k)),
-        context=context,
-    )
+    lower = _leq_report(ctx, "sandwich-lower", k, mp.mpf(-k), log_ratio, log_ratio, context)
+    upper = _leq_report(ctx, "sandwich-upper", k, log_ratio, mp.mpf(2 * k), log_ratio, context)
     return lower, upper
 
 
@@ -275,7 +251,7 @@ def trajectory_envelope_check(points, kernel: KernelSpec, ctx: PrecisionContext)
     every comparison happens on logarithms.
     """
     mp = ctx.mp
-    spectral = _spectral_form(kernel, ctx)
+    spectral = spectral_power_form(kernel, ctx)
     pts = [mp.mpf(p) for p in points]
     reports = []
     for k in range(2, len(pts)):
@@ -288,58 +264,18 @@ def trajectory_envelope_check(points, kernel: KernelSpec, ctx: PrecisionContext)
             "x_next": ctx.to_str(x_next, 30),
             "rate": ctx.to_str(rate, 30),
         }
-        reports.append(
-            BoundReport(
-                label="envelope-lower",
-                k=k,
-                lhs=lower_bound,
-                rhs=log_x,
-                ratio=log_x,
-                satisfied=_holds_leq(ctx, lower_bound, log_x),
-                context=context,
-            )
-        )
-        reports.append(
-            BoundReport(
-                label="envelope-upper",
-                k=k,
-                lhs=log_x,
-                rhs=upper_bound,
-                ratio=log_x,
-                satisfied=_holds_leq(ctx, log_x, upper_bound),
-                context=context,
-            )
-        )
+        reports.append(_leq_report(ctx, "envelope-lower", k, lower_bound, log_x, log_x, context))
+        reports.append(_leq_report(ctx, "envelope-upper", k, log_x, upper_bound, log_x, context))
     return reports
 
 
-def _tail_integral_closed(ctx: PrecisionContext, h):
+def _tail_integral_closed(mp, h):
     """integral_0^inf w exp(-(w+h)^2/2) dw = e^{-h^2/2} - h sqrt(pi/2) erfc(h/sqrt 2).
 
-    The two terms cancel to relative size ~1/h^2 for large h, so the value
-    is computed at a precision raised by 2 log10(h) digits.
+    The two terms cancel to relative size ~1/h^2 for large h; evaluate it
+    through ``closed_form_at``.
     """
-    mp = ctx.mp
-    h = mp.mpf(h)
-    if h > 16:
-        extra = int(2 * mp.log10(h)) + 8
-        hp = raw_context(ctx.working_dps + extra)
-        hh = hp.mpf(h)
-        value = hp.exp(-hh * hh / 2) - hh * hp.sqrt(hp.pi / 2) * hp.erfc(hh / hp.sqrt(2))
-        return mp.mpf(value)
     return mp.exp(-h * h / 2) - h * mp.sqrt(mp.pi / 2) * mp.erfc(h / mp.sqrt(2))
-
-
-def _tail_integral_quadrature(ctx: PrecisionContext, h):
-    mp = ctx.mp
-    h = mp.mpf(h)
-    budget = mp.mpf(ctx.working_dps + 10) * mp.log(10)
-    upper = max(mp.mpf(0), -h) + mp.sqrt(2 * budget) + 5
-    peak = (-h + mp.sqrt(h * h + 4)) / 2
-    points = [0, peak, upper] if peak < upper else [0, upper]
-    # Factor out exp(-h^2/2) so the integrand stays O(1)-scaled.
-    val = integrate(ctx, lambda w: mp.exp(-w * h - w * w / 2) * w, points)
-    return mp.exp(-h * h / 2) * val
 
 
 def tail_integral_check(h_values, ctx: PrecisionContext):
@@ -352,45 +288,14 @@ def tail_integral_check(h_values, ctx: PrecisionContext):
         h = mp.mpf(raw)
         if h < 0:
             raise EILabError("tail check requires h >= 0")
-        closed = _tail_integral_closed(ctx, h)
-        quad = _tail_integral_quadrature(ctx, h)
+        closed = closed_form_at(ctx, h, _tail_integral_closed, h)
+        quad = mp.exp(-h * h / 2) * improvement_tail_quadrature(ctx, h)
         low = mp.exp(-h * h) / 2
         high = mp.exp(-h * h / 2)
         context = {"h": ctx.to_str(h, 30)}
-        reports.append(
-            BoundReport(
-                label="tail-lower",
-                k=0,
-                lhs=low,
-                rhs=closed,
-                ratio=closed,
-                satisfied=_holds_leq(ctx, low, closed),
-                context=context,
-            )
-        )
-        reports.append(
-            BoundReport(
-                label="tail-upper",
-                k=0,
-                lhs=closed,
-                rhs=high,
-                ratio=closed,
-                satisfied=_holds_leq(ctx, closed, high),
-                context=context,
-            )
-        )
-        rel = abs(closed - quad) / max(abs(closed), ctx.eps())
-        reports.append(
-            BoundReport(
-                label="tail-quadrature",
-                k=0,
-                lhs=rel,
-                rhs=agree_tol,
-                ratio=rel,
-                satisfied=rel <= agree_tol,
-                context=context,
-            )
-        )
+        reports.append(_leq_report(ctx, "tail-lower", 0, low, closed, closed, context))
+        reports.append(_leq_report(ctx, "tail-upper", 0, closed, high, closed, context))
+        reports.append(_agreement_report(ctx, "tail-quadrature", 0, closed, quad, closed, agree_tol, context))
     return reports
 
 
@@ -484,18 +389,8 @@ def ei_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 20, max_k: 
         )
         closed = expected_improvement(state, query).ei
         oracle = ei_integral_oracle(state, query, ctx)
-        rel = abs(closed - oracle) / max(abs(oracle), ctx.eps())
-        reports.append(
-            BoundReport(
-                label="ei-oracle",
-                k=k,
-                lhs=rel,
-                rhs=tol,
-                ratio=rel,
-                satisfied=rel <= tol,
-                context={"trial": trial, "query": ctx.to_str(mp.mpf(query), 20)},
-            )
-        )
+        context = {"trial": trial, "query": ctx.to_str(mp.mpf(query), 20)}
+        reports.append(_agreement_report(ctx, "ei-oracle", k, closed, oracle, oracle, tol, context))
     return reports
 
 
@@ -519,18 +414,8 @@ def posterior_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 10, 
         )
         direct = FittedPosterior(state).moments(query).variance
         oracle = variance_spectral_oracle(state, query, ctx)
-        rel = abs(direct - oracle) / max(abs(oracle), ctx.eps())
-        reports.append(
-            BoundReport(
-                label="posterior-oracle",
-                k=k,
-                lhs=rel,
-                rhs=tol,
-                ratio=rel,
-                satisfied=rel <= tol,
-                context={"trial": trial, "query": ctx.to_str(mp.mpf(query), 20)},
-            )
-        )
+        context = {"trial": trial, "query": ctx.to_str(mp.mpf(query), 20)}
+        reports.append(_agreement_report(ctx, "posterior-oracle", k, direct, oracle, oracle, tol, context))
     return reports
 
 
@@ -550,18 +435,7 @@ def vandermonde_trials(ctx: PrecisionContext, seed: int, trials: int = 50, max_k
         z = mp.expjpi(mp.mpf(angles[k]) / mp.pi)
         direct = vandermonde_distance(z, zs, ctx)
         oracle = gram_distance_oracle(z, zs, ctx)
-        rel = abs(direct - oracle) / max(abs(oracle), ctx.eps())
-        reports.append(
-            BoundReport(
-                label="vandermonde-oracle",
-                k=k,
-                lhs=rel,
-                rhs=tol,
-                ratio=rel,
-                satisfied=rel <= tol,
-                context={"trial": trial},
-            )
-        )
+        reports.append(_agreement_report(ctx, "vandermonde-oracle", k, direct, oracle, oracle, tol, {"trial": trial}))
     return reports
 
 

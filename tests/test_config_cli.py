@@ -167,6 +167,16 @@ def test_cmd_spectral_rejects_ou(tmp_path):
         cli.cmd_spectral(config)
 
 
+def test_thm3_bounds_refuses_ou_before_the_run(tmp_path, monkeypatch):
+    def run_trajectory(*args, **kwargs):
+        raise AssertionError("thm3-bounds ran the trajectory before refusing the kernel")
+
+    monkeypatch.setattr(cli, "run_trajectory", run_trajectory)
+    config = _fast_config(tmp_path, **{"kernel.variant": "ou", "grid.l_max": "4"})
+    with pytest.raises(eilab.VariantUnsupported):
+        cli.cmd_verify(config, "thm3-bounds")
+
+
 def test_cmd_spectral_rows(tmp_path):
     config = _fast_config(tmp_path, **{"spectral.k_min": "2", "spectral.k_max": "5"})
     report = cli.cmd_spectral(config)

@@ -1,0 +1,112 @@
+"""Golden digests of every CLI report on small 60-digit configs.
+
+Refactors must not move a single byte of ``report.json`` or ``table.csv``:
+the oracle-checked numbers are printed at full precision, so any change in
+evaluation order shows up here.  Each command runs with the working
+directory at a scratch directory and a fixed relative ``--out``, so the
+``out`` value recorded inside ``report.json`` does not vary.
+
+When a change alters a report on purpose, regenerate the digests at that
+change with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and paste the printed mapping over ``GOLDEN`` below (say in the change log
+which reports moved and why).
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+from eilab import cli
+
+# Shared by trajectory, spectral and every verify suite (thm3-bounds runs the
+# same trajectory).
+BASE_CONFIG = """\
+digits = 60
+steps = 9
+grid.l_max = 600
+spectral.k_max = 20
+verify.trials = 3
+"""
+
+CONTRAST_CONFIG = """\
+digits = 60
+steps = 29
+grid.l_max = 120
+kernel.variant = ou
+objective = neg_gauss
+"""
+
+COMMANDS = {
+    "trajectory": ["trajectory"],
+    "contrast": ["contrast"],
+    "spectral": ["spectral"],
+    **{f"verify-{suite}": ["verify", suite] for suite in cli.SUITES},
+}
+
+GOLDEN = {
+    "contrast/report.json": "14c7f46e12b4f0a3b207f9925f5c48b20209a4add07274e4dfeaa2097c3bd4a5",
+    "contrast/table.csv": "b69c54b6c91d7999ad9bd128226d5bfb805722f0c4da1ab1c319cf0484e3ccd3",
+    "spectral/report.json": "598cef5ad604d90fdd29967eda41be8766ef5bae508503b41dd5c531b1100bab",
+    "spectral/table.csv": "eb089bbc8c155fe57bab20be3abd691d46defb29557cbc5c4eacfc4e716af424",
+    "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
+    "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
+    "verify-ei-oracle/report.json": "b5ad1447037d820305e672e07b6647594202771e7777533ef934bfaf8c3c9f34",
+    "verify-ei-oracle/table.csv": "7430b9f03afcc163ccc6d60edcf1ec39657147bebefea9bccd31fe384d4b13dd",
+    "verify-lemma-vandermonde/report.json": "91b7bcfd66161028bb41d03fccf68a0e02964b29eb3cb7b003032ed301f0abe6",
+    "verify-lemma-vandermonde/table.csv": "faeb7d3fdc31d819ea375d34eb961a04836d4e0dc8d7942b37b4c2e3ec1fd67b",
+    "verify-lemma3-tails/report.json": "54b36d356d3a8e4e9df16a6000675a51d3d4b2ed4f6cae6daf393cfab4a1f4a2",
+    "verify-lemma3-tails/table.csv": "8cca47c0fe9c66d2c286a747984c7c11236d89cb61cc7c1428f42115008b9fcd",
+    "verify-posterior-oracle/report.json": "6a7076ce8652cb7a8ee33caab30de1dccb2a2c8788734908ae5c337b8261cb33",
+    "verify-posterior-oracle/table.csv": "fdd629c1d8ef29ef89ed8e72acd020d196e6014ff6f6d9970939fb91a86a660e",
+    "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",
+    "verify-thm1-decay/table.csv": "a77daf1fcc38a4e915fb0d429deaeb98312fe6b6972c2b82d0f2a415240bee5b",
+    "verify-thm2-sandwich/report.json": "71199b7ff206a02aafa111d5c7de6f8a15cdd091d44ae6d72b24303e6ebaf785",
+    "verify-thm2-sandwich/table.csv": "31ac6069da794cb8b3b2c2dc1af06c6eef3008182b92075ebcc46a566a158f91",
+    "verify-thm3-bounds/report.json": "3ad12ff635af30c89a9575dc2960c1e44491cf72f4591dd911f1d7609b24a9ad",
+    "verify-thm3-bounds/table.csv": "eab1649ec60680d171ee85b9ef978ecfecf025a8814534b92cd6fa510c25b9ac",
+}
+
+
+def generate(workdir):
+    """Run every command under ``workdir``; map each output file to its SHA-256."""
+    os.chdir(workdir)
+    with open("base.txt", "w", encoding="utf-8") as fh:
+        fh.write(BASE_CONFIG)
+    with open("contrast.txt", "w", encoding="utf-8") as fh:
+        fh.write(CONTRAST_CONFIG)
+    digests = {}
+    for name, argv in COMMANDS.items():
+        config = "contrast.txt" if name == "contrast" else "base.txt"
+        out = f"golden-out/{name}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv + ["--config", config, "--out", out])
+        assert rc == 0, f"{name} exited with {rc}"
+        for fname in ("report.json", "table.csv"):
+            with open(os.path.join(out, fname), "rb") as fh:
+                digests[f"{name}/{fname}"] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def test_reports_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = generate(tmp_path)
+    assert sorted(digests) == sorted(GOLDEN)
+    changed = [key for key in GOLDEN if digests[key] != GOLDEN[key]]
+    assert not changed, f"report bytes changed: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = generate(workdir)
+        os.chdir(os.path.dirname(os.path.abspath(__file__)))
+    sys.stdout.write("GOLDEN = {\n")
+    for key in sorted(digests):
+        sys.stdout.write(f'    "{key}": "{digests[key]}",\n')
+    sys.stdout.write("}\n")

@@ -9,11 +9,8 @@ from eilab.linalg import CholeskyFactor
 
 def test_identity_solve(ctx60):
     mp = ctx60.mp
-    system = eilab.SpdSystem(
-        matrix=[[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]],
-        rhs=[mp.mpf(3), mp.mpf(5)],
-    )
-    x = eilab.solve_spd(system, ctx60)
+    factor = CholeskyFactor([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]], ctx60)
+    x = factor.solve([mp.mpf(3), mp.mpf(5)])
     assert x[0] == 3 and x[1] == 5
 
 
@@ -22,10 +19,7 @@ def test_gaussian_interpolation_system(ctx60):
     # vector of 0 as right-hand side: the solution is the indicator of 0.
     mp = ctx60.mp
     e1 = mp.exp(-1)
-    system = eilab.SpdSystem(
-        matrix=[[mp.mpf(1), e1], [e1, mp.mpf(1)]], rhs=[mp.mpf(1), e1]
-    )
-    lam = eilab.solve_spd(system, ctx60)
+    lam = CholeskyFactor([[mp.mpf(1), e1], [e1, mp.mpf(1)]], ctx60).solve([mp.mpf(1), e1])
     assert abs(lam[0] - 1) < ctx60.tol(-(ctx60.digits - 5))
     assert abs(lam[1]) < ctx60.tol(-(ctx60.digits - 5))
 
@@ -33,51 +27,38 @@ def test_gaussian_interpolation_system(ctx60):
 def test_duplicate_rows_fail(ctx60):
     mp = ctx60.mp
     with pytest.raises(eilab.NonPositivePivot):
-        eilab.solve_spd(
-            eilab.SpdSystem(
-                matrix=[[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]],
-                rhs=[mp.mpf(1), mp.mpf(1)],
-            ),
-            ctx60,
-        )
+        CholeskyFactor([[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]], ctx60)
 
 
 def test_jitter_rescues_degenerate_matrix(ctx60):
     mp = ctx60.mp
-    system = eilab.SpdSystem(
-        matrix=[[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]],
-        rhs=[mp.mpf(1), mp.mpf(1)],
-    )
+    matrix = [[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]]
     with pytest.raises(eilab.NonPositivePivot):
-        eilab.solve_spd(system, ctx60)
-    x = eilab.solve_spd(system, ctx60, jitter=True)
+        CholeskyFactor(matrix, ctx60)
+    factor = CholeskyFactor(matrix, ctx60, jitter=True)
+    x = factor.solve([mp.mpf(1), mp.mpf(1)])
     # with the shifted diagonal the solution splits the weight evenly
     assert abs(x[0] - x[1]) < ctx60.tol(-(ctx60.digits // 4))
-    factor = CholeskyFactor(system.matrix, ctx60, jitter=True)
     assert factor.jitter_used
 
 
 def test_dimension_mismatch(ctx60):
     mp = ctx60.mp
     with pytest.raises(eilab.DimensionMismatch):
-        eilab.solve_spd(
-            eilab.SpdSystem(matrix=[[mp.mpf(1)]], rhs=[mp.mpf(1), mp.mpf(2)]), ctx60
-        )
+        CholeskyFactor([[mp.mpf(1)]], ctx60).solve([mp.mpf(1), mp.mpf(2)])
     with pytest.raises(eilab.DimensionMismatch):
         CholeskyFactor([[mp.mpf(1), mp.mpf(0)]], ctx60)
 
 
-def test_condition_estimate_identity(ctx60):
+def test_pivot_ratio_identity(ctx60):
     mp = ctx60.mp
-    assert eilab.condition_estimate([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]], ctx60) == 1
+    assert CholeskyFactor([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]], ctx60).pivot_ratio == 1
 
 
-def test_condition_estimate_diagonal(ctx60):
+def test_pivot_ratio_diagonal(ctx60):
     mp = ctx60.mp
-    est = eilab.condition_estimate(
-        [[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf("1e-4")]], ctx60
-    )
-    assert abs(est - mp.mpf("1e4")) < mp.mpf("1e-10")
+    ratio = CholeskyFactor([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf("1e-4")]], ctx60).pivot_ratio
+    assert abs(ratio - mp.mpf("1e4")) < mp.mpf("1e-10")
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -92,7 +73,7 @@ def test_solve_round_trip_residual(dim, seed):
         for i in range(dim)
     ]
     rhs = [mp.mpf(rng.uniform(-1, 1)) for _ in range(dim)]
-    x = eilab.solve_spd(eilab.SpdSystem(matrix=matrix, rhs=rhs), ctx)
+    x = CholeskyFactor(matrix, ctx).solve(rhs)
     residual = [
         sum(matrix[i][j] * x[j] for j in range(dim)) - rhs[i] for i in range(dim)
     ]
@@ -105,8 +86,8 @@ def test_solve_determinism(ctx60):
     mp = ctx60.mp
     matrix = [[mp.mpf(2), mp.mpf("0.5")], [mp.mpf("0.5"), mp.mpf(3)]]
     rhs = [mp.mpf("1.25"), mp.mpf("-0.75")]
-    first = eilab.solve_spd(eilab.SpdSystem(matrix=matrix, rhs=rhs), ctx60)
-    second = eilab.solve_spd(eilab.SpdSystem(matrix=matrix, rhs=rhs), ctx60)
+    first = CholeskyFactor(matrix, ctx60).solve(rhs)
+    second = CholeskyFactor(matrix, ctx60).solve(rhs)
     assert [ctx60.to_str(v) for v in first] == [ctx60.to_str(v) for v in second]
 
 
