@@ -28,7 +28,7 @@ import time
 from .config import ExperimentConfig, load_config
 from .ei import run_trajectory
 from .errors import EILabError
-from .kernels import legendre_conjugate, spectral_power_form
+from .kernels import legendre_conjugate, profile_rate, spectral_power_form
 from .reports import RunReport, bound_to_dict, write_outputs
 from .verifier import (
     decay_scan,
@@ -131,14 +131,13 @@ def cmd_contrast(config: ExperimentConfig) -> RunReport:
 def cmd_spectral(config: ExperimentConfig) -> RunReport:
     """Tabulate s*, the conjugate value, and the rate F(K) over a K range."""
     ctx = config.precision()
-    mp = ctx.mp
     kernel = spectral_power_form(config.kernel(), ctx)
     k_min, k_max = config.spectral_range()
     report = RunReport(command="spectral", config=config, digits=ctx.digits)
     report.columns = ["K", "s_star", "conjugate", "conjugate_numeric", "rate", "rate_over_k"]
     for k in range(max(2, k_min), k_max + 1):
         profile = legendre_conjugate(kernel, 2 * k + 1, ctx)
-        rate = profile.value - (2 * k + 1) * mp.log(k)
+        rate = profile_rate(profile, k, ctx)
         report.rows.append(
             {
                 "K": k,

@@ -354,6 +354,11 @@ def rate_function(kernel: SpectralPowerKernel, K: int, ctx: PrecisionContext):
     """Collapse rate F(K) = T*(2K+1) - (2K+1) ln K, K >= 2."""
     if K < 2:
         raise EILabError(f"rate_function requires K >= 2, got {K}")
-    mp = ctx.mp
-    profile = legendre_conjugate(kernel, 2 * K + 1, ctx)
-    return profile.value - (2 * K + 1) * mp.log(K)
+    return profile_rate(legendre_conjugate(kernel, 2 * K + 1, ctx), K, ctx)
+
+
+def profile_rate(profile: LegendreProfile, K: int, ctx: PrecisionContext):
+    """F(K) = T*(2K+1) - (2K+1) ln K from the conjugate profile at q = 2K+1."""
+    if profile.q != 2 * K + 1:
+        raise EILabError(f"profile at q = {profile.q} does not give F({K})")
+    return profile.value - (2 * K + 1) * ctx.mp.log(K)

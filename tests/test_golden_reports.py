@@ -1,4 +1,5 @@
-"""Golden digests of every CLI report on small 60-digit configs.
+"""Golden digests of every CLI report on small 60-digit configs, and of
+one 300-digit collapse run.
 
 Refactors must not move a single byte of ``report.json`` or ``table.csv``:
 the oracle-checked numbers are printed at full precision, so any change in
@@ -41,11 +42,23 @@ kernel.variant = ou
 objective = neg_gauss
 """
 
+# The benchmark's collapse run: u reaches -1.5e4, so EI takes the
+# raised-precision branch of the closed form, and the solve precision rises.
+COLLAPSE_300_CONFIG = """\
+digits = 300
+steps = 6
+grid.l_max = 600
+"""
+
+CONFIGS = {"base.txt": BASE_CONFIG, "contrast.txt": CONTRAST_CONFIG, "collapse-300.txt": COLLAPSE_300_CONFIG}
+
+# Output name -> (argv, config file).
 COMMANDS = {
-    "trajectory": ["trajectory"],
-    "contrast": ["contrast"],
-    "spectral": ["spectral"],
-    **{f"verify-{suite}": ["verify", suite] for suite in cli.SUITES},
+    "trajectory": (["trajectory"], "base.txt"),
+    "trajectory-300": (["trajectory"], "collapse-300.txt"),
+    "contrast": (["contrast"], "contrast.txt"),
+    "spectral": (["spectral"], "base.txt"),
+    **{f"verify-{suite}": (["verify", suite], "base.txt") for suite in cli.SUITES},
 }
 
 GOLDEN = {
@@ -53,6 +66,8 @@ GOLDEN = {
     "contrast/table.csv": "b69c54b6c91d7999ad9bd128226d5bfb805722f0c4da1ab1c319cf0484e3ccd3",
     "spectral/report.json": "598cef5ad604d90fdd29967eda41be8766ef5bae508503b41dd5c531b1100bab",
     "spectral/table.csv": "eb089bbc8c155fe57bab20be3abd691d46defb29557cbc5c4eacfc4e716af424",
+    "trajectory-300/report.json": "33ef2c0335df62bb39a4cf4b161bb81b7e3e7ccbcd29babc2a74f878b94e2051",
+    "trajectory-300/table.csv": "f21711adad68ea76d52f9f613f34cba608e568c6b854fe0d9bd400bb21ccf1ff",
     "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
     "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
     "verify-ei-oracle/report.json": "b5ad1447037d820305e672e07b6647594202771e7777533ef934bfaf8c3c9f34",
@@ -75,13 +90,11 @@ GOLDEN = {
 def generate(workdir):
     """Run every command under ``workdir``; map each output file to its SHA-256."""
     os.chdir(workdir)
-    with open("base.txt", "w", encoding="utf-8") as fh:
-        fh.write(BASE_CONFIG)
-    with open("contrast.txt", "w", encoding="utf-8") as fh:
-        fh.write(CONTRAST_CONFIG)
+    for fname, text in CONFIGS.items():
+        with open(fname, "w", encoding="utf-8") as fh:
+            fh.write(text)
     digests = {}
-    for name, argv in COMMANDS.items():
-        config = "contrast.txt" if name == "contrast" else "base.txt"
+    for name, (argv, config) in COMMANDS.items():
         out = f"golden-out/{name}"
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(argv + ["--config", config, "--out", out])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eilab
+from eilab.kernels import profile_rate
 
 
 def test_headline_kernel_is_unit_gaussian(ctx60, gauss_unit):
@@ -189,6 +190,14 @@ def test_rate_monotone_decrease_tail(ctx60):
 def test_rate_function_requires_k_at_least_two(ctx60):
     with pytest.raises(eilab.EILabError):
         eilab.rate_function(eilab.SpectralPowerKernel(a="1", b="2"), 1, ctx60)
+
+
+def test_profile_rate_is_the_rate_of_its_profile(ctx60):
+    kernel = eilab.SpectralPowerKernel(a="1", b="2")
+    profile = eilab.legendre_conjugate(kernel, 21, ctx60)
+    assert profile_rate(profile, 10, ctx60) == eilab.rate_function(kernel, 10, ctx60)
+    with pytest.raises(eilab.EILabError):
+        profile_rate(profile, 9, ctx60)
 
 
 def test_gaussian_spectral_equivalent(ctx60, gauss_unit):
