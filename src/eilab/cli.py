@@ -24,6 +24,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .config import ExperimentConfig, load_config
 from .ei import run_trajectory
@@ -76,13 +77,14 @@ def _trajectory_iterations(run, ctx):
 
 
 def _run_into(report: RunReport, config: ExperimentConfig, ctx):
-    """Run the configured trajectory and record its iterations and any abort
-    in ``report``; returns the run."""
+    """Run the configured trajectory and record its iterations, any abort
+    and its per-step timings in ``report``; returns the run."""
     run = run_trajectory(
         config.kernel(), config.objective, config.x1, config.steps, config.grid(), ctx,
         jitter=config.jitter,
     )
     report.iterations = _trajectory_iterations(run, ctx)
+    report.step_timings = [asdict(t) for t in run.timings]
     if run.aborted:
         report.status = "aborted"
         report.abort_size = run.aborted_at

@@ -33,7 +33,8 @@ argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from .errors import EILabError, EmptyGrid, NonPositivePivot, UnknownObjective
 from .kernels import KernelSpec, covariance
@@ -275,12 +276,15 @@ def argmax_ei(state: TrajectoryState, grid: CandidateGrid) -> EIEvaluation:
     is over 10^4 times smaller than the margin, and the tie slack smaller
     still, so the result is that of scoring every candidate.
     """
-    best, _, _ = _argmax(FittedPosterior(state), _grid_candidates(state, grid))
+    fitted = FittedPosterior(state)
+    candidates = _grid_candidates(state, grid)
+    candidates.sync(fitted)
+    best, _, _ = _argmax(fitted, candidates)
     return best
 
 
 def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
-    """EI argmax over ``candidates`` synced to ``fitted``.
+    """EI argmax over ``candidates``, which must be synced to ``fitted``.
 
     Every candidate's moments are read and screened by a float ln EI; only
     those within the margin ``_SCREEN_MARGIN`` of the float maximum are
@@ -290,7 +294,6 @@ def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
     """
     if not candidates:
         raise EmptyGrid("no candidates remain after filtering design points")
-    candidates.sync(fitted)
     best, value, clamps = _select(fitted.ctx, fitted.state.best, candidates.moments, candidates.points)
     moments = candidates.moments(best)
     return EIEvaluation(point=moments.point, ei=value, moments=moments), clamps, best
@@ -351,11 +354,32 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
+class StepTiming:
+    """Where one completed iteration's time went.
+
+    Wall seconds of the fit (the new Gram rows and the extended factor), of
+    the candidate sync and of the EI argmax, the number of covariances the
+    sync evaluated, and whether it re-solved the kept covariance columns at
+    a new factor (a raised solve precision).  Timings vary between runs, so
+    they go to the timings sidecar, never into the deterministic reports.
+    """
+
+    size: int
+    fit_s: float
+    sync_s: float
+    select_s: float
+    sync_covariances: int
+    sync_resolved: bool
+
+
+@dataclass(frozen=True)
 class TrajectoryRun:
     """Outcome of a run: chosen evaluations, final state, abort tag.
 
     ``aborted_at`` is the design size whose Gram matrix failed to factor;
     the partial trajectory up to that point is always returned.
+    ``timings`` holds one ``StepTiming`` per completed iteration and takes
+    no part in comparisons.
     """
 
     state: TrajectoryState
@@ -363,6 +387,7 @@ class TrajectoryRun:
     records: tuple
     aborted_at: int | None = None
     abort_reason: str | None = None
+    timings: tuple = field(default=(), compare=False)
 
     @property
     def aborted(self) -> bool:
@@ -400,14 +425,16 @@ def run_trajectory(
 ) -> TrajectoryRun:
     """Run ``steps`` EI iterations from the seed point x1.
 
-    The grid is built once.  Each iteration factors the current Gram matrix
-    once, brings the candidates' posterior state up to the new design (one
-    covariance per candidate; see ``CandidatePosterior``), scores EI on every
-    remaining candidate, appends the argmax, and evaluates the objective
-    there.  On a factorization failure the run stops cleanly and returns the
-    partial trajectory with the failing design size recorded.  ``jitter``
-    turns on the exploratory diagonal shift (recorded per iteration); the
-    default run never regularizes.
+    The grid is built once.  Each iteration extends the previous Gram
+    factor by the newest point's row, brings the candidates' posterior state
+    up to the new design (one covariance per candidate; see
+    ``CandidatePosterior``), scores EI on every remaining candidate, appends
+    the argmax, and evaluates the objective there.  On a factorization
+    failure the run stops cleanly and returns the partial trajectory with
+    the failing design size recorded.  ``jitter`` turns on the exploratory
+    diagonal shift (recorded per iteration); the default run never
+    regularizes.  ``timings`` of the result say where each step's time
+    went (see ``StepTiming``).
     """
     if steps < 1:
         raise EILabError(f"steps must be >= 1, got {steps}")
@@ -430,16 +457,32 @@ def run_trajectory(
     ]
     candidates = _grid_candidates(state, grid)
     chosen = []
+    timings = []
+    fitted = None
     aborted_at = None
     abort_reason = None
     for _ in range(steps):
         try:
-            fitted = FittedPosterior(state, jitter=jitter)
+            started = time.perf_counter()
+            fitted = FittedPosterior(state, jitter=jitter, extends=fitted)
+            fit_done = time.perf_counter()
+            covariances, resolved = candidates.sync(fitted)
+            sync_done = time.perf_counter()
             best, clamps, index = _argmax(fitted, candidates)
         except NonPositivePivot as exc:
             aborted_at = state.size
             abort_reason = f"NonPositivePivot: {exc}"
             break
+        timings.append(
+            StepTiming(
+                size=state.size,
+                fit_s=fit_done - started,
+                sync_s=sync_done - fit_done,
+                select_s=time.perf_counter() - sync_done,
+                sync_covariances=covariances,
+                sync_resolved=resolved,
+            )
+        )
         candidates.remove(index)
         state = add_point(state, best.point, f(best.point))
         chosen.append(best)
@@ -461,4 +504,5 @@ def run_trajectory(
         records=tuple(records),
         aborted_at=aborted_at,
         abort_reason=abort_reason,
+        timings=tuple(timings),
     )

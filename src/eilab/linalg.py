@@ -5,7 +5,7 @@ optimization trajectory collapses, and surfacing that moment honestly is part
 of the experiment.  The factorization here therefore does two unusual things:
 
 * A pivot is rejected not only when it is non-positive but also when it falls
-  below a *roundoff floor* propagated through the earlier columns.  A pivot
+  below a *roundoff floor* propagated through the earlier pivots.  A pivot
   under the floor is numerically indistinguishable from zero at the working
   precision, so the matrix is declared not positive definite rather than
   silently factored into noise.
@@ -16,8 +16,12 @@ of the experiment.  The factorization here therefore does two unusual things:
   so this only removes solve error; the positive-definiteness decision is
   always made at the context's working precision.
 
-Only the lower triangle of the input matrix is read; the matrix is assumed
-symmetric.
+The factor is built row by row (the bordered Cholesky update; Rasmussen &
+Williams, GPML 2006, sec. 2.2 and Alg. 2.1): row i of L depends only on the
+leading (i+1)x(i+1) block, so the factor of a matrix grown by one row and
+column is the old factor plus one new row, and a fresh factor is the
+extension of an empty one.  Only the lower triangle of the input is read; the
+matrix is assumed symmetric, and may be given as its lower triangle alone.
 """
 
 from __future__ import annotations
@@ -26,53 +30,64 @@ from .errors import DimensionMismatch, NonPositivePivot
 from .precision import PrecisionContext, raw_context
 
 
-def _factor(mp, a, wdps=None, floor_check=True):
-    """Cholesky factorization on lists of mpf under context ``mp``.
+def _check_floor(mp, j, s, earlier, scale, unit):
+    """Raise ``NonPositivePivot`` when pivot ``j`` = s is at or below its
+    roundoff floor; ``earlier`` are the pivots before it."""
+    # Error in this pivot is at most ~u * scale amplified by the smallest
+    # prior pivot: entries L[:,k] carry absolute error ~u*scale/L[k][k].
+    amp = mp.sqrt(scale / min(earlier)) if earlier else mp.mpf(1)
+    floor = 10 * (j + 1) * unit * scale * amp
+    if s <= floor:
+        raise NonPositivePivot(
+            f"pivot {j} = {mp.nstr(s, 8)} at/below the roundoff "
+            f"floor {mp.nstr(floor, 4)}: matrix numerically not "
+            "positive definite at this precision",
+            index=j,
+            pivot=s,
+        )
 
-    Returns (L, pivots).  ``pivots`` are the squared diagonal entries, i.e.
-    the Schur-complement diagonal.  With ``floor_check`` the pivot floor
-    described in the module docstring is enforced and ``NonPositivePivot``
-    raised; ``wdps`` is the decimal precision used for the floor.
+
+def _border(mp, a, rows, pivots, wdps=None):
+    """Extend a lower Cholesky factor, under context ``mp``, by the rows of
+    the lower triangle ``a`` that it lacks.
+
+    ``rows`` (tuples of mpf) and ``pivots`` (the squared diagonal, i.e. the
+    Schur-complement diagonal) hold the factor of the leading len(rows)
+    block of ``a``; both are extended in place.  With ``wdps`` the pivot
+    floor of the module docstring is enforced at that decimal precision,
+    with the scale taken over the whole diagonal of ``a``: when the new rows
+    raise the scale, the earlier pivots are judged again against their
+    raised floors, so the decision is that of a fresh factor.  Without it
+    only non-positive pivots are refused, and ``pivots`` is not read.
     """
-    n = len(a)
-    zero = mp.mpf(0)
-    scale = max(a[i][i] for i in range(n))
-    if floor_check:
+    m, n = len(rows), len(a)
+    if wdps is not None:
         unit = mp.mpf(10) ** (-wdps)
-    pivots = []
-    L = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        s = a[j][j]
-        for k in range(j):
-            s -= L[j][k] * L[j][k]
-        if floor_check:
-            # Error in this pivot is at most ~u * scale amplified by the
-            # smallest prior pivot: column entries L[:,k] carry absolute
-            # error ~u*scale/L[k][k].
-            amp = mp.sqrt(scale / min(pivots)) if pivots else mp.mpf(1)
-            floor = 10 * (j + 1) * unit * scale * amp
-            if s <= floor:
-                raise NonPositivePivot(
-                    f"pivot {j} = {mp.nstr(s, 8)} at/below the roundoff "
-                    f"floor {mp.nstr(floor, 4)}: matrix numerically not "
-                    "positive definite at this precision",
-                    index=j,
-                    pivot=s,
-                )
+        scale = max(a[i][i] for i in range(n))
+        if m and scale > max(a[i][i] for i in range(m)):
+            for j in range(m):
+                _check_floor(mp, j, pivots[j], pivots[:j], scale, unit)
+    for i in range(m, n):
+        row = []
+        for j in range(i):
+            t = a[i][j]
+            for k in range(j):
+                t -= row[k] * rows[j][k]
+            row.append(t / rows[j][j])
+        s = a[i][i]
+        for k in range(i):
+            s -= row[k] * row[k]
+        if wdps is not None:
+            _check_floor(mp, i, s, pivots, scale, unit)
         elif s <= 0:
             raise NonPositivePivot(
-                f"pivot {j} = {mp.nstr(s, 8)} is not positive",
-                index=j,
+                f"pivot {i} = {mp.nstr(s, 8)} is not positive",
+                index=i,
                 pivot=s,
             )
         pivots.append(s)
-        L[j][j] = mp.sqrt(s)
-        for i in range(j + 1, n):
-            t = a[i][j]
-            for k in range(j):
-                t -= L[i][k] * L[j][k]
-            L[i][j] = t / L[j][j]
-    return L, pivots
+        row.append(mp.sqrt(s))
+        rows.append(tuple(row))
 
 
 def _solve_lower(mp, L, b):
@@ -108,23 +123,40 @@ class CholeskyFactor:
     factoring.  It exists so that a run can push past a genuinely degenerate
     design when that is explicitly wanted; it is never applied silently, and
     callers are expected to record its use in their reports.
+
+    ``extends`` may be the factor of the leading block of ``matrix`` (same
+    context and jitter); its rows are then kept and only the new rows are
+    computed, at the working precision and, when the solve precision is
+    unchanged, at the solve precision too.  The result is bit for bit the
+    fresh factor of ``matrix``.  ``DimensionMismatch`` is raised when
+    ``extends`` factors a different leading block.
     """
 
-    def __init__(self, matrix, ctx: PrecisionContext, jitter: bool = False):
+    def __init__(self, matrix, ctx: PrecisionContext, jitter: bool = False, extends=None):
         n = len(matrix)
-        for row in matrix:
-            if len(row) != n:
-                raise DimensionMismatch("matrix is not square")
+        for i, row in enumerate(matrix):
+            if len(row) not in (i + 1, n):
+                raise DimensionMismatch("matrix is neither square nor lower triangular")
         mp = ctx.mp
-        a = [[mp.mpf(matrix[i][j]) for j in range(n)] for i in range(n)]
+        a = [[mp.mpf(row[j]) for j in range(i + 1)] for i, row in enumerate(matrix)]
         self.jitter_used = bool(jitter)
         if jitter:
             shift = ctx.tol(-(ctx.digits // 2))
             for i in range(n):
                 a[i][i] = a[i][i] + shift
+        if extends is not None and (
+            extends.ctx != ctx
+            or extends.jitter_used != self.jitter_used
+            or extends.n > n
+            or a[: extends.n] != extends._a
+        ):
+            raise DimensionMismatch("extends is not the factor of the matrix's leading block")
         self.ctx = ctx
         self.n = n
-        _, pivots = _factor(mp, a, wdps=ctx.working_dps, floor_check=True)
+        self._a = a
+        rows, pivots = (list(extends._rows), list(extends.pivots)) if extends else ([], [])
+        _border(mp, a, rows, pivots, wdps=ctx.working_dps)
+        self._rows = rows
         self.pivots = pivots
         self.pivot_ratio = max(pivots) / min(pivots)
         # Solve precision: recover ~working_dps correct digits even when the
@@ -135,10 +167,13 @@ class CholeskyFactor:
         else:
             self.solve_dps = ctx.working_dps
         smp = raw_context(self.solve_dps)
-        if self.solve_dps != ctx.working_dps:
-            a = [[smp.mpf(a[i][j]) for j in range(n)] for i in range(n)]
-        L, _ = _factor(smp, a, floor_check=False)
-        self._L = tuple(tuple(row) for row in L)
+        if smp is mp:
+            # The floor-checked rows are the factor at the solve precision.
+            lower = rows
+        else:
+            lower = list(extends._L) if extends and extends.solve_dps == self.solve_dps else []
+            _border(smp, [[smp.mpf(v) for v in row] for row in a], lower, [])
+        self._L = tuple(lower)
         self._smp = smp
 
     def solve(self, rhs):

@@ -127,16 +127,31 @@ class FittedPosterior:
     object is read-only after construction and safe to query from several
     threads.  Raises ``NonPositivePivot`` when the design is numerically
     degenerate at the context's precision.
+
+    ``extends`` may be the fit of an earlier design of the same run (same
+    kernel, context and jitter).  When this design extends that one, only
+    the Gram rows of the new points are evaluated (the lower triangle) and
+    its factor is extended by them; the result is bit for bit the fresh
+    fit.  Otherwise ``extends`` is ignored.
     """
 
-    def __init__(self, state: TrajectoryState, jitter: bool = False):
+    def __init__(self, state: TrajectoryState, jitter: bool = False, extends: FittedPosterior | None = None):
         ctx = state.ctx
         mp = ctx.mp
         kernel = state.kernel
         pts = state.points
-        n = len(pts)
-        gram = [[covariance(kernel, pts[i] - pts[j], ctx) for j in range(n)] for i in range(n)]
-        factor = CholeskyFactor(gram, ctx, jitter=jitter)
+        base = None
+        if (
+            extends is not None
+            and (extends.state.kernel, extends.ctx, extends.jitter_used) == (kernel, ctx, bool(jitter))
+            and pts[: extends.state.size] == extends.state.points
+        ):
+            base = extends
+        gram = list(base._gram) if base else []
+        for i in range(len(gram), len(pts)):
+            gram.append([covariance(kernel, pts[i] - pts[j], ctx) for j in range(i + 1)])
+        factor = CholeskyFactor(gram, ctx, jitter=jitter, extends=base._factor if base else None)
+        self._gram = gram
         self.jitter_used = factor.jitter_used
         self.solve_dps = factor.solve_dps
         smp = factor.solve_mp
@@ -182,67 +197,109 @@ class FittedPosterior:
         return self._factor.solve(g)
 
 
+# A kept covariance entry is one int: the signed mantissa above 64 bits that
+# hold the binary exponent offset by 2^63.  It takes about 60 % of the
+# memory of the raw (sign, man, exp, bc) tuple, and unpacks to that tuple
+# exactly for any finite normalized mpf (bc is the mantissa's bit length).
+_EXP_BITS = 64
+_EXP_MASK = (1 << _EXP_BITS) - 1
+_EXP_OFFSET = 1 << (_EXP_BITS - 1)
+
+
+def _pack(raw) -> int:
+    sign, man, exp, _ = raw
+    return ((-man if sign else man) << _EXP_BITS) | (exp + _EXP_OFFSET)
+
+
+def _unpack(packed: int):
+    man = packed >> _EXP_BITS
+    sign = int(man < 0)
+    man = -man if sign else man
+    return (sign, man, (packed & _EXP_MASK) - _EXP_OFFSET, man.bit_length())
+
+
 class CandidatePosterior:
     """Posterior moments over a fixed candidate set, kept across a growing design.
 
-    For each candidate c the state holds z(c) = L^-1 g(c), the variance
-    G(0) - sum z^2 and the mean sum z_j w_j with w = L^-1 f, at the solve
-    precision of the factor it was last synced to.  When the design gains
-    one point x_K, ``sync`` costs one covariance and K multiply-adds per
-    candidate: the new forward-substitution entry
+    For each candidate c the state holds its covariance column g(c), the
+    covariances against the design points at working precision (packed, see
+    ``_pack``), and
+    z(c) = L^-1 g(c), the variance G(0) - sum z^2 and the mean sum z_j w_j
+    with w = L^-1 f, at the solve precision of the factor it was last synced
+    to.  When the design gains one point x_K, ``sync`` costs one covariance
+    and K multiply-adds per candidate: the new column entry g_K(c) =
+    G(c - x_K) and the new forward-substitution entry
 
-        z_K(c) = (G(c - x_K) - sum_{j<K} L_{K,j} z_j(c)) / L_{K,K}
+        z_K(c) = (g_K(c) - sum_{j<K} L_{K,j} z_j(c)) / L_{K,K}
 
     (the bordered Cholesky factor organised by column; Rasmussen & Williams,
     GPML 2006, sec. 2.2 and Alg. 2.1).  The leading rows of L do not change
     when a point is appended, so z and the variance are bit-identical to the
     direct forward solve of ``FittedPosterior.moments``; only the rounding
-    order of the mean differs.  The state is rebuilt from scratch when the
-    solve precision or the jitter changes, or when the design does not
-    extend the previous one.  Values are raw ``mpf`` tuples combined with
-    ``mpmath.libmp`` at the solve context's precision and rounding,
-    exactly as the ``mpf`` operators combine them.  A state serves one run:
-    one kernel and one precision context.
+    order of the mean differs.  When the solve precision, the jitter or the
+    observed values change, z, the variance and the mean are re-solved from
+    the kept column at the new factor, with no covariance evaluated again;
+    the column itself is dropped only when the design does not extend the
+    previous one.  Values are raw ``mpf`` tuples combined with
+    ``mpmath.libmp`` at the solve context's precision and rounding, exactly
+    as the ``mpf`` operators combine them.  A state serves one run: one
+    kernel and one precision context.
     """
 
     def __init__(self, points):
         self.points = list(points)
         self._fitted = None
-        self._z = self._var = self._mean = None
+        self._g = self._z = self._var = self._mean = None
 
     def __len__(self):
         return len(self.points)
 
-    def sync(self, fitted: FittedPosterior) -> None:
-        """Bring the state up to the design and factor of ``fitted``."""
+    def sync(self, fitted: FittedPosterior):
+        """Bring the state up to the design and factor of ``fitted``.
+
+        Returns the number of covariances evaluated and whether the kept
+        forward-substitution entries were re-solved at the new factor.
+        """
         state, prev = fitted.state, self._fitted
-        done = 0
-        if prev is not None and (prev.solve_dps, prev.jitter_used) == (fitted.solve_dps, fitted.jitter_used):
-            done = prev.state.size
-            if state.points[:done] != prev.state.points or state.values[:done] != prev.state.values:
-                done = 0
-        if not done:
-            # Free the old state before the new one grows.
+        n = len(self.points)
+        kept = solved = 0
+        if prev is not None and state.points[: prev.state.size] == prev.state.points:
+            kept = prev.state.size
+            if (prev.solve_dps, prev.jitter_used) == (fitted.solve_dps, fitted.jitter_used) and (
+                state.values[:kept] == prev.state.values
+            ):
+                solved = kept
+        # Free the old state before the new one grows.
+        if not kept:
+            self._g = None
+            self._g = [[] for _ in range(n)]
+        if not solved:
             self._z = self._var = self._mean = None
-            n = len(self.points)
             self._z = [[] for _ in range(n)]
             self._var = [fitted._g0_hi._mpf_] * n
             self._mean = [fzero] * n
         prec, rnd = fitted._smp._prec_rounding
-        for k in range(done, state.size):
+        for k in range(solved, state.size):
             self._advance(fitted, k, prec, rnd)
         self._fitted = fitted
+        return n * (state.size - kept), solved < kept
 
     def _advance(self, fitted, k, prec, rnd):
+        """Add forward-substitution entry ``k`` for every candidate; column
+        entry k is evaluated here the first time it is needed."""
         row = [v._mpf_ for v in fitted._lower[k][:k]]
         diag = fitted._lower[k][k]._mpf_
         w = fitted._w_hi[k]._mpf_
         xk = fitted.state.points[k]
         kernel, ctx = fitted.state.kernel, fitted.ctx
         zs, var, mean = self._z, self._var, self._mean
-        for i, c in enumerate(self.points):
+        for i, (c, g) in enumerate(zip(self.points, self._g)):
             z = zs[i]
-            s = covariance(kernel, c - xk, ctx)._mpf_
+            if k < len(g):
+                s = _unpack(g[k])
+            else:
+                s = covariance(kernel, c - xk, ctx)._mpf_
+                g.append(_pack(s))
             for a, b in zip(row, z):
                 s = mpf_sub(s, mpf_mul(a, b, prec, rnd), prec, rnd)
             s = mpf_div(s, diag, prec, rnd)
@@ -265,7 +322,7 @@ class CandidatePosterior:
 
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""
-        del self.points[i], self._z[i], self._var[i], self._mean[i]
+        del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i]
 
 
 def posterior(state: TrajectoryState, x) -> PosteriorMoments:

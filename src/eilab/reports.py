@@ -35,6 +35,7 @@ class RunReport:
     hard_failures: int = 0
     notes: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
+    step_timings: list = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
         return {
@@ -89,7 +90,8 @@ def write_outputs(report: RunReport, out_dir) -> dict:
             fh.write(",".join(str(row.get(c, "")) for c in report.columns) + "\n")
 
     with open(timings_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"written_at": time.time(), "wall_seconds": report.wall_seconds}, fh, indent=2)
+        timings = {"written_at": time.time(), "wall_seconds": report.wall_seconds, "steps": report.step_timings}
+        json.dump(timings, fh, indent=2)
         fh.write("\n")
 
     return {"report": report_path, "table": table_path, "timings": timings_path}

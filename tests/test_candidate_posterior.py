@@ -1,16 +1,41 @@
 """The incremental candidate posterior against the direct single-query path.
 
 ``run_trajectory`` scores the grid from a ``CandidatePosterior`` that gains
-one forward-substitution entry per candidate per step.  These tests replay
-runs step by step and hold every candidate's moments against
-``FittedPosterior.moments``: the variance bit for bit, the mean to digits/2.
+one covariance and one forward-substitution entry per candidate per step.
+These tests replay runs step by step, syncing the candidates to a fit grown
+from the previous step's, and hold every candidate's moments against
+``FittedPosterior.moments`` of a fresh fit: the variance bit for bit, the
+mean to digits/2.  They also count the covariances each sync evaluates.
 """
 
+import importlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 import eilab
 from eilab.ei import _ei_value, _tie_key
-from eilab.posterior import CandidatePosterior
+from eilab.posterior import CandidatePosterior, _pack, _unpack
+
+# The package attribute ``eilab.posterior`` is the function of that name.
+posterior_module = importlib.import_module("eilab.posterior")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=-(2**1100), max_value=2**1100), st.integers(min_value=-(10**12), max_value=10**12))
+def test_packed_column_entry_unpacks_to_the_raw_tuple(man, exp):
+    raw = from_man_exp(man, exp, 1066)
+    assert _unpack(_pack(raw)) == raw
+
+
+def _counted_sync(candidates, fitted):
+    """Sync, checking the reported covariance count against the calls made."""
+    with mock.patch.object(posterior_module, "covariance", wraps=posterior_module.covariance) as cov:
+        evaluated, resolved = candidates.sync(fitted)
+    assert evaluated == cov.call_count
+    return evaluated, resolved
 
 
 def _assert_matches_direct(candidates, fitted):
@@ -42,12 +67,18 @@ def _replay(kernel, objective, x1, steps, grid, ctx, jitter=False):
     pts, vals = run.state.points, run.state.values
     candidates = CandidatePosterior(c for c in grid.points(ctx) if c != pts[0])
     tol = ctx.tol(-(ctx.digits // 2))
+    grown = None
     for size, chosen in enumerate(run.chosen, start=1):
         state = eilab.TrajectoryState(
             kernel=kernel, ctx=ctx, points=pts[:size], values=vals[:size], best=min(vals[:size])
         )
         fitted = eilab.FittedPosterior(state, jitter=jitter)
-        candidates.sync(fitted)
+        grown = eilab.FittedPosterior(state, jitter=jitter, extends=grown)
+        # one covariance per remaining candidate, also when the solve
+        # precision rises and the kept columns are re-solved
+        evaluated, resolved = _counted_sync(candidates, grown)
+        assert evaluated == len(candidates)
+        assert resolved == (size > 1 and run.records[size - 1].solve_dps != fitted.solve_dps)
         slow_best, eis = _assert_matches_direct(candidates, fitted)
         assert chosen.point == slow_best == pts[size]
         assert abs(chosen.ei - eis[slow_best]) <= tol * eis[slow_best]
@@ -63,13 +94,14 @@ def test_ou_run_matches_direct_path(ctx60):
     assert run.state.size == 13
 
 
-def test_gaussian_run_rebuilds_on_raised_solve_precision(ctx300, gauss_unit):
+def test_gaussian_run_resolves_on_raised_solve_precision(ctx300, gauss_unit):
     run = _replay(gauss_unit, "neg_kernel", 0, 6, eilab.CandidateGrid(l_max=600), ctx300)
     assert not run.aborted
     dps = [rec.solve_dps for rec in run.records[1:]]
-    # the factor's solve precision rises 320 -> 340 at step 6, which forces
-    # a rebuild of the candidate state at the new precision
+    # the factor's solve precision rises 320 -> 340 at step 6: the candidate
+    # state is re-solved at the new precision from the kept columns
     assert dps[:5] == [320] * 5 and dps[5] == 340
+    assert [t.sync_resolved for t in run.timings] == [False] * 5 + [True]
 
 
 def test_jitter_run_matches_direct_path(ctx60, gauss_unit):
@@ -90,7 +122,7 @@ def test_run_exhausting_the_grid_raises_empty_grid(ctx60, gauss_unit):
         eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 3, eilab.CandidateGrid(l_max=0), ctx60)
 
 
-def test_sync_rebuilds_when_the_design_does_not_extend(ctx60, gauss_unit):
+def test_sync_drops_the_columns_when_the_design_does_not_extend(ctx60, gauss_unit):
     mp = ctx60.mp
     f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
     grid = [mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5, -5)]
@@ -102,8 +134,28 @@ def test_sync_rebuilds_when_the_design_does_not_extend(ctx60, gauss_unit):
             state = eilab.add_point(state, mp.mpf(x), f(mp.mpf(x)))
         return eilab.FittedPosterior(state)
 
-    # extend, replace the last point, shrink, then jump by two points
-    for design in [("0.5",), ("-0.5",), ("-0.5", "0.25"), (), ("0.5", "0.35", "-0.45")]:
-        fit = fitted(*(x for x in design))
-        candidates.sync(fit)
+    # extend, replace the last point, extend, shrink, then grow by three
+    # points at once; the expected count is the number of design points
+    # whose column entries are evaluated, so a design that does not extend
+    # the previous one evaluates every column afresh
+    steps = [(("0.5",), 2), (("-0.5",), 2), (("-0.5", "0.25"), 1), ((), 1), (("0.5", "0.35", "-0.45"), 3)]
+    for design, new_points in steps:
+        fit = fitted(*design)
+        evaluated, resolved = _counted_sync(candidates, fit)
+        assert evaluated == new_points * len(candidates)
+        assert not resolved
         _assert_matches_direct(candidates, fit)
+
+
+def test_changed_values_resolve_the_kept_columns(ctx60, gauss_unit):
+    # same design points, other observed values: the mean must follow the
+    # new values, with no covariance evaluated again
+    mp = ctx60.mp
+    candidates = CandidatePosterior([mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5)])
+    xs = [mp.mpf(0), mp.mpf("0.5")]
+    for values in ([mp.mpf(1), mp.mpf(2)], [mp.mpf(1), mp.mpf(-3)]):
+        state = eilab.TrajectoryState(kernel=gauss_unit, ctx=ctx60, points=tuple(xs), values=tuple(values), best=min(values))
+        fit = eilab.FittedPosterior(state)
+        evaluated, resolved = _counted_sync(candidates, fit)
+        _assert_matches_direct(candidates, fit)
+    assert (evaluated, resolved) == (0, True)

@@ -206,6 +206,24 @@ def test_main_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert (tmp_path / "o" / "timings.json").exists()
 
 
+def test_step_timings_go_to_the_sidecar_only(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "digits = 60\nsteps = 3\ngrid.l_max = 60\nout = {}\n".format(tmp_path / "o"),
+        encoding="utf-8",
+    )
+    assert cli.main(["trajectory", "--config", str(cfg)]) == 0
+    steps = json.loads((tmp_path / "o" / "timings.json").read_text())["steps"]
+    assert [s["size"] for s in steps] == [1, 2, 3]
+    # one column entry per remaining candidate per step: the grid has
+    # 2 * 61 points, the seed 0 is not among them, and each step takes one
+    assert [s["sync_covariances"] for s in steps] == [122, 121, 120]
+    assert not any(s["sync_resolved"] for s in steps)
+    assert all(s[k] >= 0 for s in steps for k in ("fit_s", "sync_s", "select_s"))
+    report = (tmp_path / "o" / "report.json").read_text()
+    assert "fit_s" not in report and "sync_covariances" not in report
+
+
 def test_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("EILAB_DIGITS", "70")
     monkeypatch.setenv("EILAB_OUT", str(tmp_path / "envout"))

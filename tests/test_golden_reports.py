@@ -1,5 +1,5 @@
-"""Golden digests of every CLI report on small 60-digit configs, and of
-one 300-digit collapse run.
+"""Golden digests of every CLI report on small 60-digit configs, of one
+300-digit collapse run and of one jittered run.
 
 Refactors must not move a single byte of ``report.json`` or ``table.csv``:
 the oracle-checked numbers are printed at full precision, so any change in
@@ -50,12 +50,28 @@ steps = 6
 grid.l_max = 600
 """
 
-CONFIGS = {"base.txt": BASE_CONFIG, "contrast.txt": CONTRAST_CONFIG, "collapse-300.txt": COLLAPSE_300_CONFIG}
+# The exploratory diagonal shift: the run pushes past the 9-point abort of
+# the unjittered 60-digit design to 13 points, and the solve precision of
+# the shifted factor rises 80 -> 100 -> 111.
+JITTER_CONFIG = """\
+digits = 60
+steps = 12
+grid.l_max = 600
+jitter = 1
+"""
+
+CONFIGS = {
+    "base.txt": BASE_CONFIG,
+    "contrast.txt": CONTRAST_CONFIG,
+    "collapse-300.txt": COLLAPSE_300_CONFIG,
+    "jitter.txt": JITTER_CONFIG,
+}
 
 # Output name -> (argv, config file).
 COMMANDS = {
     "trajectory": (["trajectory"], "base.txt"),
     "trajectory-300": (["trajectory"], "collapse-300.txt"),
+    "trajectory-jitter": (["trajectory"], "jitter.txt"),
     "contrast": (["contrast"], "contrast.txt"),
     "spectral": (["spectral"], "base.txt"),
     **{f"verify-{suite}": (["verify", suite], "base.txt") for suite in cli.SUITES},
@@ -68,6 +84,8 @@ GOLDEN = {
     "spectral/table.csv": "eb089bbc8c155fe57bab20be3abd691d46defb29557cbc5c4eacfc4e716af424",
     "trajectory-300/report.json": "33ef2c0335df62bb39a4cf4b161bb81b7e3e7ccbcd29babc2a74f878b94e2051",
     "trajectory-300/table.csv": "f21711adad68ea76d52f9f613f34cba608e568c6b854fe0d9bd400bb21ccf1ff",
+    "trajectory-jitter/report.json": "65bd7a3b2eaa4e059fee552c03daf14f61c69c873dabbde51256156568b61f6d",
+    "trajectory-jitter/table.csv": "34440094ede027316025245f3bee9e6ba839e4e4e72758b5d3fddcd430a354ff",
     "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
     "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
     "verify-ei-oracle/report.json": "b5ad1447037d820305e672e07b6647594202771e7777533ef934bfaf8c3c9f34",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eilab
+from eilab.kernels import covariance
 from eilab.linalg import CholeskyFactor
 
 
@@ -89,6 +90,106 @@ def test_solve_determinism(ctx60):
     first = CholeskyFactor(matrix, ctx60).solve(rhs)
     second = CholeskyFactor(matrix, ctx60).solve(rhs)
     assert [ctx60.to_str(v) for v in first] == [ctx60.to_str(v) for v in second]
+
+
+def _bits(factor):
+    return (
+        [[v._mpf_ for v in row] for row in factor.lower],
+        [p._mpf_ for p in factor.pivots],
+        factor.pivot_ratio._mpf_,
+        factor.solve_dps,
+    )
+
+
+def _grow(matrix, ctx, jitter=False):
+    """Factor ``matrix`` by appending one row of its lower triangle at a
+    time; returns the factor of every leading block."""
+    factors, factor = [], None
+    for k in range(1, len(matrix) + 1):
+        lower = [row[: i + 1] for i, row in enumerate(matrix[:k])]
+        factor = CholeskyFactor(lower, ctx, jitter=jitter, extends=factor)
+        factors.append(factor)
+    return factors
+
+
+def _collapse_gram(ctx, kernel, extra_l=()):
+    """Gram matrix of the paper's collapse design x_1..x_7 (the first six EI
+    steps from x_1 = 0 on the grid -e^{-0.02 l}), plus points at grid
+    indices ``extra_l``."""
+    mp = ctx.mp
+    eps = mp.mpf("0.02")
+    pts = [mp.mpf(0)] + [s * mp.exp(-l * eps) for s, l in [(-1, 23), (1, 13), (1, 74), (-1, 115), (1, 281), (-1, 591)]]
+    pts += [mp.exp(-l * eps) for l in extra_l]
+    return [[covariance(kernel, p - q, ctx) for q in pts] for p in pts]
+
+
+# Without jitter, a point at l = 8000 fails the floor; with it, the pivots
+# stop at the shift 1e-150 and the last two designs share a raised solve
+# precision, so the extension also grows the raised solve factor.
+@pytest.mark.parametrize("jitter, extra_l", [(False, (1200, 2000, 4000)), (True, (1200, 2000, 4000, 8000, 9000))])
+def test_grown_factor_is_the_fresh_factor_through_a_precision_rise(ctx300, gauss_unit, jitter, extra_l):
+    matrix = _collapse_gram(ctx300, gauss_unit, extra_l)
+    grown = _grow(matrix, ctx300, jitter=jitter)
+    for k, factor in enumerate(grown, start=1):
+        fresh = CholeskyFactor([row[:k] for row in matrix[:k]], ctx300, jitter=jitter)
+        assert _bits(factor) == _bits(fresh), f"block {k}"
+        assert factor.jitter_used == jitter
+    # the solve precision rises above the working 320 at the 6-point design
+    dps = [f.solve_dps for f in grown]
+    assert dps[:5] == [320] * 5 and 320 < dps[5] < dps[6]
+    if jitter:
+        assert dps[-1] == dps[-2] > dps[5]
+
+
+def test_extension_failing_the_floor_raises_as_the_fresh_factor(ctx60, gauss_unit):
+    # x = e^{-60} is numerically a duplicate of x_1 = 0 next to the collapse
+    # design at 60 digits: its pivot falls under the roundoff floor.
+    matrix = _collapse_gram(ctx60, gauss_unit, extra_l=(3000,))
+    with pytest.raises(eilab.NonPositivePivot) as fresh:
+        CholeskyFactor(matrix, ctx60)
+    leading = _grow(matrix[:-1], ctx60)[-1]
+    with pytest.raises(eilab.NonPositivePivot) as grown:
+        CholeskyFactor(matrix, ctx60, extends=leading)
+    assert fresh.value.index == grown.value.index == 7
+    assert str(fresh.value) == str(grown.value)
+    assert fresh.value.pivot == grown.value.pivot
+
+
+def _near_singular(ctx, tail):
+    """[[1, c, 0], [c, 1, 0], [0, 0, tail]] with pivot 1 - c^2 = 1e-78, just
+    above the 80-digit floor 2e-79 of pivot 1 at scale 1, and 20 * 1e-80 *
+    scale^1.5 at scale ``tail``."""
+    mp = ctx.mp
+    c = mp.sqrt(1 - mp.mpf("1e-78"))
+    return [[mp.mpf(1), c, mp.mpf(0)], [c, mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(0), mp.mpf(tail)]]
+
+
+@pytest.mark.parametrize("tail, accepted", [("2", True), ("100", False)])
+def test_extension_raising_the_scale_reaches_the_fresh_decision(ctx60, tail, accepted):
+    matrix = _near_singular(ctx60, tail)
+    leading = CholeskyFactor([row[:2] for row in matrix[:2]], ctx60)
+    assert leading.pivots[1] > 0
+    if accepted:
+        grown = CholeskyFactor(matrix, ctx60, extends=leading)
+        assert _bits(grown) == _bits(CholeskyFactor(matrix, ctx60))
+        return
+    # the raised scale lifts the floor of the *earlier* pivot 1 above it
+    with pytest.raises(eilab.NonPositivePivot) as fresh:
+        CholeskyFactor(matrix, ctx60)
+    with pytest.raises(eilab.NonPositivePivot) as grown:
+        CholeskyFactor(matrix, ctx60, extends=leading)
+    assert fresh.value.index == grown.value.index == 1
+    assert str(fresh.value) == str(grown.value)
+
+
+def test_extends_must_factor_the_leading_block(ctx60):
+    mp = ctx60.mp
+    leading = CholeskyFactor([[mp.mpf(2)]], ctx60)
+    matrix = [[mp.mpf(3), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]
+    with pytest.raises(eilab.DimensionMismatch):
+        CholeskyFactor(matrix, ctx60, extends=leading)
+    with pytest.raises(eilab.DimensionMismatch):
+        CholeskyFactor([[mp.mpf(2)]], ctx60, jitter=True, extends=leading)
 
 
 def test_gram_det_single_unit_vector(ctx60):
