@@ -6,12 +6,11 @@ its starting point under analytic kernels, and numerically verifies the
 conditional-variance and trajectory bounds that explain it.
 """
 
-from .config import ExperimentConfig, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, load_config, parse_config
 from .ei import (
     CandidateGrid,
     EIEvaluation,
     TrajectoryRun,
-    argmax_ei,
     ei_integral_oracle,
     expected_improvement,
     objective_function,
@@ -37,12 +36,9 @@ from .kernels import (
     SpectralPowerKernel,
     covariance,
     covariance_by_quadrature,
-    gaussian_as_spectral_power,
     legendre_conjugate,
     rate_function,
     spectral_density,
-    spectral_exponent,
-    spectral_exponent_logscale,
 )
 from .linalg import CholeskyFactor, gram_det
 from .posterior import (
@@ -50,7 +46,6 @@ from .posterior import (
     PosteriorMoments,
     TrajectoryState,
     add_point,
-    posterior,
     variance_spectral_oracle,
 )
 from .precision import PrecisionContext

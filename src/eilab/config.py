@@ -2,8 +2,7 @@
 
 All numeric values are decimal strings (plus the named constant ``sqrt_pi``
 for the Gaussian amplitude), never binary floats, so a 300-digit value
-survives any number of round trips.  Parsing and serialization are exact
-inverses on the string level.
+reaches the run, and the report that records the config, exactly as written.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from .errors import ConfigError
 from .kernels import GaussianKernel, OrnsteinUhlenbeckKernel, SpectralPowerKernel
 from .precision import PrecisionContext
 
-# Canonical key order; serialization always writes every key.
+# Canonical key order; a config holds every key, and reports record them in
+# this order.
 KEYS = (
     "digits",
     "guard_digits",
@@ -90,7 +90,6 @@ class ExperimentConfig:
     def replaced(self, **overrides) -> "ExperimentConfig":
         mapping = dict(self.entries)
         for key, value in overrides.items():
-            key = key.replace("__", ".")
             if key not in mapping:
                 raise ConfigError(f"unknown config key {key!r}")
             mapping[key] = str(value)
@@ -209,11 +208,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         mapping[key] = value
     return ExperimentConfig.from_mapping(mapping)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    lines = [f"{key} = {value}" for key, value in config.entries]
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:

@@ -131,9 +131,10 @@ def _ei_value(ctx: PrecisionContext, fstar, mean, sigma):
 def expected_improvement(state: TrajectoryState, x, fitted: FittedPosterior | None = None) -> EIEvaluation:
     """Closed-form EI at x.
 
-    ``fitted`` may carry a pre-built factorization of the current design
-    (grid scoring reuses one across all candidates); otherwise a fresh one
-    is constructed.
+    ``fitted`` may carry a pre-built factorization of the current design,
+    for callers that query one design at several points; otherwise a fresh
+    one is constructed.  Grid scoring does not come here: the run loop reads
+    the moments of every candidate from a ``CandidatePosterior``.
     """
     ctx = state.ctx
     mp = ctx.mp
@@ -263,24 +264,6 @@ def _screen_log_ei(fstar, moments: PosteriorMoments):
 def _grid_candidates(state: TrajectoryState, grid: CandidateGrid) -> CandidatePosterior:
     design = set(state.points)
     return CandidatePosterior(c for c in grid.points(state.ctx) if c not in design)
-
-
-def argmax_ei(state: TrajectoryState, grid: CandidateGrid) -> EIEvaluation:
-    """Score EI on every grid candidate and return the maximizer.
-
-    Ties within relative 10**-(digits/2) of the maximum are broken toward
-    smaller |x|, then toward the negative sign; the result is independent of
-    scoring order.  The grid is screened in floats first: only candidates
-    whose float ln EI lies within the relative margin 1e-9 of the float
-    maximum are scored at full precision (see ``_select``).  The float error
-    is over 10^4 times smaller than the margin, and the tie slack smaller
-    still, so the result is that of scoring every candidate.
-    """
-    fitted = FittedPosterior(state)
-    candidates = _grid_candidates(state, grid)
-    candidates.sync(fitted)
-    best, _, _ = _argmax(fitted, candidates)
-    return best
 
 
 def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):

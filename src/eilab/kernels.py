@@ -143,41 +143,45 @@ def _power_law(kernel, mp):
     return a, b, gamma * c0
 
 
-def gaussian_as_spectral_power(kernel: GaussianKernel, ctx: PrecisionContext):
-    """The spectral-power form of a Gaussian kernel: b = 2, c0 = gamma/(2 pi).
-
-    The amplitude is resolved at the context's working precision and stored
-    exactly, so the converted kernel feeds the Legendre machinery with the
-    same normalization the closed-form covariance uses.
-    """
-    a, _, amplitude = _power_law(kernel, ctx.mp)
-    return SpectralPowerKernel(a=a, b=2, c0=amplitude, gamma=1)
-
-
 def spectral_power_form(kernel: KernelSpec, ctx: PrecisionContext) -> SpectralPowerKernel:
     """The kernel as a member of the spectral-power family, which the
     Legendre and rate-function machinery needs.
 
-    Gaussian kernels convert exactly (``gaussian_as_spectral_power``); the
+    A Gaussian kernel converts exactly to b = 2, c0 = gamma/(2 pi), gamma = 1:
+    the amplitude is resolved at the context's working precision and stored
+    exactly, so the converted kernel feeds the Legendre machinery with the
+    same normalization the closed-form covariance uses.  The
     Ornstein-Uhlenbeck kernel has no super-exponential spectral decay and
     raises ``VariantUnsupported``.
     """
     if isinstance(kernel, SpectralPowerKernel):
         return kernel
     if isinstance(kernel, GaussianKernel):
-        return gaussian_as_spectral_power(kernel, ctx)
+        a, _, amplitude = _power_law(kernel, ctx.mp)
+        return SpectralPowerKernel(a=a, b=2, c0=amplitude, gamma=1)
     raise VariantUnsupported(
         "rate-function machinery requires super-exponential spectral decay; "
         "the Ornstein-Uhlenbeck kernel has none"
     )
 
 
-def _power_tail_cutoff(mp, a, b, log_amplitude, budget_dps):
-    """Smallest T with amplitude * exp(-a T^b) below 10**-budget_dps."""
-    target = budget_dps * mp.log(10) + log_amplitude
+def spectral_breakpoints(kernel: KernelSpec, ctx: PrecisionContext, budget_dps, weight_scale=1):
+    """Breakpoints of the half-line integral of w(t) Ghat(t), |w| <= weight_scale^2.
+
+    ``[0, theta, inf]`` for the Ornstein-Uhlenbeck kernel, whose density
+    decays only polynomially.  Otherwise ``[0, T]`` with T the smallest cutoff
+    at which amplitude * weight_scale^2 * exp(-a T^b) falls below
+    10**-budget_dps (T = 1 when the bound is below that everywhere).
+    """
+    mp = ctx.mp
+    if isinstance(kernel, OrnsteinUhlenbeckKernel):
+        theta, _ = _params(kernel, mp)
+        return [0, theta, mp.inf]
+    a, b, amp = _power_law(kernel, mp)
+    target = budget_dps * mp.log(10) + mp.log(amp * weight_scale * weight_scale)
     if target <= 0:
-        return mp.mpf(1)
-    return (target / a) ** (1 / b)
+        return [0, mp.mpf(1)]
+    return [0, (target / a) ** (1 / b)]
 
 
 def covariance(kernel: KernelSpec, x, ctx: PrecisionContext):
@@ -199,10 +203,7 @@ def covariance(kernel: KernelSpec, x, ctx: PrecisionContext):
     a, b, c0, gamma = _params(kernel, mp)
     if b == 2:
         return gamma * c0 * mp.sqrt(mp.pi / a) * mp.exp(-x * x / (4 * a))
-    amp = gamma * c0
-    cutoff = _power_tail_cutoff(mp, a, b, mp.log(amp), ctx.working_dps + 10)
-    integrand = lambda t: amp * mp.exp(-a * t**b) * mp.cos(t * x)
-    return 2 * integrate(ctx, integrand, [0, cutoff], floor=amp)
+    return covariance_by_quadrature(kernel, x, ctx)
 
 
 def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext):
@@ -220,25 +221,28 @@ def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext):
 
 
 def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
-    """Fourier-pair cross-check: quadrature of the spectral density.
+    """The covariance as the quadrature of the spectral density.
 
-    Independent of ``covariance`` for the closed-form variants; used by the
-    consistency tests.  The Ornstein-Uhlenbeck density decays only
-    polynomially, so its integral runs over the full half line.
+    ``covariance`` of the spectral-power family at b != 2; for the
+    closed-form variants an independent Fourier-pair cross-check.  The
+    density is truncated at ``spectral_breakpoints`` with a budget of 10
+    digits past the working precision.  The Ornstein-Uhlenbeck density
+    decays only polynomially, so its integral runs over the full half line.
     """
     mp = ctx.mp
     x = mp.mpf(x)
     f = lambda t: spectral_density(kernel, t, ctx) * mp.cos(t * x)
     if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        theta, gamma = _params(kernel, mp)
-        if x == 0:
-            return 2 * integrate(ctx, f, [0, theta, mp.inf], floor=gamma)
-        # The density decays only polynomially, so the oscillatory integral
-        # needs series acceleration over half-periods instead of tanh-sinh.
-        return 2 * mp.quadosc(f, [0, mp.inf], period=2 * mp.pi / abs(x))
-    a, b, amp = _power_law(kernel, mp)
-    cutoff = _power_tail_cutoff(mp, a, b, mp.log(amp), ctx.working_dps + 10)
-    return 2 * integrate(ctx, f, [0, cutoff], floor=amp)
+        if x != 0:
+            # The density decays only polynomially, so the oscillatory
+            # integral needs series acceleration over half-periods instead
+            # of tanh-sinh.
+            return 2 * mp.quadosc(f, [0, mp.inf], period=2 * mp.pi / abs(x))
+        _, floor = _params(kernel, mp)
+    else:
+        _, _, floor = _power_law(kernel, mp)
+    points = spectral_breakpoints(kernel, ctx, ctx.working_dps + 10)
+    return 2 * integrate(ctx, f, points, floor=floor)
 
 
 def _require_spectral_power(kernel):
@@ -247,26 +251,6 @@ def _require_spectral_power(kernel):
             "this operation is defined for the spectral-power family only "
             f"(got {type(kernel).__name__})"
         )
-
-
-def spectral_exponent(kernel: SpectralPowerKernel, t, ctx: PrecisionContext):
-    """S(t) = a t^b - ln(gamma c0), i.e. Ghat(t) = exp(-S(|t|))."""
-    _require_spectral_power(kernel)
-    mp = ctx.mp
-    t = mp.mpf(t)
-    if t < 0:
-        raise EILabError("spectral_exponent expects t >= 0")
-    a, b, c0, gamma = _params(kernel, mp)
-    return a * t**b - mp.log(gamma * c0)
-
-
-def spectral_exponent_logscale(kernel: SpectralPowerKernel, s, ctx: PrecisionContext):
-    """T(s) = S(e^s) = a e^{bs} - ln(gamma c0)."""
-    _require_spectral_power(kernel)
-    mp = ctx.mp
-    s = mp.mpf(s)
-    a, b, c0, gamma = _params(kernel, mp)
-    return a * mp.exp(b * s) - mp.log(gamma * c0)
 
 
 @dataclass(frozen=True)

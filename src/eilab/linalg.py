@@ -90,28 +90,6 @@ def _border(mp, a, rows, pivots, wdps=None):
         rows.append(tuple(row))
 
 
-def _solve_lower(mp, L, b):
-    n = len(L)
-    y = [mp.mpf(0)] * n
-    for i in range(n):
-        s = b[i]
-        for k in range(i):
-            s -= L[i][k] * y[k]
-        y[i] = s / L[i][i]
-    return y
-
-
-def _solve_upper_t(mp, L, y):
-    n = len(L)
-    x = [mp.mpf(0)] * n
-    for i in reversed(range(n)):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= L[k][i] * x[k]
-        x[i] = s / L[i][i]
-    return x
-
-
 class CholeskyFactor:
     """A reusable factorization of one SPD matrix under one context.
 
@@ -171,10 +149,13 @@ class CholeskyFactor:
             # The floor-checked rows are the factor at the solve precision.
             lower = rows
         else:
-            lower = list(extends._L) if extends and extends.solve_dps == self.solve_dps else []
+            lower = list(extends.lower) if extends and extends.solve_dps == self.solve_dps else []
             _border(smp, [[smp.mpf(v) for v in row] for row in a], lower, [])
-        self._L = tuple(lower)
-        self._smp = smp
+        # The lower factor at the solve precision, as a tuple of rows.  Row i
+        # depends only on the leading (i+1)x(i+1) block, so the factor of a
+        # design grown by one point shares all earlier rows.
+        self.lower = tuple(lower)
+        self.solve_mp = smp
 
     def solve(self, rhs):
         """Solve for one right-hand side; result at working precision.
@@ -183,26 +164,37 @@ class CholeskyFactor:
         10**-(digits - guard_digits) for any matrix that passes the pivot
         floor.  Raises ``DimensionMismatch`` for a wrong-length ``rhs``.
         """
+        mp = self.ctx.mp
+        return [mp.mpf(v) for v in self.solve_upper_t(self.solve_lower(rhs))]
+
+    def solve_lower(self, rhs):
+        """y = L^-1 rhs at the solve precision, ``rhs`` converted to it.
+
+        Raises ``DimensionMismatch`` for a wrong-length ``rhs``.
+        """
         if len(rhs) != self.n:
             raise DimensionMismatch(
                 f"rhs has length {len(rhs)}, expected {self.n}"
             )
-        smp, mp = self._smp, self.ctx.mp
-        b = [smp.mpf(v) for v in rhs]
-        y = _solve_lower(smp, self._L, b)
-        x = _solve_upper_t(smp, self._L, y)
-        return [mp.mpf(v) for v in x]
+        L = self.lower
+        y = [self.solve_mp.mpf(v) for v in rhs]
+        for i in range(self.n):
+            s = y[i]
+            for k in range(i):
+                s -= L[i][k] * y[k]
+            y[i] = s / L[i][i]
+        return y
 
-    @property
-    def lower(self):
-        """The lower Cholesky factor at the solve precision, as a tuple of
-        rows.  Row i depends only on the leading (i+1)x(i+1) block, so the
-        factor of a design grown by one point shares all earlier rows."""
-        return self._L
-
-    @property
-    def solve_mp(self):
-        return self._smp
+    def solve_upper_t(self, y):
+        """x = L^-T y at the solve precision, ``y`` converted to it."""
+        L = self.lower
+        x = [self.solve_mp.mpf(v) for v in y]
+        for i in reversed(range(self.n)):
+            s = x[i]
+            for k in range(i + 1, self.n):
+                s -= L[k][i] * x[k]
+            x[i] = s / L[i][i]
+        return x
 
 
 def gram_det(vectors, ctx: PrecisionContext):

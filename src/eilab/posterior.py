@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
 from .errors import EILabError, NonPositivePivot, require_distinct
-from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance, spectral_density, _params, _power_law, _power_tail_cutoff
-from .linalg import CholeskyFactor, _solve_lower, _solve_upper_t
+from .kernels import KernelSpec, covariance, spectral_breakpoints, spectral_density
+from .linalg import CholeskyFactor
 from .precision import PrecisionContext
 from .quadrature import integrate
 
@@ -137,7 +137,6 @@ class FittedPosterior:
 
     def __init__(self, state: TrajectoryState, jitter: bool = False, extends: FittedPosterior | None = None):
         ctx = state.ctx
-        mp = ctx.mp
         kernel = state.kernel
         pts = state.points
         base = None
@@ -154,18 +153,13 @@ class FittedPosterior:
         self._gram = gram
         self.jitter_used = factor.jitter_used
         self.solve_dps = factor.solve_dps
-        smp = factor.solve_mp
         self.state = state
         self.ctx = ctx
         self._factor = factor
-        self._lower = factor.lower
-        self._smp = smp
-        self._same_mp = smp is mp
-        values = list(state.values)
         # w = L^-1 f feeds the incremental mean; beta = G^-1 f the direct one.
-        self._w_hi = _solve_lower(smp, self._lower, values if self._same_mp else [smp.mpf(v) for v in values])
-        self._beta_hi = _solve_upper_t(smp, self._lower, self._w_hi)
-        self._g0_hi = smp.mpf(covariance(kernel, 0, ctx))
+        self._w_hi = factor.solve_lower(state.values)
+        self._beta_hi = factor.solve_upper_t(self._w_hi)
+        self._g0_hi = factor.solve_mp.mpf(covariance(kernel, 0, ctx))
         self._clamp_threshold = ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))
         self.condition = factor.pivot_ratio
 
@@ -178,15 +172,15 @@ class FittedPosterior:
             if x == p:
                 return PosteriorMoments(point=x, mean=self.state.values[k], variance=mp.mpf(0))
         g = [covariance(self.state.kernel, x - p, ctx) for p in pts]
-        smp = self._smp
-        g_hi = g if self._same_mp else [smp.mpf(v) for v in g]
-        z = _solve_lower(smp, self._lower, g_hi)
+        z = self._factor.solve_lower(g)
         var_hi = self._g0_hi
         for zi in z:
             var_hi -= zi * zi
-        mean_hi = smp.mpf(0)
-        for gi, bi in zip(g_hi, self._beta_hi):
-            mean_hi += gi * bi
+        mean_hi = self._factor.solve_mp.mpf(0)
+        # An mpf product rounds in its left operand's context: beta's, the
+        # solve precision, to which g converts exactly.
+        for gi, bi in zip(g, self._beta_hi):
+            mean_hi += bi * gi
         return _checked_moments(ctx, x, mp.mpf(mean_hi), mp.mpf(var_hi), self._clamp_threshold)
 
     def weights(self, x):
@@ -278,7 +272,7 @@ class CandidatePosterior:
             self._z = [[] for _ in range(n)]
             self._var = [fitted._g0_hi._mpf_] * n
             self._mean = [fzero] * n
-        prec, rnd = fitted._smp._prec_rounding
+        prec, rnd = fitted._factor.solve_mp._prec_rounding
         for k in range(solved, state.size):
             self._advance(fitted, k, prec, rnd)
         self._fitted = fitted
@@ -287,8 +281,9 @@ class CandidatePosterior:
     def _advance(self, fitted, k, prec, rnd):
         """Add forward-substitution entry ``k`` for every candidate; column
         entry k is evaluated here the first time it is needed."""
-        row = [v._mpf_ for v in fitted._lower[k][:k]]
-        diag = fitted._lower[k][k]._mpf_
+        lower = fitted._factor.lower
+        row = [v._mpf_ for v in lower[k][:k]]
+        diag = lower[k][k]._mpf_
         w = fitted._w_hi[k]._mpf_
         xk = fitted.state.points[k]
         kernel, ctx = fitted.state.kernel, fitted.ctx
@@ -323,21 +318,6 @@ class CandidatePosterior:
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""
         del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i]
-
-
-def posterior(state: TrajectoryState, x) -> PosteriorMoments:
-    """Conditional moments at x from a fresh factorization of the design.
-
-    A query that coincides exactly with a design point returns its observed
-    value with zero variance before any factorization is attempted, so it
-    succeeds even on designs too degenerate to factor.
-    """
-    mp = state.ctx.mp
-    x = mp.mpf(x)
-    for k, p in enumerate(state.points):
-        if x == p:
-            return PosteriorMoments(point=x, mean=state.values[k], variance=mp.mpf(0))
-    return FittedPosterior(state).moments(x)
 
 
 _ORACLE_MAX_DESIGN = 8
@@ -377,14 +357,5 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
 
     lam_scale = 1 + sum(abs(lk) for lk in lam)
     budget = 2 * ctx.digits + ctx.guard_digits
-    if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        theta, _ = _params(kernel, mp)
-        points = [0, theta, mp.inf]
-    else:
-        a, b, amp = _power_law(kernel, mp)
-        cutoff = _power_tail_cutoff(
-            mp, a, b, mp.log(amp * lam_scale * lam_scale), budget
-        )
-        points = [0, cutoff]
-    value = 2 * integrate(ctx, integrand, points, floor=ctx.tol(-budget))
-    return value
+    points = spectral_breakpoints(kernel, ctx, budget, lam_scale)
+    return 2 * integrate(ctx, integrand, points, floor=ctx.tol(-budget))

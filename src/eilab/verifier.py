@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .ei import closed_form_at, ei_integral_oracle, expected_improvement, improvement_tail_quadrature
-from .errors import DimensionMismatch, DuplicatePoint, EILabError, require_distinct
+from .errors import DimensionMismatch, EILabError, require_distinct
 from .kernels import GaussianKernel, KernelSpec, SpectralPowerKernel, covariance, rate_function, spectral_power_form
 from .linalg import gram_det
 from .posterior import FittedPosterior, TrajectoryState, variance_spectral_oracle
@@ -203,6 +203,19 @@ def gram_distance_oracle(z, zs, ctx: PrecisionContext):
     return ctx.mp.sqrt(g_full / g_base)
 
 
+def _zero_valued_state(kernel, points, ctx: PrecisionContext) -> TrajectoryState:
+    """The design ``points`` with every observed value zero: the variance
+    does not depend on the values."""
+    mp = ctx.mp
+    return TrajectoryState(
+        kernel=kernel,
+        ctx=ctx,
+        points=tuple(mp.mpf(p) for p in points),
+        values=tuple(mp.mpf(0) for _ in points),
+        best=mp.mpf(0),
+    )
+
+
 def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext):
     """Check e^-K <= sigma^2 / (e^F(K) prod_k |x - x_k|^2) <= e^2K in logs.
 
@@ -214,22 +227,14 @@ def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext)
     if k < 2:
         raise EILabError("sandwich check needs at least 2 nodes")
     spectral = spectral_power_form(kernel, ctx)
-    state = TrajectoryState(
-        kernel=kernel,
-        ctx=ctx,
-        points=tuple(mp.mpf(v) for v in nodes),
-        values=tuple(mp.mpf(0) for _ in nodes),
-        best=mp.mpf(0),
-    )
     x = mp.mpf(x)
-    moments = FittedPosterior(state).moments(x)
+    points = tuple(mp.mpf(v) for v in nodes)
+    require_distinct(points + (x,), "points (x_1..x_K, x)")
+    moments = FittedPosterior(_zero_valued_state(kernel, points, ctx)).moments(x)
     log_sigma2 = mp.log(moments.variance) if moments.variance > 0 else mp.ninf
     log_prod = mp.mpf(0)
-    for p in state.points:
-        gap = abs(x - p)
-        if gap == 0:
-            raise DuplicatePoint("x coincides with a node")
-        log_prod += 2 * mp.log(gap)
+    for p in points:
+        log_prod += 2 * mp.log(abs(x - p))
     rate = rate_function(spectral, k, ctx)
     log_ratio = log_sigma2 - rate - log_prod
     context = {
@@ -364,6 +369,18 @@ def _distinct_uniform(rng, count, lo=-1.0, hi=1.0, min_gap=1e-3):
     return out
 
 
+def _random_design(rng, max_k):
+    """A random Gaussian kernel, 1..max_k design points and a query point.
+
+    The seeded suites' reports depend on this order of draws: kernel, K,
+    then K + 1 distinct points, the last of which is the query.
+    """
+    kernel = GaussianKernel(a=rng.uniform(0.2, 0.5), gamma=rng.uniform(0.5, 2.0))
+    k = rng.randint(1, max_k)
+    raw = _distinct_uniform(rng, k + 1, min_gap=2e-2)
+    return kernel, raw[:k], raw[k]
+
+
 def ei_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 20, max_k: int = 6):
     """Closed-form EI vs the quadrature oracle on randomized states.
 
@@ -375,10 +392,8 @@ def ei_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 20, max_k: 
     tol = ctx.tol(-(ctx.digits // 4))
     reports = []
     for trial in range(trials):
-        kernel = GaussianKernel(a=rng.uniform(0.2, 0.5), gamma=rng.uniform(0.5, 2.0))
-        k = rng.randint(1, max_k)
-        raw = _distinct_uniform(rng, k + 1, min_gap=2e-2)
-        pts, query = raw[:k], raw[k]
+        kernel, pts, query = _random_design(rng, max_k)
+        k = len(pts)
         values = [mp.mpf(rng.uniform(-1.2, 0.2)) for _ in range(k)]
         state = TrajectoryState(
             kernel=kernel,
@@ -401,21 +416,12 @@ def posterior_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 10, 
     tol = ctx.tol(-(ctx.digits // 4))
     reports = []
     for trial in range(trials):
-        kernel = GaussianKernel(a=rng.uniform(0.2, 0.5), gamma=rng.uniform(0.5, 2.0))
-        k = rng.randint(1, max_k)
-        raw = _distinct_uniform(rng, k + 1, min_gap=2e-2)
-        pts, query = raw[:k], raw[k]
-        state = TrajectoryState(
-            kernel=kernel,
-            ctx=ctx,
-            points=tuple(mp.mpf(p) for p in pts),
-            values=tuple(mp.mpf(0) for _ in range(k)),
-            best=mp.mpf(0),
-        )
+        kernel, pts, query = _random_design(rng, max_k)
+        state = _zero_valued_state(kernel, pts, ctx)
         direct = FittedPosterior(state).moments(query).variance
         oracle = variance_spectral_oracle(state, query, ctx)
         context = {"trial": trial, "query": ctx.to_str(mp.mpf(query), 20)}
-        reports.append(_agreement_report(ctx, "posterior-oracle", k, direct, oracle, oracle, tol, context))
+        reports.append(_agreement_report(ctx, "posterior-oracle", len(pts), direct, oracle, oracle, tol, context))
     return reports
 
 

@@ -1,6 +1,23 @@
 import pytest
 
 import eilab
+from eilab import ei
+
+
+def _argmax_ei(state, grid):
+    """The EI argmax over ``grid`` for ``state``, scored as one step of
+    ``run_trajectory`` scores it: the candidates synced to a fresh fit, then
+    ``ei._argmax`` (float screen, closed-form rescoring, tie-break)."""
+    fitted = eilab.FittedPosterior(state)
+    candidates = ei._grid_candidates(state, grid)
+    candidates.sync(fitted)
+    best, _, _ = ei._argmax(fitted, candidates)
+    return best
+
+
+@pytest.fixture(scope="session")
+def argmax_ei():
+    return _argmax_ei
 
 
 @pytest.fixture(scope="session")

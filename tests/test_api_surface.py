@@ -1,0 +1,84 @@
+"""The package's public surface is what the program uses.
+
+Every eilab module reaches the others through their public names only, and
+every name ``eilab/__init__.py`` exports has a caller in ``src/`` outside its
+own definition, or in the benchmark under ``perfbench/``: no public API is
+kept alive only by tests.  No export takes the name of a module either.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "eilab"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced(node):
+    """Names read under ``node``: bare names and attribute names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _defined(stmt):
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _program_uses():
+    """Names the modules of src/ read, each top-level statement not counting
+    the names it defines itself, and every name or string in perfbench/."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in _parse(path).body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                used |= _referenced(stmt) - _defined(stmt)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = _parse(path)
+        used |= _referenced(tree)
+        used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return used
+
+
+def _exports():
+    names = set()
+    for stmt in _parse(PACKAGE / "__init__.py").body:
+        if isinstance(stmt, ast.ImportFrom):
+            names |= {alias.asname or alias.name for alias in stmt.names}
+    return names
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("eilab")):
+                offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not offenders
+
+
+def test_every_export_has_a_program_caller():
+    assert _exports(), "no exports found"
+    assert sorted(_exports() - _program_uses()) == []
+
+
+def test_no_export_shadows_a_module():
+    # ``from .posterior import posterior`` would rebind the package
+    # attribute ``eilab.posterior`` from the module to the function.
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert sorted(_exports() & modules) == []

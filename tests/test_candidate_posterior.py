@@ -8,7 +8,6 @@ from the previous step's, and hold every candidate's moments against
 mean to digits/2.  They also count the covariances each sync evaluates.
 """
 
-import importlib
 from unittest import mock
 
 import pytest
@@ -16,11 +15,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp
 
 import eilab
+from eilab import posterior as posterior_module
 from eilab.ei import _ei_value, _tie_key
 from eilab.posterior import CandidatePosterior, _pack, _unpack
-
-# The package attribute ``eilab.posterior`` is the function of that name.
-posterior_module = importlib.import_module("eilab.posterior")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

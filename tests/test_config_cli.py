@@ -1,11 +1,10 @@
 import json
-import random
 
 import pytest
 
 import eilab
 from eilab import cli
-from eilab.config import DEFAULTS, ExperimentConfig, parse_config, serialize_config
+from eilab.config import ExperimentConfig, parse_config
 from eilab.reports import write_outputs
 
 
@@ -23,22 +22,6 @@ def test_defaults_reproduce_headline_experiment():
     ctx = config.precision()
     # the configured kernel is exactly exp(-x^2)
     assert eilab.covariance(kernel, 0, ctx) == 1
-
-
-def test_round_trip_is_lossless():
-    rng = random.Random(0)
-    keys = list(DEFAULTS)
-    for _ in range(50):
-        overrides = {}
-        for key in rng.sample(keys, rng.randint(0, len(keys) // 2)):
-            if key == "kernel.variant":
-                overrides[key] = rng.choice(["gaussian", "spectral", "ou"])
-            elif key in ("digits", "guard_digits", "steps", "grid.l_max", "seed"):
-                overrides[key] = str(rng.randint(1, 500))
-            else:
-                overrides[key] = f"{rng.uniform(-2, 2):.30f}"
-        config = ExperimentConfig.from_mapping(overrides)
-        assert parse_config(serialize_config(config)) == config
 
 
 def test_parse_errors_carry_line_numbers():

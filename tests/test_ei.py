@@ -29,27 +29,27 @@ def test_ei_zero_at_design_points(ctx60, gauss_unit):
     assert ev.ei == 0
 
 
-def test_first_step_matches_reference_row(ctx60, gauss_unit):
+def test_first_step_matches_reference_row(ctx60, gauss_unit, argmax_ei):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1)
-    best = eilab.argmax_ei(state, eilab.CandidateGrid(l_max=400))
+    best = argmax_ei(state, eilab.CandidateGrid(l_max=400))
     assert abs(abs(best.point) - ctx60.mpf("0.63")) < ctx60.mpf("0.01")
     assert abs(best.ei - ctx60.mpf("0.16")) < ctx60.mpf("0.01")
     # the symmetric tie resolves to the negative sign
     assert best.point < 0
 
 
-def test_argmax_single_candidate(ctx60, gauss_unit):
+def test_argmax_single_candidate(ctx60, gauss_unit, argmax_ei):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1)
     grid = eilab.CandidateGrid(l_max=0, extra_points=("0.5",))
     # grid = {1, -1, 0.5}; all are valid candidates
-    best = eilab.argmax_ei(state, grid)
+    best = argmax_ei(state, grid)
     assert best.ei >= 0
 
 
-def test_argmax_is_exhaustive_maximum(ctx60, gauss_unit):
+def test_argmax_is_exhaustive_maximum(ctx60, gauss_unit, argmax_ei):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1)
     grid = eilab.CandidateGrid(l_max=50)
-    best = eilab.argmax_ei(state, grid)
+    best = argmax_ei(state, grid)
     fitted = eilab.FittedPosterior(state)
     for c in grid.points(ctx60):
         if any(c == p for p in state.points):
@@ -57,11 +57,11 @@ def test_argmax_is_exhaustive_maximum(ctx60, gauss_unit):
         assert eilab.expected_improvement(state, c, fitted).ei <= best.ei
 
 
-def test_argmax_empty_grid(ctx60, gauss_unit):
+def test_argmax_empty_grid(ctx60, gauss_unit, argmax_ei):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 1, -1)
     state = eilab.add_point(state, -1, -1)
     with pytest.raises(eilab.EmptyGrid):
-        eilab.argmax_ei(state, eilab.CandidateGrid(l_max=0))
+        argmax_ei(state, eilab.CandidateGrid(l_max=0))
 
 
 def test_closed_form_matches_integral_oracle(ctx60):
@@ -95,7 +95,7 @@ def test_oracle_requires_positive_variance(ctx60, gauss_unit):
         eilab.ei_integral_oracle(state, 0, ctx60)
 
 
-def test_scale_equivariance_of_first_step(ctx60):
+def test_scale_equivariance_of_first_step(ctx60, argmax_ei):
     # The exact scaling law: covariance scale gamma together with
     # observations scaled by sqrt(gamma) multiplies EI by sqrt(gamma) and
     # leaves the argmax unchanged.  (Scaling the kernel alone reshapes the
@@ -107,13 +107,13 @@ def test_scale_equivariance_of_first_step(ctx60):
     grid = eilab.CandidateGrid(l_max=300)
     s1 = eilab.TrajectoryState.start(base, ctx60, 0, -1)
     s2 = eilab.TrajectoryState.start(scaled, ctx60, 0, -2)
-    b1 = eilab.argmax_ei(s1, grid)
-    b2 = eilab.argmax_ei(s2, grid)
+    b1 = argmax_ei(s1, grid)
+    b2 = argmax_ei(s2, grid)
     assert b1.point == b2.point
     assert abs(b2.ei - 2 * b1.ei) <= b2.ei * ctx60.tol(-(ctx60.digits // 2))
 
 
-def test_kernel_scale_alone_reshapes_ranking(ctx60):
+def test_kernel_scale_alone_reshapes_ranking(ctx60, argmax_ei):
     # with observations held fixed, quadrupling the covariance scale changes
     # the EI values and can move the maximizer outward
     base = eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
@@ -122,8 +122,8 @@ def test_kernel_scale_alone_reshapes_ranking(ctx60):
     grid = eilab.CandidateGrid(l_max=300)
     s1 = eilab.TrajectoryState.start(base, ctx60, 0, -1)
     s2 = eilab.TrajectoryState.start(scaled, ctx60, 0, -1)
-    b1 = eilab.argmax_ei(s1, grid)
-    b2 = eilab.argmax_ei(s2, grid)
+    b1 = argmax_ei(s1, grid)
+    b2 = argmax_ei(s2, grid)
     assert b1.ei != b2.ei
     assert abs(b2.point) > abs(b1.point)
 

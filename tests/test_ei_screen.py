@@ -231,14 +231,14 @@ def test_random_candidates_match_the_exhaustive_argmax(ctx60, cands):
         assert _screened(ctx60, fstar, moments) == expected
 
 
-def test_real_design_rescores_only_the_front_runners(ctx60, gauss_unit, ei_calls):
+def test_real_design_rescores_only_the_front_runners(ctx60, gauss_unit, ei_calls, argmax_ei):
     f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, f(ctx60.mpf(0)))
     grid = eilab.CandidateGrid(l_max=300)
-    first = eilab.argmax_ei(state, grid)
+    first = argmax_ei(state, grid)
     state = eilab.add_point(state, first.point, f(first.point))
     del ei_calls[:]
-    best = eilab.argmax_ei(state, grid)
+    best = argmax_ei(state, grid)
     # the winner's EI comes from the rescoring; the ~600 others are screened
     assert len(ei_calls) <= 4
     fitted = eilab.FittedPosterior(state)

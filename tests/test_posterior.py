@@ -19,7 +19,7 @@ def _state(ctx, kernel, points, values):
 
 def test_observed_point_is_exact(ctx60, gauss_unit):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1)
-    m = eilab.posterior(state, 0)
+    m = eilab.FittedPosterior(state).moments(0)
     assert m.mean == -1
     assert m.variance == 0
 
@@ -27,7 +27,7 @@ def test_observed_point_is_exact(ctx60, gauss_unit):
 def test_single_point_variance_closed_form(ctx60, gauss_unit):
     mp = ctx60.mp
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1)
-    m = eilab.posterior(state, 1)
+    m = eilab.FittedPosterior(state).moments(1)
     expected = 1 - mp.exp(-2)
     assert abs(m.variance - expected) <= ctx60.tol(-(ctx60.digits - 5))
     assert abs(m.mean + mp.exp(-1)) <= ctx60.tol(-(ctx60.digits - 5))
@@ -95,9 +95,6 @@ def test_degenerate_design_raises(ctx60, gauss_unit):
     )
     with pytest.raises(eilab.NonPositivePivot):
         eilab.FittedPosterior(state)
-    # a design-point query never needs the factorization
-    m = eilab.posterior(state, 0)
-    assert m.mean == -1 and m.variance == 0
     # the opt-in jitter pushes past the degeneracy and says so
     fitted = eilab.FittedPosterior(state, jitter=True)
     assert fitted.jitter_used

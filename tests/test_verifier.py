@@ -1,6 +1,7 @@
 import pytest
 
 import eilab
+from eilab import verifier
 
 
 def test_lagrange_midpoint(ctx60):
@@ -108,6 +109,15 @@ def test_sandwich_check_relabeling_invariance(ctx60, gauss_unit):
 def test_sandwich_check_requires_two_nodes(ctx60, gauss_unit):
     with pytest.raises(eilab.EILabError):
         eilab.variance_sandwich_check(gauss_unit, "0.05", ["0.4"], ctx60)
+
+
+def test_sandwich_check_rejects_x_at_a_node_before_fitting(ctx60, gauss_unit, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a posterior was fitted")
+
+    monkeypatch.setattr(verifier, "FittedPosterior", no_fit)
+    with pytest.raises(eilab.DuplicatePoint):
+        eilab.variance_sandwich_check(gauss_unit, "0.2", ["-0.3", "0.2", "0.6"], ctx60)
 
 
 def test_envelope_reports_are_log_domain(ctx60, gauss_unit):
