@@ -40,7 +40,7 @@ from .errors import EILabError, EmptyGrid, NonPositivePivot, UnknownObjective
 from .kernels import KernelSpec, covariance
 from .posterior import CandidatePosterior, FittedPosterior, PosteriorMoments, TrajectoryState, add_point
 from .precision import PrecisionContext, raw_context
-from .quadrature import integrate
+from .quadrature import integrate, quadrature_context
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,12 @@ def ei_integral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
 
     With h = (m - f*) / s, valid for either sign of h:
 
-        EI = s / sqrt(2 pi) * integral_0^inf w exp(-(w + h)^2 / 2) dw,
+        EI = s / sqrt(2 pi) * integral_0^inf w exp(-(w + h)^2 / 2) dw.
 
-    truncated where the integrand falls below the working roundoff.
-    Requires s > 0 (use the closed-form definition at design points).
+    The moments and the prefactor are working-precision values; the
+    integral is ``improvement_tail_quadrature``, good to digits/2, which is
+    what the digits/4 tolerance of the oracle comparison needs.  Requires
+    s > 0 (use the closed-form definition at design points).
     """
     mp = ctx.mp
     moments = FittedPosterior(state).moments(x)
@@ -170,18 +172,25 @@ def improvement_tail_quadrature(ctx: PrecisionContext, h):
     """integral_0^inf w exp(-wh - w^2/2) dw by quadrature, for either sign of h.
 
     This is the improvement tail integral_0^inf w exp(-(w+h)^2/2) dw with
-    the factor exp(-h^2/2) taken out (callers multiply it back): the
-    remaining integrand keeps a scale near 1 for large |h|.  The integral
-    is truncated where the integrand falls below the working roundoff and
-    split at the integrand's peak.
+    the factor exp(-h^2/2) taken out (callers multiply it back).  For h < 0
+    the integrand's peak e^{h^2/2} is taken out too and multiplied back at
+    working precision: mpmath tests convergence in absolute terms, so the
+    integrand's scale must stay near max(1, |h|).  Nothing cancels, so it
+    runs in ``quadrature_context(ctx)`` (digits//2 + guard digits).  The
+    integrand is a bump about w = -h; it is truncated on both sides where
+    it falls 10 digits below that context's roundoff and split at its peak.
     """
-    mp = ctx.mp
-    h = mp.mpf(h)
-    budget = mp.mpf(ctx.working_dps + 10) * mp.log(10)
-    upper = max(mp.mpf(0), -h) + mp.sqrt(2 * budget) + 5
-    peak = (-h + mp.sqrt(h * h + 4)) / 2
-    points = [0, peak, upper] if peak < upper else [0, upper]
-    return integrate(ctx, lambda w: mp.exp(-w * h - w * w / 2) * w, points)
+    h = ctx.mpf(h)
+    mp = quadrature_context(ctx)
+    hq = mp.mpf(h)
+    reach = mp.sqrt(2 * (mp.dps + 10) * mp.log(10)) + 5
+    lower = max(mp.mpf(0), -hq - reach)
+    upper = max(mp.mpf(0), -hq) + reach
+    peak = (-hq + mp.sqrt(hq * hq + 4)) / 2
+    points = [lower, peak, upper] if peak < upper else [lower, upper]
+    if h >= 0:
+        return integrate(ctx, lambda w: mp.exp(-w * hq - w * w / 2) * w, points)
+    return integrate(ctx, lambda w: mp.exp(-(w + hq) ** 2 / 2) * w, points) * ctx.mp.exp(h * h / 2)
 
 
 def _tie_key(x):

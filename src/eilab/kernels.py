@@ -33,6 +33,8 @@ import functools
 from dataclasses import dataclass
 from typing import Union
 
+from mpmath.ctx_mp import MPContext
+
 from .errors import EILabError, MaximizationDiverged, VariantUnsupported
 from .precision import PrecisionContext, raw_context
 from .quadrature import integrate
@@ -206,9 +208,10 @@ def covariance(kernel: KernelSpec, x, ctx: PrecisionContext):
     return covariance_by_quadrature(kernel, x, ctx)
 
 
-def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext):
-    """Spectral density Ghat(t); strictly positive for every variant."""
-    mp = ctx.mp
+def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext | MPContext):
+    """Spectral density Ghat(t); strictly positive for every variant.
+    ``ctx`` may also be an mpmath context, such as an oracle integrand's."""
+    mp = ctx.mp if isinstance(ctx, PrecisionContext) else ctx
     t = mp.mpf(t)
     if isinstance(kernel, GaussianKernel):
         a, gamma, _, _ = _params(kernel, mp)
@@ -224,10 +227,12 @@ def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
     """The covariance as the quadrature of the spectral density.
 
     ``covariance`` of the spectral-power family at b != 2; for the
-    closed-form variants an independent Fourier-pair cross-check.  The
-    density is truncated at ``spectral_breakpoints`` with a budget of 10
-    digits past the working precision.  The Ornstein-Uhlenbeck density
-    decays only polynomially, so its integral runs over the full half line.
+    closed-form variants an independent Fourier-pair cross-check.  It is a
+    production covariance, so it integrates at the working precision.  The
+    density is truncated at
+    ``spectral_breakpoints`` with a budget of 10 digits past the working
+    precision.  The Ornstein-Uhlenbeck density decays only polynomially, so
+    its integral runs over the full half line.
     """
     mp = ctx.mp
     x = mp.mpf(x)
@@ -242,7 +247,7 @@ def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
     else:
         _, _, floor = _power_law(kernel, mp)
     points = spectral_breakpoints(kernel, ctx, ctx.working_dps + 10)
-    return 2 * integrate(ctx, f, points, floor=floor)
+    return 2 * integrate(ctx, f, points, floor=floor, extra_digits=ctx.digits - ctx.digits // 2)
 
 
 def _require_spectral_power(kernel):
@@ -291,8 +296,12 @@ def legendre_conjugate(kernel: SpectralPowerKernel, q, ctx: PrecisionContext):
     """T*(q) = max_s (q s - T(s)) for the spectral-power family.
 
     Returns the closed form s* = ln(q/(ab))/b and
-    T*(q) = q/b (ln(q/(ab)) - 1) + ln(gamma c0), after verifying the value
-    against a derivative-free golden-section maximization of q s - T(s).
+    T*(q) = q/b (ln(q/(ab)) - 1) + ln(gamma c0), at working precision,
+    after verifying the value to relative 10^-(digits/2) against a
+    derivative-free golden-section maximization of q s - T(s).  The search
+    shrinks its bracket to 10^-(0.55 digits + 10) and runs at that many
+    digits plus the guard digits: near the maximum the value error is
+    quadratic in the bracket width, far below the agreement needed.
     """
     _require_spectral_power(kernel)
     mp = ctx.mp
@@ -304,26 +313,26 @@ def legendre_conjugate(kernel: SpectralPowerKernel, q, ctx: PrecisionContext):
     s_star = mp.log(q / (a * b)) / b
     value = q / b * (mp.log(q / (a * b)) - 1) + log_amp
 
-    phi = lambda s: q * s - (a * mp.exp(b * s) - log_amp)
+    width_digits = int(ctx.digits * 0.55) + 10
+    sp = raw_context(width_digits + ctx.guard_digits)
+    sq, sa, sb, slog_amp = (sp.mpf(v) for v in (q, a, b, log_amp))
+    phi = lambda s: sq * s - (sa * sp.exp(sb * s) - slog_amp)
     # Bracket the concave maximum by expanding until phi turns down on both
     # sides, without consulting the closed form.
-    hi = mp.mpf(1)
+    hi = sp.mpf(1)
     while phi(hi) >= phi(hi - 1):
         hi = hi * 2
         if hi > 10**9:
             raise MaximizationDiverged("no right bracket for the conjugate")
-    lo = mp.mpf(-1)
+    lo = sp.mpf(-1)
     while phi(lo) >= phi(lo + 1):
         lo = lo * 2
         if lo < -(10**9):
             raise MaximizationDiverged("no left bracket for the conjugate")
-    # Shrink the bracket to ~10^-(0.55 digits); near the maximum the value
-    # error is quadratic in the bracket width, which lands it well below the
-    # 10^-(digits/2) agreement target.
-    width_digits = int(ctx.digits * 0.55) + 10
-    shrink_per_iter = mp.log(10) / mp.log(1 / ((mp.sqrt(5) - 1) / 2))
-    iterations = int(mp.ceil(width_digits * shrink_per_iter)) + 4
-    _, numeric = _golden_max(mp, phi, lo - 1, hi + 1, iterations)
+    shrink_per_iter = sp.log(10) / sp.log(1 / ((sp.sqrt(5) - 1) / 2))
+    iterations = int(sp.ceil(width_digits * shrink_per_iter)) + 4
+    _, numeric = _golden_max(sp, phi, lo - 1, hi + 1, iterations)
+    numeric = mp.mpf(numeric)
 
     tol = ctx.tol(-(ctx.digits // 2)) * max(abs(value), mp.mpf(1))
     if abs(numeric - value) > tol:

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
-from .errors import EILabError, NonPositivePivot, require_distinct
-from .kernels import KernelSpec, covariance, spectral_breakpoints, spectral_density
+from .errors import EILabError, NonPositivePivot, VariantUnsupported, require_distinct
+from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance, spectral_breakpoints, spectral_density
 from .linalg import CholeskyFactor
 from .precision import PrecisionContext
-from .quadrature import integrate
+from .quadrature import integrate, quadrature_context
 
 
 @dataclass(frozen=True)
@@ -333,8 +333,20 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     by direct quadrature.  This is an independent cross-check of the
     Gram-formula variance (the weights are a stationary point of the
     quadratic, so their rounding does not move the value to first order).
-    Designs are capped at 8 points to keep the oracle affordable.
+    The integrand's terms reach lam_scale^2 Ghat while the integral is the
+    variance, so it runs in ``quadrature_context`` with
+    log10(lam_scale^2 G(0) / variance) digits added, the variance read from
+    the Gram formula being checked (a zero variance falls back to the
+    working precision).  Designs are capped at 8 points to keep the oracle
+    affordable.  The Ornstein-Uhlenbeck kernel is refused before any fit:
+    tanh-sinh does not converge on its polynomially decaying integrand.
     """
+    kernel = state.kernel
+    if isinstance(kernel, OrnsteinUhlenbeckKernel):
+        raise VariantUnsupported(
+            "the spectral variance oracle needs a super-exponentially decaying "
+            "density; the Ornstein-Uhlenbeck kernel has none"
+        )
     if state.size > _ORACLE_MAX_DESIGN:
         raise EILabError(
             f"spectral variance oracle supports designs of at most "
@@ -344,18 +356,24 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     x = mp.mpf(x)
     fitted = FittedPosterior(state)
     lam = fitted.weights(x)
-    pts = state.points
-    kernel = state.kernel
+    variance = fitted.moments(x).variance
+    lam_scale = 1 + sum(abs(lk) for lk in lam)
+    if variance > 0:
+        cancel = max(0, int(mp.ceil(mp.log10(lam_scale**2 * covariance(kernel, 0, ctx) / variance))))
+    else:
+        cancel = ctx.digits - ctx.digits // 2
+    qp = quadrature_context(ctx, cancel)
+    xq = qp.mpf(x)
+    terms = [(qp.mpf(lk), qp.mpf(pk)) for lk, pk in zip(lam, state.points)]
 
     def integrand(t):
-        d = mp.cos(x * t)
-        e = mp.sin(x * t)
-        for lk, pk in zip(lam, pts):
-            d -= lk * mp.cos(pk * t)
-            e -= lk * mp.sin(pk * t)
-        return (d * d + e * e) * spectral_density(kernel, t, ctx)
+        d, e = qp.cos_sin(xq * t)
+        for lk, pk in terms:
+            c, s = qp.cos_sin(pk * t)
+            d -= lk * c
+            e -= lk * s
+        return (d * d + e * e) * spectral_density(kernel, t, qp)
 
-    lam_scale = 1 + sum(abs(lk) for lk in lam)
     budget = 2 * ctx.digits + ctx.guard_digits
     points = spectral_breakpoints(kernel, ctx, budget, lam_scale)
-    return 2 * integrate(ctx, integrand, points, floor=ctx.tol(-budget))
+    return 2 * integrate(ctx, integrand, points, floor=ctx.tol(-budget), extra_digits=cancel)

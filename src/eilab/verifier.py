@@ -216,11 +216,14 @@ def _zero_valued_state(kernel, points, ctx: PrecisionContext) -> TrajectoryState
     )
 
 
-def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext):
+def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext, fitted: FittedPosterior | None = None):
     """Check e^-K <= sigma^2 / (e^F(K) prod_k |x - x_k|^2) <= e^2K in logs.
 
     Returns (lower, upper) reports whose ``ratio`` field is
-    ln sigma^2 - F(K) - 2 sum ln |x - x_k|.
+    ln sigma^2 - F(K) - 2 sum ln |x - x_k|.  ``fitted`` may carry the fit
+    of the design ``nodes`` (any observed values: the variance does not
+    depend on them), for a caller that grows one fit through nested
+    designs; otherwise a fresh one is constructed.
     """
     mp = ctx.mp
     k = len(nodes)
@@ -230,7 +233,11 @@ def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext)
     x = mp.mpf(x)
     points = tuple(mp.mpf(v) for v in nodes)
     require_distinct(points + (x,), "points (x_1..x_K, x)")
-    moments = FittedPosterior(_zero_valued_state(kernel, points, ctx)).moments(x)
+    if fitted is None:
+        fitted = FittedPosterior(_zero_valued_state(kernel, points, ctx))
+    elif fitted.state.points != points:
+        raise EILabError("the fit given to the sandwich check is not of its nodes")
+    moments = fitted.moments(x)
     log_sigma2 = mp.log(moments.variance) if moments.variance > 0 else mp.ninf
     log_prod = mp.mpf(0)
     for p in points:
@@ -467,7 +474,12 @@ def sandwich_sweep(
     k_max: int = 25,
 ) -> SandwichSweep:
     """Sweep the sandwich bounds over K = k_min..k_max on random spectral
-    kernels and designs, recording the empirical threshold K0."""
+    kernels and designs, recording the empirical threshold K0.
+
+    A trial's designs nodes[:K] are nested, so one posterior fit is grown
+    through them (``FittedPosterior(..., extends=)``, one Gram row per K),
+    bit for bit the fresh fit of each design.
+    """
     rng = random.Random(seed)
     mp = ctx.mp
     trial_rows = []
@@ -477,10 +489,12 @@ def sandwich_sweep(
         c0 = rng.uniform(0.3, 1.2)
         kernel = SpectralPowerKernel(a=a, b=2, c0=c0)
         raw = _distinct_uniform(rng, k_max + 1, min_gap=1e-3)
-        x, nodes = raw[0], raw[1:]
+        x, *nodes = (mp.mpf(v) for v in raw)
         last_fail = k_min - 1
+        fitted = None
         for k in range(k_min, k_max + 1):
-            lower, upper = variance_sandwich_check(kernel, x, nodes[:k], ctx)
+            fitted = FittedPosterior(_zero_valued_state(kernel, nodes[:k], ctx), extends=fitted)
+            lower, upper = variance_sandwich_check(kernel, x, nodes[:k], ctx, fitted=fitted)
             all_reports.extend((lower, upper))
             if not (lower.satisfied and upper.satisfied):
                 last_fail = k

@@ -82,3 +82,25 @@ def test_no_export_shadows_a_module():
     # attribute ``eilab.posterior`` from the module to the function.
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     assert sorted(_exports() & modules) == []
+
+
+# mpmath's quadrature entry points.  Every tanh-sinh integral goes through
+# ``quadrature.integrate``, which alone decides its precision; the one
+# exception is the oscillatory ``quadosc`` of the Ornstein-Uhlenbeck
+# covariance, whose density decays too slowly for tanh-sinh.
+_QUADRATURE_CALLS = {"quad", "quadts", "quadgl", "quadsubdiv", "quadosc"}
+_QUADRATURE_ALLOWED = {("quadrature.py", "quad"), ("kernels.py", "quadosc")}
+
+
+def test_only_the_quadrature_module_runs_mpmath_quadrature():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _QUADRATURE_CALLS
+                and (path.name, node.func.attr) not in _QUADRATURE_ALLOWED
+            ):
+                offenders.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
+    assert not offenders

@@ -88,14 +88,14 @@ GOLDEN = {
     "trajectory-jitter/table.csv": "34440094ede027316025245f3bee9e6ba839e4e4e72758b5d3fddcd430a354ff",
     "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
     "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
-    "verify-ei-oracle/report.json": "b5ad1447037d820305e672e07b6647594202771e7777533ef934bfaf8c3c9f34",
-    "verify-ei-oracle/table.csv": "7430b9f03afcc163ccc6d60edcf1ec39657147bebefea9bccd31fe384d4b13dd",
+    "verify-ei-oracle/report.json": "2e196c75091a34c30730f960630070fd375101a7a073bfeb7fe19601346e2f91",
+    "verify-ei-oracle/table.csv": "d9b0f2211476d0362c72dae4a96d10d7ace924e21dee114d9478a7ba4ce13e2e",
     "verify-lemma-vandermonde/report.json": "91b7bcfd66161028bb41d03fccf68a0e02964b29eb3cb7b003032ed301f0abe6",
     "verify-lemma-vandermonde/table.csv": "faeb7d3fdc31d819ea375d34eb961a04836d4e0dc8d7942b37b4c2e3ec1fd67b",
-    "verify-lemma3-tails/report.json": "54b36d356d3a8e4e9df16a6000675a51d3d4b2ed4f6cae6daf393cfab4a1f4a2",
-    "verify-lemma3-tails/table.csv": "8cca47c0fe9c66d2c286a747984c7c11236d89cb61cc7c1428f42115008b9fcd",
-    "verify-posterior-oracle/report.json": "6a7076ce8652cb7a8ee33caab30de1dccb2a2c8788734908ae5c337b8261cb33",
-    "verify-posterior-oracle/table.csv": "fdd629c1d8ef29ef89ed8e72acd020d196e6014ff6f6d9970939fb91a86a660e",
+    "verify-lemma3-tails/report.json": "591ff7b8165d09c1e056f4494002fb774df8246614f3c4886ac03cfb8791d2d4",
+    "verify-lemma3-tails/table.csv": "f9618439cb85b8a523f64131db65e977c019166e47586e141ac1db7c8e33009a",
+    "verify-posterior-oracle/report.json": "b2f6a680f452a3115d9576a55714abe76e560ba2ea25d06fdcdae19767e18771",
+    "verify-posterior-oracle/table.csv": "9b980cac6f83ce11e4ab8539c663decf744019d37ee50edb401e13a0a4127b61",
     "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",
     "verify-thm1-decay/table.csv": "a77daf1fcc38a4e915fb0d429deaeb98312fe6b6972c2b82d0f2a415240bee5b",
     "verify-thm2-sandwich/report.json": "71199b7ff206a02aafa111d5c7de6f8a15cdd091d44ae6d72b24303e6ebaf785",

@@ -120,6 +120,16 @@ def test_sandwich_check_rejects_x_at_a_node_before_fitting(ctx60, gauss_unit, mo
         eilab.variance_sandwich_check(gauss_unit, "0.2", ["-0.3", "0.2", "0.6"], ctx60)
 
 
+def test_sandwich_check_refuses_the_fit_of_other_nodes(ctx60, gauss_unit):
+    mp = ctx60.mp
+    zero = [mp.mpf(0)] * 2
+    other = eilab.TrajectoryState(
+        kernel=gauss_unit, ctx=ctx60, points=(mp.mpf("-0.3"), mp.mpf("0.4")), values=tuple(zero), best=zero[0]
+    )
+    with pytest.raises(eilab.EILabError):
+        eilab.variance_sandwich_check(gauss_unit, "0.05", ["-0.3", "0.6"], ctx60, fitted=eilab.FittedPosterior(other))
+
+
 def test_envelope_reports_are_log_domain(ctx60, gauss_unit):
     mp = ctx60.mp
     # synthetic collapsing trajectory: the lower bound 2^K F(K) is a number
