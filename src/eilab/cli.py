@@ -197,17 +197,7 @@ def cmd_verify(config: ExperimentConfig, suite: str) -> RunReport:
 
     report.bounds = [bound_to_dict(b, ctx) for b in bounds]
     if not report.rows and bounds:
-        report.rows = [
-            {
-                "label": b["label"],
-                "K": b["K"],
-                "lhs": b["lhs"],
-                "rhs": b["rhs"],
-                "ratio": b["ratio"],
-                "satisfied": b["satisfied"],
-            }
-            for b in report.bounds
-        ]
+        report.rows = [{c: b[c] for c in report.columns} for b in report.bounds]
     if suite in HARD_SUITES:
         report.hard_failures = sum(1 for b in bounds if not b.satisfied)
         report.notes["hard_suite"] = True

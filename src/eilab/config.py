@@ -14,33 +14,8 @@ from .errors import ConfigError
 from .kernels import GaussianKernel, OrnsteinUhlenbeckKernel, SpectralPowerKernel
 from .precision import PrecisionContext
 
-# Canonical key order; a config holds every key, and reports record them in
-# this order.
-KEYS = (
-    "digits",
-    "guard_digits",
-    "seed",
-    "out",
-    "steps",
-    "x1",
-    "objective",
-    "jitter",
-    "kernel.variant",
-    "kernel.a",
-    "kernel.b",
-    "kernel.c0",
-    "kernel.gamma",
-    "kernel.theta",
-    "grid.epsilon",
-    "grid.l_max",
-    "grid.extra",
-    "spectral.k_min",
-    "spectral.k_max",
-    "verify.trials",
-    "verify.k_max",
-    "verify.h_values",
-)
-
+# Every key with its default, in the canonical order: a config holds every
+# key, and reports record them in this order.
 DEFAULTS = {
     "digits": "300",
     "guard_digits": "20",
@@ -81,19 +56,14 @@ class ExperimentConfig:
                 if key not in values:
                     raise ConfigError(f"unknown config key {key!r}")
                 values[key] = str(value)
-        return cls(entries=tuple((k, values[k]) for k in KEYS))
+        return cls(entries=tuple(values.items()))
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
         return cls.from_mapping()
 
     def replaced(self, **overrides) -> "ExperimentConfig":
-        mapping = dict(self.entries)
-        for key, value in overrides.items():
-            if key not in mapping:
-                raise ConfigError(f"unknown config key {key!r}")
-            mapping[key] = str(value)
-        return ExperimentConfig(entries=tuple((k, mapping[k]) for k in KEYS))
+        return ExperimentConfig.from_mapping({**dict(self.entries), **overrides})
 
     def get(self, key: str) -> str:
         for k, v in self.entries:

@@ -366,7 +366,7 @@ class StepTiming:
 
 @dataclass(frozen=True)
 class TrajectoryRun:
-    """Outcome of a run: chosen evaluations, final state, abort tag.
+    """Outcome of a run: final state, per-step records, abort tag.
 
     ``aborted_at`` is the design size whose Gram matrix failed to factor;
     the partial trajectory up to that point is always returned.
@@ -375,7 +375,6 @@ class TrajectoryRun:
     """
 
     state: TrajectoryState
-    chosen: tuple
     records: tuple
     aborted_at: int | None = None
     abort_reason: str | None = None
@@ -448,7 +447,6 @@ def run_trajectory(
         )
     ]
     candidates = _grid_candidates(state, grid)
-    chosen = []
     timings = []
     fitted = None
     aborted_at = None
@@ -477,7 +475,6 @@ def run_trajectory(
         )
         candidates.remove(index)
         state = add_point(state, best.point, f(best.point))
-        chosen.append(best)
         records.append(
             StepRecord(
                 size=state.size,
@@ -492,7 +489,6 @@ def run_trajectory(
         )
     return TrajectoryRun(
         state=state,
-        chosen=tuple(chosen),
         records=tuple(records),
         aborted_at=aborted_at,
         abort_reason=abort_reason,

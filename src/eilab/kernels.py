@@ -114,11 +114,17 @@ class OrnsteinUhlenbeckKernel:
 
 KernelSpec = Union[GaussianKernel, SpectralPowerKernel, OrnsteinUhlenbeckKernel]
 
-# Resolved numeric parameters per (kernel, mpmath context).  Raw contexts are
-# shared per dps, so a key is a (kernel, dps) pair; the bound matters because
-# the randomized verifier trials build a new kernel per trial.
-@functools.lru_cache(maxsize=256)
 def _params(kernel: KernelSpec, mp):
+    return _resolved_params(kernel, mp, mp.prec)
+
+
+# Resolved numeric parameters per (kernel, mpmath context, its precision now):
+# ``mp.quad`` raises the precision of the shared context it runs in, and
+# parameters first resolved there must not be served after it returns.  The
+# bound matters because the randomized verifier trials build a new kernel
+# per trial.
+@functools.lru_cache(maxsize=256)
+def _resolved_params(kernel: KernelSpec, mp, prec):
     if isinstance(kernel, GaussianKernel):
         a = resolve_param(kernel.a, mp)
         gamma = resolve_param(kernel.gamma, mp)

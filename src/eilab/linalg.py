@@ -102,33 +102,29 @@ class CholeskyFactor:
     design when that is explicitly wanted; it is never applied silently, and
     callers are expected to record its use in their reports.
 
-    ``extends`` may be the factor of the leading block of ``matrix`` (same
-    context and jitter); its rows are then kept and only the new rows are
-    computed, at the working precision and, when the solve precision is
-    unchanged, at the solve precision too.  The result is bit for bit the
-    fresh factor of ``matrix``.  ``DimensionMismatch`` is raised when
-    ``extends`` factors a different leading block.
+    ``extends`` may be the factor of a leading block (same context and
+    jitter); ``matrix`` then holds only the rows of the new points, row i
+    with ``extends.n + i + 1`` lower-triangle entries.  The leading rows are
+    kept and only the new ones are computed, at the working precision and,
+    when the solve precision is unchanged, at the solve precision too; the
+    result is bit for bit the fresh factor of the whole matrix.
+    ``DimensionMismatch`` is raised when ``extends`` was factored under
+    another context or jitter.
     """
 
     def __init__(self, matrix, ctx: PrecisionContext, jitter: bool = False, extends=None):
-        n = len(matrix)
-        for i, row in enumerate(matrix):
+        self.jitter_used = bool(jitter)
+        if extends is not None and (extends.ctx, extends.jitter_used) != (ctx, self.jitter_used):
+            raise DimensionMismatch("extends was factored under another context or jitter")
+        a = list(extends._a) if extends else []
+        n = len(a) + len(matrix)
+        mp = ctx.mp
+        for i, row in enumerate(matrix, start=len(a)):
             if len(row) not in (i + 1, n):
                 raise DimensionMismatch("matrix is neither square nor lower triangular")
-        mp = ctx.mp
-        a = [[mp.mpf(row[j]) for j in range(i + 1)] for i, row in enumerate(matrix)]
-        self.jitter_used = bool(jitter)
-        if jitter:
-            shift = ctx.tol(-(ctx.digits // 2))
-            for i in range(n):
-                a[i][i] = a[i][i] + shift
-        if extends is not None and (
-            extends.ctx != ctx
-            or extends.jitter_used != self.jitter_used
-            or extends.n > n
-            or a[: extends.n] != extends._a
-        ):
-            raise DimensionMismatch("extends is not the factor of the matrix's leading block")
+            a.append([mp.mpf(row[j]) for j in range(i + 1)])
+            if jitter:
+                a[i][i] += ctx.tol(-(ctx.digits // 2))
         self.ctx = ctx
         self.n = n
         self._a = a

@@ -129,28 +129,22 @@ class FittedPosterior:
     degenerate at the context's precision.
 
     ``extends`` may be the fit of an earlier design of the same run (same
-    kernel, context and jitter).  When this design extends that one, only
-    the Gram rows of the new points are evaluated (the lower triangle) and
-    its factor is extended by them; the result is bit for bit the fresh
-    fit.  Otherwise ``extends`` is ignored.
+    kernel, context and jitter) that this design extends.  Only the Gram
+    rows of the new points are evaluated (the lower triangle) and the
+    factor is extended by them; the result is bit for bit the fresh fit.
+    ``EILabError`` is raised when this design does not start with that one
+    (``DimensionMismatch`` when the context or jitter differs).
     """
 
     def __init__(self, state: TrajectoryState, jitter: bool = False, extends: FittedPosterior | None = None):
         ctx = state.ctx
         kernel = state.kernel
         pts = state.points
-        base = None
-        if (
-            extends is not None
-            and (extends.state.kernel, extends.ctx, extends.jitter_used) == (kernel, ctx, bool(jitter))
-            and pts[: extends.state.size] == extends.state.points
-        ):
-            base = extends
-        gram = list(base._gram) if base else []
-        for i in range(len(gram), len(pts)):
-            gram.append([covariance(kernel, pts[i] - pts[j], ctx) for j in range(i + 1)])
-        factor = CholeskyFactor(gram, ctx, jitter=jitter, extends=base._factor if base else None)
-        self._gram = gram
+        m = extends.state.size if extends else 0
+        if extends is not None and (extends.state.kernel != kernel or pts[:m] != extends.state.points):
+            raise EILabError("extends is not the fit of a leading design of this state")
+        rows = [[covariance(kernel, pts[i] - pts[j], ctx) for j in range(i + 1)] for i in range(m, len(pts))]
+        factor = CholeskyFactor(rows, ctx, jitter=jitter, extends=extends._factor if extends else None)
         self.jitter_used = factor.jitter_used
         self.solve_dps = factor.solve_dps
         self.state = state
@@ -230,14 +224,13 @@ class CandidatePosterior:
     GPML 2006, sec. 2.2 and Alg. 2.1).  The leading rows of L do not change
     when a point is appended, so z and the variance are bit-identical to the
     direct forward solve of ``FittedPosterior.moments``; only the rounding
-    order of the mean differs.  When the solve precision, the jitter or the
-    observed values change, z, the variance and the mean are re-solved from
-    the kept column at the new factor, with no covariance evaluated again;
-    the column itself is dropped only when the design does not extend the
-    previous one.  Values are raw ``mpf`` tuples combined with
-    ``mpmath.libmp`` at the solve context's precision and rounding, exactly
-    as the ``mpf`` operators combine them.  A state serves one run: one
-    kernel and one precision context.
+    order of the mean differs.  When the solve precision or the jitter
+    changes, z, the variance and the mean are re-solved from the kept
+    column at the new factor, with no covariance evaluated again.  Values
+    are raw ``mpf`` tuples combined with ``mpmath.libmp`` at the solve
+    context's precision and rounding, exactly as the ``mpf`` operators
+    combine them.  A state serves one run: one kernel, one precision
+    context, and one design that only grows.
     """
 
     def __init__(self, points):
@@ -251,23 +244,21 @@ class CandidatePosterior:
     def sync(self, fitted: FittedPosterior):
         """Bring the state up to the design and factor of ``fitted``.
 
+        ``fitted`` is the first fit synced, or one whose points and values
+        extend those of the last; ``EILabError`` is raised otherwise.
         Returns the number of covariances evaluated and whether the kept
         forward-substitution entries were re-solved at the new factor.
         """
         state, prev = fitted.state, self._fitted
         n = len(self.points)
-        kept = solved = 0
-        if prev is not None and state.points[: prev.state.size] == prev.state.points:
-            kept = prev.state.size
-            if (prev.solve_dps, prev.jitter_used) == (fitted.solve_dps, fitted.jitter_used) and (
-                state.values[:kept] == prev.state.values
-            ):
-                solved = kept
-        # Free the old state before the new one grows.
+        kept = prev.state.size if prev else 0
+        if prev and (state.points[:kept], state.values[:kept]) != (prev.state.points, prev.state.values):
+            raise EILabError("the fit does not extend the last synced design")
+        solved = kept if prev and (prev.solve_dps, prev.jitter_used) == (fitted.solve_dps, fitted.jitter_used) else 0
         if not kept:
-            self._g = None
             self._g = [[] for _ in range(n)]
         if not solved:
+            # Free the old state before the new one grows.
             self._z = self._var = self._mean = None
             self._z = [[] for _ in range(n)]
             self._var = [fitted._g0_hi._mpf_] * n

@@ -1,10 +1,10 @@
 """Explicit arbitrary-precision contexts.
 
 Every numeric operation in the lab takes a ``PrecisionContext`` rather than
-relying on a process-global precision setting.  A context owns an independent
-mpmath context object, so two contexts with different precision can coexist
-(including across threads) without interfering; results are a deterministic
-function of the inputs and the context.
+relying on a process-global precision setting.  Each precision has its own
+mpmath context object, so two contexts with different precision coexist
+without interfering; results are a deterministic function of the inputs and
+the context.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from .errors import EILabError
 
 MIN_DIGITS = 50
 
-# Raw mpmath contexts are immutable after creation (we never touch .dps again),
-# so they are shared process-wide per dps value.
+# Raw mpmath contexts are shared process-wide per dps value.  The lab never
+# sets their precision again, but ``mp.quad`` raises it by 20 bits while it
+# integrates, so a context is not safe across threads, and a cache keyed on
+# one must also key on its current ``prec``.
 _RAW_CACHE: dict[int, MPContext] = {}
 
 

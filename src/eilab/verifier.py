@@ -478,7 +478,8 @@ def sandwich_sweep(
 
     A trial's designs nodes[:K] are nested, so one posterior fit is grown
     through them (``FittedPosterior(..., extends=)``, one Gram row per K),
-    bit for bit the fresh fit of each design.
+    bit for bit the fresh fit of each design; the fit refuses a design that
+    does not extend the last.
     """
     rng = random.Random(seed)
     mp = ctx.mp

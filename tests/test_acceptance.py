@@ -45,7 +45,7 @@ def test_acceptance_01_table_reproduction(default_run, ctx300):
     assert default_run.state.size == 10
     for k, x_ref, ei_ref in REFERENCE_TABLE:
         x = default_run.state.points[k - 1]
-        ei = default_run.chosen[k - 2].ei
+        ei = default_run.records[k - 1].ei
         assert _matches_two_sig(mp, abs(x), x_ref), f"x at K={k}: {ctx300.to_str(x, 8)}"
         assert _matches_two_sig(mp, ei, ei_ref), f"EI at K={k}: {ctx300.to_str(ei, 8)}"
     print("\nACCEPTANCE 1 PASS: default run reproduces the reference table "

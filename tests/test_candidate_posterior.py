@@ -65,7 +65,7 @@ def _replay(kernel, objective, x1, steps, grid, ctx, jitter=False):
     candidates = CandidatePosterior(c for c in grid.points(ctx) if c != pts[0])
     tol = ctx.tol(-(ctx.digits // 2))
     grown = None
-    for size, chosen in enumerate(run.chosen, start=1):
+    for size, record in enumerate(run.records[1:], start=1):
         state = eilab.TrajectoryState(
             kernel=kernel, ctx=ctx, points=pts[:size], values=vals[:size], best=min(vals[:size])
         )
@@ -77,9 +77,9 @@ def _replay(kernel, objective, x1, steps, grid, ctx, jitter=False):
         assert evaluated == len(candidates)
         assert resolved == (size > 1 and run.records[size - 1].solve_dps != fitted.solve_dps)
         slow_best, eis = _assert_matches_direct(candidates, fitted)
-        assert chosen.point == slow_best == pts[size]
-        assert abs(chosen.ei - eis[slow_best]) <= tol * eis[slow_best]
-        assert run.records[size].solve_dps == fitted.solve_dps
+        assert record.point == slow_best == pts[size]
+        assert abs(record.ei - eis[slow_best]) <= tol * eis[slow_best]
+        assert record.solve_dps == fitted.solve_dps
         candidates.remove(candidates.points.index(pts[size]))
     return run
 
@@ -119,40 +119,49 @@ def test_run_exhausting_the_grid_raises_empty_grid(ctx60, gauss_unit):
         eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 3, eilab.CandidateGrid(l_max=0), ctx60)
 
 
-def test_sync_drops_the_columns_when_the_design_does_not_extend(ctx60, gauss_unit):
+def _fit(kernel, ctx, points, values):
+    state = eilab.TrajectoryState(kernel=kernel, ctx=ctx, points=tuple(points), values=tuple(values), best=min(values))
+    return eilab.FittedPosterior(state)
+
+
+def test_sync_refuses_a_design_that_does_not_extend(ctx60, gauss_unit):
     mp = ctx60.mp
     f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
-    grid = [mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5, -5)]
-    candidates = CandidatePosterior(grid)
+    candidates = CandidatePosterior([mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5, -5)])
 
     def fitted(*xs):
-        state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, f(mp.mpf(0)))
-        for x in xs:
-            state = eilab.add_point(state, mp.mpf(x), f(mp.mpf(x)))
-        return eilab.FittedPosterior(state)
+        xs = [mp.mpf(0)] + [mp.mpf(x) for x in xs]
+        return _fit(gauss_unit, ctx60, xs, [f(x) for x in xs])
 
-    # extend, replace the last point, extend, shrink, then grow by three
-    # points at once; the expected count is the number of design points
-    # whose column entries are evaluated, so a design that does not extend
-    # the previous one evaluates every column afresh
-    steps = [(("0.5",), 2), (("-0.5",), 2), (("-0.5", "0.25"), 1), ((), 1), (("0.5", "0.35", "-0.45"), 3)]
-    for design, new_points in steps:
-        fit = fitted(*design)
-        evaluated, resolved = _counted_sync(candidates, fit)
-        assert evaluated == new_points * len(candidates)
-        assert not resolved
-        _assert_matches_direct(candidates, fit)
+    assert _counted_sync(candidates, fitted("0.5")) == (2 * len(candidates), False)
+    # replace the last point, or shrink the design: refused before any
+    # covariance is evaluated, and the synced state stays as it was
+    for fit in (fitted("-0.5"), fitted()):
+        with mock.patch.object(posterior_module, "covariance") as cov:
+            with pytest.raises(eilab.EILabError, match="does not extend"):
+                candidates.sync(fit)
+        assert cov.call_count == 0
+    # growing by three points at once evaluates three column entries each
+    fit = fitted("0.5", "0.35", "-0.45", "0.25")
+    evaluated, _ = _counted_sync(candidates, fit)
+    assert evaluated == 3 * len(candidates)
+    _assert_matches_direct(candidates, fit)
+    # the same design under jitter re-solves the kept columns
+    jittered = eilab.FittedPosterior(fit.state, jitter=True)
+    assert _counted_sync(candidates, jittered) == (0, True)
+    _assert_matches_direct(candidates, jittered)
 
 
-def test_changed_values_resolve_the_kept_columns(ctx60, gauss_unit):
-    # same design points, other observed values: the mean must follow the
-    # new values, with no covariance evaluated again
+def test_sync_refuses_changed_values(ctx60, gauss_unit):
+    # the same design points with other observed values, alone or grown by
+    # a point: the kept means would be stale, so the fit is refused
     mp = ctx60.mp
-    candidates = CandidatePosterior([mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5)])
-    xs = [mp.mpf(0), mp.mpf("0.5")]
-    for values in ([mp.mpf(1), mp.mpf(2)], [mp.mpf(1), mp.mpf(-3)]):
-        state = eilab.TrajectoryState(kernel=gauss_unit, ctx=ctx60, points=tuple(xs), values=tuple(values), best=min(values))
-        fit = eilab.FittedPosterior(state)
-        evaluated, resolved = _counted_sync(candidates, fit)
-        _assert_matches_direct(candidates, fit)
-    assert (evaluated, resolved) == (0, True)
+    candidates = CandidatePosterior([mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5, 3)])
+    xs = [mp.mpf(0), mp.mpf("0.5"), mp.mpf("0.3")]
+    candidates.sync(_fit(gauss_unit, ctx60, xs[:2], [mp.mpf(1), mp.mpf(2)]))
+    for size in (2, 3):
+        with pytest.raises(eilab.EILabError, match="does not extend"):
+            candidates.sync(_fit(gauss_unit, ctx60, xs[:size], [mp.mpf(1), mp.mpf(-3), mp.mpf(0)][:size]))
+    fit = _fit(gauss_unit, ctx60, xs, [mp.mpf(1), mp.mpf(2), mp.mpf(0)])
+    assert _counted_sync(candidates, fit) == (len(candidates), False)
+    _assert_matches_direct(candidates, fit)

@@ -153,7 +153,7 @@ def test_small_run_collapses_super_exponentially(small_run, ctx60):
     assert mags[5] < mags[4] ** 2
     assert mags[6] < mags[5] ** 2
     # EI column decreases along the run
-    eis = [ev.ei for ev in small_run.chosen]
+    eis = [rec.ei for rec in small_run.records[1:]]
     assert all(a > b for a, b in zip(eis, eis[1:]))
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eilab
+from eilab import kernels as kernels_module
 from eilab.kernels import profile_rate, spectral_power_form
+from eilab.quadrature import integrate, quadrature_context
 
 
 def _log_scale_exponent(kernel, s, ctx):
@@ -211,3 +213,24 @@ def test_invalid_parameters_rejected():
         eilab.OrnsteinUhlenbeckKernel(theta="0")
     with pytest.raises(eilab.EILabError):
         eilab.GaussianKernel(a="bogus")
+
+
+def _clear_kernel_caches():
+    for value in vars(kernels_module).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_parameters_resolved_inside_a_quadrature_are_not_served_after_it():
+    # mp.quad raises the precision of the shared context it runs in by 20
+    # bits; the 100-digit quadrature context is the 50-digit working context
+    kernel = eilab.GaussianKernel(a="0.3", gamma="sqrt_pi")
+    ctx = eilab.PrecisionContext(digits=50, guard_digits=20)
+    wide = eilab.PrecisionContext(digits=100, guard_digits=20)
+    assert quadrature_context(wide) is ctx.mp
+    _clear_kernel_caches()
+    before = eilab.covariance(kernel, "0.3", ctx)
+    _clear_kernel_caches()
+    integrate(wide, lambda t: eilab.spectral_density(kernel, t, ctx.mp), [0, 1])
+    after = eilab.covariance(kernel, "0.3", ctx)
+    assert after._mpf_ == before._mpf_

@@ -103,11 +103,11 @@ def _bits(factor):
 
 def _grow(matrix, ctx, jitter=False):
     """Factor ``matrix`` by appending one row of its lower triangle at a
-    time; returns the factor of every leading block."""
+    time, each extension given only its new row; returns the factor of
+    every leading block."""
     factors, factor = [], None
-    for k in range(1, len(matrix) + 1):
-        lower = [row[: i + 1] for i, row in enumerate(matrix[:k])]
-        factor = CholeskyFactor(lower, ctx, jitter=jitter, extends=factor)
+    for i, row in enumerate(matrix):
+        factor = CholeskyFactor([row[: i + 1]], ctx, jitter=jitter, extends=factor)
         factors.append(factor)
     return factors
 
@@ -149,7 +149,7 @@ def test_extension_failing_the_floor_raises_as_the_fresh_factor(ctx60, gauss_uni
         CholeskyFactor(matrix, ctx60)
     leading = _grow(matrix[:-1], ctx60)[-1]
     with pytest.raises(eilab.NonPositivePivot) as grown:
-        CholeskyFactor(matrix, ctx60, extends=leading)
+        CholeskyFactor(matrix[-1:], ctx60, extends=leading)
     assert fresh.value.index == grown.value.index == 7
     assert str(fresh.value) == str(grown.value)
     assert fresh.value.pivot == grown.value.pivot
@@ -170,26 +170,31 @@ def test_extension_raising_the_scale_reaches_the_fresh_decision(ctx60, tail, acc
     leading = CholeskyFactor([row[:2] for row in matrix[:2]], ctx60)
     assert leading.pivots[1] > 0
     if accepted:
-        grown = CholeskyFactor(matrix, ctx60, extends=leading)
+        grown = CholeskyFactor(matrix[2:], ctx60, extends=leading)
         assert _bits(grown) == _bits(CholeskyFactor(matrix, ctx60))
         return
     # the raised scale lifts the floor of the *earlier* pivot 1 above it
     with pytest.raises(eilab.NonPositivePivot) as fresh:
         CholeskyFactor(matrix, ctx60)
     with pytest.raises(eilab.NonPositivePivot) as grown:
-        CholeskyFactor(matrix, ctx60, extends=leading)
+        CholeskyFactor(matrix[2:], ctx60, extends=leading)
     assert fresh.value.index == grown.value.index == 1
     assert str(fresh.value) == str(grown.value)
 
 
 def test_extends_must_factor_the_leading_block(ctx60):
+    # the leading factor must share the context and the jitter, and each
+    # new row must continue the leading block
     mp = ctx60.mp
     leading = CholeskyFactor([[mp.mpf(2)]], ctx60)
-    matrix = [[mp.mpf(3), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]
-    with pytest.raises(eilab.DimensionMismatch):
-        CholeskyFactor(matrix, ctx60, extends=leading)
-    with pytest.raises(eilab.DimensionMismatch):
-        CholeskyFactor([[mp.mpf(2)]], ctx60, jitter=True, extends=leading)
+    row = [mp.mpf(0), mp.mpf(1)]
+    with pytest.raises(eilab.DimensionMismatch, match="another context or jitter"):
+        CholeskyFactor([row], eilab.PrecisionContext(digits=61), extends=leading)
+    with pytest.raises(eilab.DimensionMismatch, match="another context or jitter"):
+        CholeskyFactor([row], ctx60, jitter=True, extends=leading)
+    with pytest.raises(eilab.DimensionMismatch, match="lower triangular"):
+        CholeskyFactor([row[1:]], ctx60, extends=leading)
+    assert CholeskyFactor([row], ctx60, extends=leading).pivots == [2, 1]
 
 
 def test_gram_det_single_unit_vector(ctx60):

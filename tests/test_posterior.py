@@ -101,6 +101,29 @@ def test_degenerate_design_raises(ctx60, gauss_unit):
     assert fitted.moments("0.5").variance > 0
 
 
+def test_extends_refuses_a_design_that_does_not_start_with_the_fit(ctx60, gauss_unit):
+    fit = eilab.FittedPosterior(_state(ctx60, gauss_unit, ["0", "0.5"], ["-1", "-2"]))
+    points = ["0", "0.5", "0.25"]
+    # a replaced point, a shorter design and another kernel are refused
+    for kernel, design in (
+        (gauss_unit, ["0", "-0.5", "0.25"]),
+        (gauss_unit, ["0"]),
+        (eilab.GaussianKernel(a="0.5"), points),
+    ):
+        with pytest.raises(eilab.EILabError, match="leading design"):
+            eilab.FittedPosterior(_state(ctx60, kernel, design, ["-1"] * len(design)), extends=fit)
+    # so are another jitter and another precision, by the factor
+    state = _state(ctx60, gauss_unit, points, ["-1", "-2", "-3"])
+    with pytest.raises(eilab.DimensionMismatch):
+        eilab.FittedPosterior(state, jitter=True, extends=fit)
+    ctx61 = eilab.PrecisionContext(digits=61, guard_digits=20)
+    with pytest.raises(eilab.DimensionMismatch):
+        eilab.FittedPosterior(_state(ctx61, gauss_unit, points, ["-1", "-2", "-3"]), extends=fit)
+    # an extension may observe new values; it is the fresh fit
+    grown = eilab.FittedPosterior(state, extends=fit)
+    assert grown.moments("0.1") == eilab.FittedPosterior(state).moments("0.1")
+
+
 def test_state_invariants_enforced(ctx60, gauss_unit):
     mp = ctx60.mp
     with pytest.raises(eilab.DuplicatePoint):
