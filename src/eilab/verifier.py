@@ -64,10 +64,16 @@ def _agreement_report(ctx: PrecisionContext, label, k, value, other, reference, 
     """The report that |value - other| / |reference| is at most ``tol``.
 
     ``reference`` is one of the two compared values (the oracle, or the
-    closed form where that is the trusted side), floored at the working
-    roundoff so that a vanishing reference does not divide by zero.
+    closed form where that is the trusted side).  The measure is relative
+    however small the reference, so a value far below the working roundoff
+    is still checked to ``tol``; only an exact zero reference gives the
+    ratio 0 when the values are equal and inf otherwise.
     """
-    rel = abs(value - other) / max(abs(reference), ctx.eps())
+    gap = abs(value - other)
+    if reference:
+        rel = gap / abs(reference)
+    else:
+        rel = ctx.mp.inf if gap else ctx.mp.zero
     return BoundReport(label=label, k=k, lhs=rel, rhs=tol, ratio=rel, satisfied=rel <= tol, context=context)
 
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 import eilab
+from eilab import verifier
 
 
 def test_grid_generation(ctx60):
@@ -67,6 +70,23 @@ def test_argmax_empty_grid(ctx60, gauss_unit, argmax_ei):
 def test_closed_form_matches_integral_oracle(ctx60):
     reports = eilab.ei_oracle_trials(ctx60, seed=2, trials=20, max_k=6)
     assert all(r.satisfied for r in reports)
+
+
+def test_ei_oracle_sees_a_relative_error_at_any_scale(ctx60, monkeypatch):
+    # A closed form off by 10^-13 relative is refused in every state, also
+    # where EI lies far below the working roundoff (6 of these 20 states,
+    # down to about 1e-95381800), so the agreement measure has no floor.
+    real = verifier.expected_improvement
+    shift = 1 + ctx60.tol(-13)
+
+    def perturbed(state, x):
+        evaluation = real(state, x)
+        return dataclasses.replace(evaluation, ei=evaluation.ei * shift)
+
+    monkeypatch.setattr(verifier, "expected_improvement", perturbed)
+    reports = eilab.ei_oracle_trials(ctx60, seed=0, trials=20, max_k=6)
+    assert len(reports) == 20
+    assert not any(r.satisfied for r in reports)
 
 
 def test_zero_mean_gap_case(ctx60, gauss_unit):

@@ -88,12 +88,12 @@ GOLDEN = {
     "trajectory-jitter/table.csv": "34440094ede027316025245f3bee9e6ba839e4e4e72758b5d3fddcd430a354ff",
     "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
     "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
-    "verify-ei-oracle/report.json": "2e196c75091a34c30730f960630070fd375101a7a073bfeb7fe19601346e2f91",
-    "verify-ei-oracle/table.csv": "d9b0f2211476d0362c72dae4a96d10d7ace924e21dee114d9478a7ba4ce13e2e",
+    "verify-ei-oracle/report.json": "ca286e629cafd9b7783fe5cacc1862c4d4d0b9b86f7a590344a00c21897e963c",
+    "verify-ei-oracle/table.csv": "bef6898253d6a777cd9ae906be966ba3bef0247f8f428725487b7ec9834cdc4a",
     "verify-lemma-vandermonde/report.json": "91b7bcfd66161028bb41d03fccf68a0e02964b29eb3cb7b003032ed301f0abe6",
     "verify-lemma-vandermonde/table.csv": "faeb7d3fdc31d819ea375d34eb961a04836d4e0dc8d7942b37b4c2e3ec1fd67b",
-    "verify-lemma3-tails/report.json": "591ff7b8165d09c1e056f4494002fb774df8246614f3c4886ac03cfb8791d2d4",
-    "verify-lemma3-tails/table.csv": "f9618439cb85b8a523f64131db65e977c019166e47586e141ac1db7c8e33009a",
+    "verify-lemma3-tails/report.json": "682949dbbc5fbe2d8fa79a74f96f513f00b5d333b958d71d59140b26f1e7356f",
+    "verify-lemma3-tails/table.csv": "1da01538820ddfdde09a52503c383512b693ca90521b8e327358f1718e331b8a",
     "verify-posterior-oracle/report.json": "b2f6a680f452a3115d9576a55714abe76e560ba2ea25d06fdcdae19767e18771",
     "verify-posterior-oracle/table.csv": "9b980cac6f83ce11e4ab8539c663decf744019d37ee50edb401e13a0a4127b61",
     "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",

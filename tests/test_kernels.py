@@ -1,5 +1,6 @@
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,7 +139,44 @@ def test_legendre_equality_at_maximizer(ctx60):
         assert abs(gap) <= ctx60.tol(-(ctx60.digits // 2))
 
 
+def _golden_section_conjugate(kernel, q, ctx):
+    """T*(q) by a plain golden-section search: a slow reference for the
+    cross-check's Brent search.  Same brackets and search precision, but the
+    bracket shrinks only linearly (x0.618 per evaluation), down to
+    10**-(0.55 digits + 10)."""
+    width_digits = int(ctx.digits * 0.55) + 10
+    sp = mpmath.MPContext()
+    sp.dps = width_digits + ctx.guard_digits
+    q, a, b, c0, gamma = (sp.mpf(v) for v in (q, kernel.a, kernel.b, kernel.c0, kernel.gamma))
+    log_amp = sp.log(gamma * c0)
+    phi = lambda s: q * s - (a * sp.exp(b * s) - log_amp)
+    hi = sp.mpf(1)
+    while phi(hi) >= phi(hi - 1):
+        hi *= 2
+    lo = sp.mpf(-1)
+    while phi(lo) >= phi(lo + 1):
+        lo *= 2
+    inv = (sp.sqrt(5) - 1) / 2
+    lo, hi = lo - 1, hi + 1
+    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fd = phi(c), phi(d)
+    for _ in range(int(sp.ceil(width_digits * sp.log(10) / -sp.log(inv))) + 4):
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + inv * (hi - lo)
+            fd = phi(d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - inv * (hi - lo)
+            fc = phi(c)
+    return phi((lo + hi) / 2)
+
+
 def test_closed_form_matches_numeric_maximization(ctx60):
+    # The Brent value is held against the closed form and against the
+    # golden-section reference, each to relative 10^-(digits/2).
+    mp = ctx60.mp
+    tol = ctx60.tol(-(ctx60.digits // 2))
     rng = random.Random(7)
     for _ in range(20):
         kernel = eilab.SpectralPowerKernel(
@@ -146,8 +184,36 @@ def test_closed_form_matches_numeric_maximization(ctx60):
         )
         q = rng.uniform(2.0, 120.0)
         profile = eilab.legendre_conjugate(kernel, q, ctx60)
-        rel = abs(profile.value - profile.numeric_value) / max(abs(profile.value), ctx60.mpf(1))
-        assert rel <= ctx60.tol(-(ctx60.digits // 2))
+        scale = max(abs(profile.value), mp.mpf(1))
+        assert abs(profile.value - profile.numeric_value) <= tol * scale
+        reference = mp.mpf(_golden_section_conjugate(kernel, q, ctx60))
+        assert abs(reference - profile.numeric_value) <= tol * scale
+
+
+def test_legendre_search_takes_at_most_60_evaluations(ctx300, gauss_unit, monkeypatch):
+    # Each phi evaluation takes one exp in the search context; the golden
+    # section search this replaced took about 850 per call at 300 digits.
+    kernels = (spectral_power_form(gauss_unit, ctx300), eilab.SpectralPowerKernel(a="0.3", b="2.5", c0="0.7"))
+    real = kernels_module.raw_context
+    calls = []
+
+    class CountingExp:
+        def __init__(self, mp):
+            self._mp = mp
+
+        def __getattr__(self, name):
+            return getattr(self._mp, name)
+
+        def exp(self, x):
+            calls[-1] += 1
+            return self._mp.exp(x)
+
+    monkeypatch.setattr(kernels_module, "raw_context", lambda dps: CountingExp(real(dps)))
+    for kernel in kernels:
+        for q in range(5, 52):
+            calls.append(0)
+            eilab.legendre_conjugate(kernel, q, ctx300)
+    assert 0 < max(calls) <= 60, calls
 
 
 def test_rate_function_value(ctx60):

@@ -2,11 +2,12 @@
 
 Quadrature oracles integrate in ``quadrature.quadrature_context`` (digits//2
 plus guard digits, plus the digits their integrand cancels), the Legendre
-cross-check searches at 0.55 digits + 10 + guard, and the sandwich sweep
-grows one fit per trial.  These tests pin each of those precisions, hold the
-lowered oracles against references computed at the full working precision
-(or above) on the acceptance seeds, and check that the lowered quadrature
-still refuses an integral it cannot resolve to digits/2.
+cross-check's Brent search runs at 0.55 digits + 10 + guard, and the
+sandwich sweep grows one fit per trial.  These tests pin each of those
+precisions, hold the lowered oracles against references computed at the
+full working precision (or above) on the acceptance seeds, and check that
+the lowered quadrature still refuses an integral it cannot resolve to
+digits/2.
 """
 
 import random
@@ -100,13 +101,13 @@ def test_covariance_quadrature_keeps_the_working_precision(ctx60, monkeypatch):
 
 def test_legendre_search_runs_at_its_bracket_precision(ctx300, monkeypatch):
     seen = []
-    real = kernels._golden_max
+    real = kernels._brent_max
 
-    def spy(mp, phi, lo, hi, iterations):
+    def spy(mp, phi, lo, hi):
         seen.append((mp.dps, lo.context.dps))
-        return real(mp, phi, lo, hi, iterations)
+        return real(mp, phi, lo, hi)
 
-    monkeypatch.setattr(kernels, "_golden_max", spy)
+    monkeypatch.setattr(kernels, "_brent_max", spy)
     profile = eilab.legendre_conjugate(eilab.SpectralPowerKernel(a="0.3", b="2.5", c0="0.7"), 11, ctx300)
     dps = int(0.55 * ctx300.digits) + 10 + ctx300.guard_digits
     assert seen == [(dps, dps)]
