@@ -37,7 +37,7 @@ from mpmath.ctx_mp import MPContext
 
 from .errors import EILabError, MaximizationDiverged, VariantUnsupported
 from .precision import PrecisionContext, raw_context
-from .quadrature import integrate
+from .quadrature import integrate, quadrature_context
 
 _NAMED_CONSTANTS = {
     "sqrt_pi": lambda mp: mp.sqrt(mp.pi),
@@ -233,27 +233,30 @@ def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
     """The covariance as the quadrature of the spectral density.
 
     ``covariance`` of the spectral-power family at b != 2; for the
-    closed-form variants an independent Fourier-pair cross-check.  It is a
-    production covariance, so it integrates at the working precision.  The
-    density is truncated at
-    ``spectral_breakpoints`` with a budget of 10 digits past the working
-    precision.  The Ornstein-Uhlenbeck density decays only polynomially, so
-    its integral runs over the full half line.
+    closed-form variants an independent Fourier-pair cross-check.  The
+    spectral-power and Gaussian integrals share the path of the production
+    covariance, so they integrate at the working precision, with the density
+    truncated at ``spectral_breakpoints`` with a budget of 10 digits past
+    the working precision.  The Ornstein-Uhlenbeck covariance has a closed
+    form, so its integral is only ever a cross-check: it runs in
+    ``quadrature_context(ctx)``, good to the digits/2 of ``integrate``, and
+    over the full half line, since the density decays only polynomially.
+    The value is returned at working precision.
     """
     mp = ctx.mp
+    ou = isinstance(kernel, OrnsteinUhlenbeckKernel)
+    extra = 0 if ou else ctx.digits - ctx.digits // 2
+    qp = quadrature_context(ctx, extra)
     x = mp.mpf(x)
-    f = lambda t: spectral_density(kernel, t, ctx) * mp.cos(t * x)
-    if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        if x != 0:
-            # The density decays only polynomially, so the oscillatory
-            # integral needs series acceleration over half-periods instead
-            # of tanh-sinh.
-            return 2 * mp.quadosc(f, [0, mp.inf], period=2 * mp.pi / abs(x))
-        _, floor = _params(kernel, mp)
-    else:
-        _, _, floor = _power_law(kernel, mp)
+    xq = qp.mpf(x)
+    f = lambda t: spectral_density(kernel, t, qp) * qp.cos(t * xq)
+    if ou and x != 0:
+        # The density decays only polynomially, so the oscillatory integral
+        # needs series acceleration over half-periods instead of tanh-sinh.
+        return ctx.mpf(2 * qp.quadosc(f, [0, qp.inf], period=2 * qp.pi / abs(xq)))
+    floor = _params(kernel, mp)[1] if ou else _power_law(kernel, mp)[2]
     points = spectral_breakpoints(kernel, ctx, ctx.working_dps + 10)
-    return 2 * integrate(ctx, f, points, floor=floor, extra_digits=ctx.digits - ctx.digits // 2)
+    return 2 * integrate(ctx, f, points, floor=floor, extra_digits=extra)
 
 
 def _require_spectral_power(kernel):
@@ -359,7 +362,8 @@ def legendre_conjugate(kernel: SpectralPowerKernel, q, ctx: PrecisionContext):
 
     sp = raw_context(int(ctx.digits * 0.55) + 10 + ctx.guard_digits)
     sq, sa, sb, slog_amp = (sp.mpf(v) for v in (q, a, b, log_amp))
-    phi = lambda s: sq * s - (sa * sp.exp(sb * s) - slog_amp)
+    # Memoized: the bracketing loops revisit phi(0) and phi(+-1).
+    phi = functools.lru_cache(maxsize=None)(lambda s: sq * s - (sa * sp.exp(sb * s) - slog_amp))
     # Bracket the concave maximum by expanding until phi turns down on both
     # sides, without consulting the closed form.
     hi = sp.mpf(1)

@@ -22,9 +22,17 @@ leading (i+1)x(i+1) block, so the factor of a matrix grown by one row and
 column is the old factor plus one new row, and a fresh factor is the
 extension of an empty one.  Only the lower triangle of the input is read; the
 matrix is assumed symmetric, and may be given as its lower triangle alone.
+
+Each entry of the factor and of both triangular solves is one
+``exact_residual`` b - sum_k a_k c_k, formed exactly in integers and rounded
+once: divided by the diagonal, or taken as it is for a pivot.  Every caller
+that forms such an entry (the candidate posterior too) uses that one kernel,
+so an entry has the same bits however its factor or solve was assembled.
 """
 
 from __future__ import annotations
+
+from mpmath.libmp import from_man_exp, mpf_div, mpf_pos, mpf_sqrt
 
 from .errors import DimensionMismatch, NonPositivePivot
 from .precision import PrecisionContext, raw_context
@@ -47,19 +55,54 @@ def _check_floor(mp, j, s, earlier, scale, unit):
         )
 
 
+def exact_residual(b, a, c):
+    """b - sum_k a_k c_k for raw mpf tuples, exactly, with no rounding.
+
+    The sum is formed in Python ints: each nonzero term's signed mantissa
+    product is aligned at the smallest exponent met so far, and the total is
+    normalized by ``from_man_exp``.  A caller rounds the result once, so a
+    triangular-solve entry or a Cholesky pivot built from it is the exact
+    inner product rounded once, the most accurate value the precision holds
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002,
+    sec. 3.1; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).  The
+    entries must be finite; the sum runs over the pairs of ``zip(a, c)``, and
+    its cost grows with the spread of the terms' exponents.
+    """
+    sign, acc, low, _ = b
+    if sign:
+        acc = -acc
+    for (sa, ma, ea, _), (sc, mc, ec, _) in zip(a, c):
+        if ma and mc:
+            m = ma * mc
+            if sa == sc:
+                m = -m
+            e = ea + ec
+            if not acc:
+                acc, low = m, e
+            elif e >= low:
+                acc += m << (e - low)
+            else:
+                acc = (acc << (low - e)) + m
+                low = e
+    return from_man_exp(acc, low)
+
+
 def _border(mp, a, rows, pivots, wdps=None):
     """Extend a lower Cholesky factor, under context ``mp``, by the rows of
     the lower triangle ``a`` that it lacks.
 
-    ``rows`` (tuples of mpf) and ``pivots`` (the squared diagonal, i.e. the
-    Schur-complement diagonal) hold the factor of the leading len(rows)
-    block of ``a``; both are extended in place.  With ``wdps`` the pivot
-    floor of the module docstring is enforced at that decimal precision,
-    with the scale taken over the whole diagonal of ``a``: when the new rows
-    raise the scale, the earlier pivots are judged again against their
-    raised floors, so the decision is that of a fresh factor.  Without it
-    only non-positive pivots are refused, and ``pivots`` is not read.
+    ``rows`` (tuples of raw mpf) and ``pivots`` (the squared diagonal, i.e.
+    the Schur-complement diagonal, as mpf) hold the factor of the leading
+    len(rows) block of ``a``; both are extended in place.  Each entry is its
+    ``exact_residual`` rounded once: divided by the diagonal off it, taken
+    as it is for a pivot.  With ``wdps`` the pivot floor of the module
+    docstring is enforced at that decimal precision, with the scale taken
+    over the whole diagonal of ``a``: when the new rows raise the scale, the
+    earlier pivots are judged again against their raised floors, so the
+    decision is that of a fresh factor.  Without it only non-positive pivots
+    are refused, and ``pivots`` is not read.
     """
+    prec, rnd = mp._prec_rounding
     m, n = len(rows), len(a)
     if wdps is not None:
         unit = mp.mpf(10) ** (-wdps)
@@ -70,13 +113,9 @@ def _border(mp, a, rows, pivots, wdps=None):
     for i in range(m, n):
         row = []
         for j in range(i):
-            t = a[i][j]
-            for k in range(j):
-                t -= row[k] * rows[j][k]
-            row.append(t / rows[j][j])
-        s = a[i][i]
-        for k in range(i):
-            s -= row[k] * row[k]
+            lj = rows[j]
+            row.append(mpf_div(exact_residual(a[i][j]._mpf_, row, lj[:j]), lj[j], prec, rnd))
+        s = mp.make_mpf(mpf_pos(exact_residual(a[i][i]._mpf_, row, row), prec, rnd))
         if wdps is not None:
             _check_floor(mp, i, s, pivots, scale, unit)
         elif s <= 0:
@@ -86,7 +125,7 @@ def _border(mp, a, rows, pivots, wdps=None):
                 pivot=s,
             )
         pivots.append(s)
-        row.append(mp.sqrt(s))
+        row.append(mpf_sqrt(s._mpf_, prec, rnd))
         rows.append(tuple(row))
 
 
@@ -146,10 +185,11 @@ class CholeskyFactor:
             lower = rows
         else:
             lower = list(extends.lower) if extends and extends.solve_dps == self.solve_dps else []
-            _border(smp, [[smp.mpf(v) for v in row] for row in a], lower, [])
-        # The lower factor at the solve precision, as a tuple of rows.  Row i
-        # depends only on the leading (i+1)x(i+1) block, so the factor of a
-        # design grown by one point shares all earlier rows.
+            _border(smp, a, lower, [])
+        # The lower factor at the solve precision, as a tuple of rows of raw
+        # mpf tuples.  Row i depends only on the leading (i+1)x(i+1) block,
+        # so the factor of a design grown by one point shares all earlier
+        # rows.
         self.lower = tuple(lower)
         self.solve_mp = smp
 
@@ -172,25 +212,22 @@ class CholeskyFactor:
             raise DimensionMismatch(
                 f"rhs has length {len(rhs)}, expected {self.n}"
             )
-        L = self.lower
-        y = [self.solve_mp.mpf(v) for v in rhs]
-        for i in range(self.n):
-            s = y[i]
-            for k in range(i):
-                s -= L[i][k] * y[k]
-            y[i] = s / L[i][i]
-        return y
+        smp = self.solve_mp
+        prec, rnd = smp._prec_rounding
+        y = []
+        for i, (row, v) in enumerate(zip(self.lower, rhs)):
+            y.append(mpf_div(exact_residual(smp.mpf(v)._mpf_, row[:i], y), row[i], prec, rnd))
+        return [smp.make_mpf(v) for v in y]
 
     def solve_upper_t(self, y):
         """x = L^-T y at the solve precision, ``y`` converted to it."""
-        L = self.lower
-        x = [self.solve_mp.mpf(v) for v in y]
-        for i in reversed(range(self.n)):
-            s = x[i]
-            for k in range(i + 1, self.n):
-                s -= L[k][i] * x[k]
-            x[i] = s / L[i][i]
-        return x
+        L, n, smp = self.lower, self.n, self.solve_mp
+        prec, rnd = smp._prec_rounding
+        x = [None] * n
+        for i in reversed(range(n)):
+            column = [L[k][i] for k in range(i + 1, n)]
+            x[i] = mpf_div(exact_residual(smp.mpf(y[i])._mpf_, column, x[i + 1:]), L[i][i], prec, rnd)
+        return [smp.make_mpf(v) for v in x]
 
 
 def gram_det(vectors, ctx: PrecisionContext):

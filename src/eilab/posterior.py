@@ -26,7 +26,7 @@ from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
 from .errors import EILabError, NonPositivePivot, VariantUnsupported, require_distinct
 from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance, spectral_breakpoints, spectral_density
-from .linalg import CholeskyFactor
+from .linalg import CholeskyFactor, exact_residual
 from .precision import PrecisionContext
 from .quadrature import integrate, quadrature_context
 
@@ -215,22 +215,24 @@ class CandidatePosterior:
     z(c) = L^-1 g(c), the variance G(0) - sum z^2 and the mean sum z_j w_j
     with w = L^-1 f, at the solve precision of the factor it was last synced
     to.  When the design gains one point x_K, ``sync`` costs one covariance
-    and K multiply-adds per candidate: the new column entry g_K(c) =
+    and K exact products per candidate: the new column entry g_K(c) =
     G(c - x_K) and the new forward-substitution entry
 
         z_K(c) = (g_K(c) - sum_{j<K} L_{K,j} z_j(c)) / L_{K,K}
 
     (the bordered Cholesky factor organised by column; Rasmussen & Williams,
-    GPML 2006, sec. 2.2 and Alg. 2.1).  The leading rows of L do not change
+    GPML 2006, sec. 2.2 and Alg. 2.1), its numerator the exact
+    ``linalg.exact_residual`` and the division its one rounding, as in
+    ``CholeskyFactor.solve_lower``.  The leading rows of L do not change
     when a point is appended, so z and the variance are bit-identical to the
     direct forward solve of ``FittedPosterior.moments``; only the rounding
     order of the mean differs.  When the solve precision or the jitter
     changes, z, the variance and the mean are re-solved from the kept
     column at the new factor, with no covariance evaluated again.  Values
-    are raw ``mpf`` tuples combined with ``mpmath.libmp`` at the solve
-    context's precision and rounding, exactly as the ``mpf`` operators
-    combine them.  A state serves one run: one kernel, one precision
-    context, and one design that only grows.
+    are raw ``mpf`` tuples; the variance and mean updates round each
+    product and each sum at the solve context's precision, as the ``mpf``
+    operators of ``FittedPosterior.moments`` do.  A state serves one run:
+    one kernel, one precision context, and one design that only grows.
     """
 
     def __init__(self, points):
@@ -273,8 +275,7 @@ class CandidatePosterior:
         """Add forward-substitution entry ``k`` for every candidate; column
         entry k is evaluated here the first time it is needed."""
         lower = fitted._factor.lower
-        row = [v._mpf_ for v in lower[k][:k]]
-        diag = lower[k][k]._mpf_
+        row, diag = lower[k][:k], lower[k][k]
         w = fitted._w_hi[k]._mpf_
         xk = fitted.state.points[k]
         kernel, ctx = fitted.state.kernel, fitted.ctx
@@ -286,9 +287,7 @@ class CandidatePosterior:
             else:
                 s = covariance(kernel, c - xk, ctx)._mpf_
                 g.append(_pack(s))
-            for a, b in zip(row, z):
-                s = mpf_sub(s, mpf_mul(a, b, prec, rnd), prec, rnd)
-            s = mpf_div(s, diag, prec, rnd)
+            s = mpf_div(exact_residual(s, row, z), diag, prec, rnd)
             z.append(s)
             var[i] = mpf_sub(var[i], mpf_mul(s, s, prec, rnd), prec, rnd)
             mean[i] = mpf_add(mean[i], mpf_mul(s, w, prec, rnd), prec, rnd)

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 import eilab
 from eilab import verifier
@@ -175,6 +176,29 @@ def test_small_run_collapses_super_exponentially(small_run, ctx60):
     # EI column decreases along the run
     eis = [rec.ei for rec in small_run.records[1:]]
     assert all(a > b for a, b in zip(eis, eis[1:]))
+
+
+def test_default_run_eis_meet_the_precision_contract(default_run, ctx300, gauss_unit):
+    """Every EI of the default run agrees to relative 10^-(digits/2) with the
+    EI rebuilt at 1200 digits from the run's own working-precision inputs:
+    the Gram entries, the chosen point's covariance column, G(0) and the
+    observed values.  Only the posterior solves, the mean, the variance and
+    the closed form run at the higher precision."""
+    ctx = ctx300
+    hp = MPContext()
+    hp.dps = 1200
+    cov = lambda d: hp.mpf(eilab.covariance(gauss_unit, d, ctx))
+    pts, vals = default_run.state.points, default_run.state.values
+    bound = hp.mpf(10) ** -(ctx.digits // 2)
+    for k, record in enumerate(default_run.records[1:], start=1):
+        gram = hp.matrix([[cov(p - q) for q in pts[:k]] for p in pts[:k]])
+        g = hp.matrix([cov(record.point - p) for p in pts[:k]])
+        mean = hp.fdot(g, hp.lu_solve(gram, hp.matrix([hp.mpf(v) for v in vals[:k]])))
+        sigma = hp.sqrt(cov(0) - hp.fdot(g, hp.lu_solve(gram, g)))
+        gap = hp.mpf(min(vals[:k])) - mean
+        u = gap / sigma
+        ei = gap * hp.erfc(-u / hp.sqrt(2)) / 2 + sigma * hp.exp(-u * u / 2) / hp.sqrt(2 * hp.pi)
+        assert abs(hp.mpf(record.ei) - ei) <= bound * ei, k
 
 
 def test_objective_registry(ctx60, gauss_unit):

@@ -88,14 +88,14 @@ GOLDEN = {
     "trajectory-jitter/table.csv": "34440094ede027316025245f3bee9e6ba839e4e4e72758b5d3fddcd430a354ff",
     "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
     "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
-    "verify-ei-oracle/report.json": "ca286e629cafd9b7783fe5cacc1862c4d4d0b9b86f7a590344a00c21897e963c",
-    "verify-ei-oracle/table.csv": "bef6898253d6a777cd9ae906be966ba3bef0247f8f428725487b7ec9834cdc4a",
+    "verify-ei-oracle/report.json": "b170f6d2776efb7f4209568d240902d30df00be8a194d11bb4af262402112b64",
+    "verify-ei-oracle/table.csv": "d21e97965a3220f010cb543af43882a0a8a698da8543721eac819181bd9419d5",
     "verify-lemma-vandermonde/report.json": "91b7bcfd66161028bb41d03fccf68a0e02964b29eb3cb7b003032ed301f0abe6",
     "verify-lemma-vandermonde/table.csv": "faeb7d3fdc31d819ea375d34eb961a04836d4e0dc8d7942b37b4c2e3ec1fd67b",
     "verify-lemma3-tails/report.json": "682949dbbc5fbe2d8fa79a74f96f513f00b5d333b958d71d59140b26f1e7356f",
     "verify-lemma3-tails/table.csv": "1da01538820ddfdde09a52503c383512b693ca90521b8e327358f1718e331b8a",
-    "verify-posterior-oracle/report.json": "b2f6a680f452a3115d9576a55714abe76e560ba2ea25d06fdcdae19767e18771",
-    "verify-posterior-oracle/table.csv": "9b980cac6f83ce11e4ab8539c663decf744019d37ee50edb401e13a0a4127b61",
+    "verify-posterior-oracle/report.json": "cd5397d17b7356e1bd49f916393a81f86c69b6ed2400856825de6a540b1bc112",
+    "verify-posterior-oracle/table.csv": "5d6f59be5229d417d63747cb80aa7cf1e7057ab2d15fdc9388fb8fbbe289f151",
     "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",
     "verify-thm1-decay/table.csv": "a77daf1fcc38a4e915fb0d429deaeb98312fe6b6972c2b82d0f2a415240bee5b",
     "verify-thm2-sandwich/report.json": "71199b7ff206a02aafa111d5c7de6f8a15cdd091d44ae6d72b24303e6ebaf785",

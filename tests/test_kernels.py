@@ -193,6 +193,8 @@ def test_closed_form_matches_numeric_maximization(ctx60):
 def test_legendre_search_takes_at_most_60_evaluations(ctx300, gauss_unit, monkeypatch):
     # Each phi evaluation takes one exp in the search context; the golden
     # section search this replaced took about 850 per call at 300 digits.
+    # No exp argument repeats within a call: the bracketing loops revisit
+    # phi(0) and phi(+-1), and each is computed once.
     kernels = (spectral_power_form(gauss_unit, ctx300), eilab.SpectralPowerKernel(a="0.3", b="2.5", c0="0.7"))
     real = kernels_module.raw_context
     calls = []
@@ -205,15 +207,16 @@ def test_legendre_search_takes_at_most_60_evaluations(ctx300, gauss_unit, monkey
             return getattr(self._mp, name)
 
         def exp(self, x):
-            calls[-1] += 1
+            calls[-1].append(x)
             return self._mp.exp(x)
 
     monkeypatch.setattr(kernels_module, "raw_context", lambda dps: CountingExp(real(dps)))
     for kernel in kernels:
         for q in range(5, 52):
-            calls.append(0)
+            calls.append([])
             eilab.legendre_conjugate(kernel, q, ctx300)
-    assert 0 < max(calls) <= 60, calls
+    assert 0 < max(len(args) for args in calls) <= 60, calls
+    assert all(len(set(args)) == len(args) for args in calls)
 
 
 def test_rate_function_value(ctx60):

@@ -2,10 +2,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
 import eilab
 from eilab.kernels import covariance
-from eilab.linalg import CholeskyFactor
+from eilab.linalg import CholeskyFactor, exact_residual
 
 
 def test_identity_solve(ctx60):
@@ -83,6 +84,81 @@ def test_solve_round_trip_residual(dim, seed):
     assert rnorm <= ctx.tol(-(ctx.digits - ctx.guard_digits)) * max(bnorm, mp.mpf(1))
 
 
+def _sequential_residual(b, a, c, prec, rnd="n"):
+    """b - sum_k a_k c_k by the loop the factor and the solves ran before
+    ``exact_residual``: each product and each difference rounded to
+    ``prec`` bits, in order."""
+    s = b
+    for x, y in zip(a, c):
+        s = mpf_sub(s, mpf_mul(x, y, prec, rnd), prec, rnd)
+    return s
+
+
+def _raw(prec):
+    """Raw mpf tuples of up to ``prec`` bits, either sign, some of them zero,
+    with exponents that often coincide and spread up to about 10^4 bits."""
+    exponents = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-5000, max_value=5000))
+    nonzero = st.builds(
+        lambda man, exp: from_man_exp(man, exp - prec, prec),
+        st.integers(min_value=-(2**prec) + 1, max_value=2**prec - 1).filter(bool),
+        exponents,
+    )
+    return st.one_of(st.just(fzero), nonzero)
+
+
+@st.composite
+def _residual_case(draw):
+    prec = draw(st.sampled_from([53, 266, 1070]))
+    k = draw(st.integers(min_value=0, max_value=8))
+    terms = draw(st.lists(st.tuples(_raw(prec), _raw(prec)), min_size=k, max_size=k))
+    d = draw(_raw(prec).filter(lambda v: v[1]))
+    a, c = [x for x, _ in terms], [y for _, y in terms]
+    b = draw(_raw(prec))
+    if k and draw(st.booleans()):
+        # b cancels the last term exactly where that fits in prec bits, so
+        # the others, however far below, make the whole residual.
+        last = mpf_mul(a[-1], c[-1])
+        if last[3] <= prec:
+            b = last
+    return prec, b, a, c, d
+
+
+def _top(raw):
+    """e with |x| < 2^e <= 2|x|, for a nonzero raw mpf x."""
+    return raw[2] + raw[3]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_residual_case(), st.booleans())
+def test_exact_residual_rounded_once_is_correctly_rounded(case, divide):
+    """One ``mpf_div`` (or ``mpf_pos``) of the exact residual is the residual
+    computed at 4x the precision plus its exponent spread (where every step
+    of the sequential loop is exact) and rounded once: correct rounding.  The
+    sequential loop at the working precision stays within (2K+1) ulp of it,
+    the ulp taken at the sum S of the terms' magnitudes: its 2K roundings
+    each err by at most half an ulp of S, and each quotient by less than one
+    ulp of S/|d|."""
+    prec, b, a, c, d = case
+    k = len(a)
+    terms = [v for v in [b] + [mpf_mul(x, y) for x, y in zip(a, c)] if v[1]]
+    wide = 4 * prec + max(map(_top, terms), default=0) - min((v[2] for v in terms), default=0)
+    finish = (lambda r, p: mpf_div(r, d, p, "n")) if divide else (lambda r, p: mpf_pos(r, p, "n"))
+    new = finish(exact_residual(b, a, c), prec)
+    assert new == finish(_sequential_residual(b, a, c, wide), prec)
+
+    old = finish(_sequential_residual(b, a, c, prec), prec)
+    magnitude = fzero
+    for v in terms:
+        magnitude = mpf_add(magnitude, mpf_abs(v))
+    if not magnitude[1]:
+        assert old == new == fzero
+        return
+    gap = mpf_abs(mpf_sub(old, new))
+    if divide:
+        gap = mpf_mul(gap, mpf_abs(d))
+    assert mpf_cmp(gap, from_man_exp(2 * k + 1, _top(magnitude) - prec)) <= 0
+
+
 def test_solve_determinism(ctx60):
     mp = ctx60.mp
     matrix = [[mp.mpf(2), mp.mpf("0.5")], [mp.mpf("0.5"), mp.mpf(3)]]
@@ -94,7 +170,7 @@ def test_solve_determinism(ctx60):
 
 def _bits(factor):
     return (
-        [[v._mpf_ for v in row] for row in factor.lower],
+        factor.lower,
         [p._mpf_ for p in factor.pivots],
         factor.pivot_ratio._mpf_,
         factor.solve_dps,
