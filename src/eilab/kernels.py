@@ -10,8 +10,12 @@ scaled by an overall covariance factor gamma > 0:
   Fourier integral of the density (closed form when b = 2, high-precision
   quadrature otherwise).
 * ``OrnsteinUhlenbeckKernel(theta)``:  G(x) = gamma * exp(-theta |x|), the
-  rough contrast case with polynomially decaying density
-  gamma * theta / (pi (theta^2 + t^2)).
+  rough contrast case.  Its density gamma * theta / (pi (theta^2 + t^2))
+  decays only polynomially, so only the closed-form covariance serves it:
+  the spectral machinery below (density, breakpoints, covariance
+  quadrature, and the conversion to the spectral-power family that the
+  Legendre and rate-function machinery needs) refuses it with
+  ``VariantUnsupported``, in the one check of ``_power_law``.
 
 The Fourier convention throughout is G(x) = integral of Ghat(t) e^{itx} dt.
 
@@ -143,10 +147,20 @@ def _resolved_params(kernel: KernelSpec, mp, prec):
 
 def _power_law(kernel, mp):
     """(a, b, amplitude) of a Gaussian or spectral-power density, which is
-    amplitude * exp(-a |t|^b) in both cases."""
+    amplitude * exp(-a |t|^b) in both cases.
+
+    The Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``: its
+    density has no super-exponential decay, and every spectral routine of
+    this module refuses it here.
+    """
     if isinstance(kernel, GaussianKernel):
         a, gamma, _, _ = _params(kernel, mp)
         return a, mp.mpf(2), gamma / (2 * mp.pi)
+    if isinstance(kernel, OrnsteinUhlenbeckKernel):
+        raise VariantUnsupported(
+            "the spectral machinery requires super-exponential spectral decay; "
+            "the Ornstein-Uhlenbeck kernel has none"
+        )
     a, b, c0, gamma = _params(kernel, mp)
     return a, b, gamma * c0
 
@@ -159,32 +173,23 @@ def spectral_power_form(kernel: KernelSpec, ctx: PrecisionContext) -> SpectralPo
     the amplitude is resolved at the context's working precision and stored
     exactly, so the converted kernel feeds the Legendre machinery with the
     same normalization the closed-form covariance uses.  The
-    Ornstein-Uhlenbeck kernel has no super-exponential spectral decay and
-    raises ``VariantUnsupported``.
+    Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``.
     """
     if isinstance(kernel, SpectralPowerKernel):
         return kernel
-    if isinstance(kernel, GaussianKernel):
-        a, _, amplitude = _power_law(kernel, ctx.mp)
-        return SpectralPowerKernel(a=a, b=2, c0=amplitude, gamma=1)
-    raise VariantUnsupported(
-        "rate-function machinery requires super-exponential spectral decay; "
-        "the Ornstein-Uhlenbeck kernel has none"
-    )
+    a, _, amplitude = _power_law(kernel, ctx.mp)
+    return SpectralPowerKernel(a=a, b=2, c0=amplitude, gamma=1)
 
 
 def spectral_breakpoints(kernel: KernelSpec, ctx: PrecisionContext, budget_dps, weight_scale=1):
     """Breakpoints of the half-line integral of w(t) Ghat(t), |w| <= weight_scale^2.
 
-    ``[0, theta, inf]`` for the Ornstein-Uhlenbeck kernel, whose density
-    decays only polynomially.  Otherwise ``[0, T]`` with T the smallest cutoff
-    at which amplitude * weight_scale^2 * exp(-a T^b) falls below
-    10**-budget_dps (T = 1 when the bound is below that everywhere).
+    ``[0, T]`` with T the smallest cutoff at which
+    amplitude * weight_scale^2 * exp(-a T^b) falls below 10**-budget_dps
+    (T = 1 when the bound is below that everywhere).  The
+    Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``.
     """
     mp = ctx.mp
-    if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        theta, _ = _params(kernel, mp)
-        return [0, theta, mp.inf]
     a, b, amp = _power_law(kernel, mp)
     target = budget_dps * mp.log(10) + mp.log(amp * weight_scale * weight_scale)
     if target <= 0:
@@ -215,46 +220,36 @@ def covariance(kernel: KernelSpec, x, ctx: PrecisionContext):
 
 
 def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext | MPContext):
-    """Spectral density Ghat(t); strictly positive for every variant.
-    ``ctx`` may also be an mpmath context, such as an oracle integrand's."""
+    """Spectral density Ghat(t), strictly positive; the Ornstein-Uhlenbeck
+    kernel raises ``VariantUnsupported``.  ``ctx`` may also be an mpmath
+    context, such as an oracle integrand's."""
     mp = ctx.mp if isinstance(ctx, PrecisionContext) else ctx
     t = mp.mpf(t)
     if isinstance(kernel, GaussianKernel):
         a, gamma, _, _ = _params(kernel, mp)
         return gamma * mp.exp(-a * t * t) / (2 * mp.pi)
-    if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        theta, gamma = _params(kernel, mp)
-        return gamma * theta / (mp.pi * (theta * theta + t * t))
-    a, b, c0, gamma = _params(kernel, mp)
-    return gamma * c0 * mp.exp(-a * abs(t) ** b)
+    a, b, amp = _power_law(kernel, mp)
+    return amp * mp.exp(-a * abs(t) ** b)
 
 
 def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
     """The covariance as the quadrature of the spectral density.
 
-    ``covariance`` of the spectral-power family at b != 2; for the
-    closed-form variants an independent Fourier-pair cross-check.  The
-    spectral-power and Gaussian integrals share the path of the production
-    covariance, so they integrate at the working precision, with the density
-    truncated at ``spectral_breakpoints`` with a budget of 10 digits past
-    the working precision.  The Ornstein-Uhlenbeck covariance has a closed
-    form, so its integral is only ever a cross-check: it runs in
-    ``quadrature_context(ctx)``, good to the digits/2 of ``integrate``, and
-    over the full half line, since the density decays only polynomially.
-    The value is returned at working precision.
+    ``covariance`` of the spectral-power family at b != 2; for the Gaussian
+    and b = 2 an independent Fourier-pair cross-check of the closed form.
+    It integrates at the working precision, the path of the production
+    covariance, with the density truncated at ``spectral_breakpoints`` with
+    a budget of 10 digits past the working precision.  The
+    Ornstein-Uhlenbeck kernel raises ``VariantUnsupported`` before any
+    quadrature.
     """
     mp = ctx.mp
-    ou = isinstance(kernel, OrnsteinUhlenbeckKernel)
-    extra = 0 if ou else ctx.digits - ctx.digits // 2
+    floor = _power_law(kernel, mp)[2]
+    extra = ctx.digits - ctx.digits // 2
     qp = quadrature_context(ctx, extra)
     x = mp.mpf(x)
     xq = qp.mpf(x)
     f = lambda t: spectral_density(kernel, t, qp) * qp.cos(t * xq)
-    if ou and x != 0:
-        # The density decays only polynomially, so the oscillatory integral
-        # needs series acceleration over half-periods instead of tanh-sinh.
-        return ctx.mpf(2 * qp.quadosc(f, [0, qp.inf], period=2 * qp.pi / abs(xq)))
-    floor = _params(kernel, mp)[1] if ou else _power_law(kernel, mp)[2]
     points = spectral_breakpoints(kernel, ctx, ctx.working_dps + 10)
     return 2 * integrate(ctx, f, points, floor=floor, extra_digits=extra)
 

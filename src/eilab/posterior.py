@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
-from .errors import EILabError, NonPositivePivot, VariantUnsupported, require_distinct
-from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance, spectral_breakpoints, spectral_density
+from .errors import EILabError, NonPositivePivot, require_distinct
+from .kernels import KernelSpec, covariance, spectral_breakpoints, spectral_density, spectral_power_form
 from .linalg import CholeskyFactor, exact_residual
 from .precision import PrecisionContext
 from .quadrature import integrate, quadrature_context
@@ -123,9 +123,9 @@ class FittedPosterior:
     """One factorization of the design Gram matrix, reusable across queries.
 
     Building this object performs the only factorization; ``moments`` then
-    costs K covariance evaluations and two triangular solves per query.  The
-    object is read-only after construction and safe to query from several
-    threads.  Raises ``NonPositivePivot`` when the design is numerically
+    costs K covariance evaluations and one forward substitution per query.
+    The object is read-only after construction and safe to query from
+    several threads.  Raises ``NonPositivePivot`` when the design is numerically
     degenerate at the context's precision.
 
     ``extends`` may be the fit of an earlier design of the same run (same
@@ -150,32 +150,24 @@ class FittedPosterior:
         self.state = state
         self.ctx = ctx
         self._factor = factor
-        # w = L^-1 f feeds the incremental mean; beta = G^-1 f the direct one.
+        # w = L^-1 f: the mean at c is z(c) . w (see ``CandidatePosterior``).
         self._w_hi = factor.solve_lower(state.values)
-        self._beta_hi = factor.solve_upper_t(self._w_hi)
         self._g0_hi = factor.solve_mp.mpf(covariance(kernel, 0, ctx))
         self._clamp_threshold = ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))
         self.condition = factor.pivot_ratio
 
     def moments(self, x) -> PosteriorMoments:
-        ctx = self.ctx
-        mp = ctx.mp
+        """Working-precision moments at ``x``: at a design point its observed
+        value with zero variance, elsewhere those of the one-candidate
+        ``CandidatePosterior`` synced to this fit."""
+        mp = self.ctx.mp
         x = mp.mpf(x)
-        pts = self.state.points
-        for k, p in enumerate(pts):
+        for k, p in enumerate(self.state.points):
             if x == p:
                 return PosteriorMoments(point=x, mean=self.state.values[k], variance=mp.mpf(0))
-        g = [covariance(self.state.kernel, x - p, ctx) for p in pts]
-        z = self._factor.solve_lower(g)
-        var_hi = self._g0_hi
-        for zi in z:
-            var_hi -= zi * zi
-        mean_hi = self._factor.solve_mp.mpf(0)
-        # An mpf product rounds in its left operand's context: beta's, the
-        # solve precision, to which g converts exactly.
-        for gi, bi in zip(g, self._beta_hi):
-            mean_hi += bi * gi
-        return _checked_moments(ctx, x, mp.mpf(mean_hi), mp.mpf(var_hi), self._clamp_threshold)
+        candidate = CandidatePosterior([x])
+        candidate.sync(self)
+        return candidate.moments(0)
 
     def weights(self, x):
         """Interpolation weights lambda = G^-1 g(x) at working precision."""
@@ -223,15 +215,15 @@ class CandidatePosterior:
     (the bordered Cholesky factor organised by column; Rasmussen & Williams,
     GPML 2006, sec. 2.2 and Alg. 2.1), its numerator the exact
     ``linalg.exact_residual`` and the division its one rounding, as in
-    ``CholeskyFactor.solve_lower``.  The leading rows of L do not change
-    when a point is appended, so z and the variance are bit-identical to the
-    direct forward solve of ``FittedPosterior.moments``; only the rounding
-    order of the mean differs.  When the solve precision or the jitter
-    changes, z, the variance and the mean are re-solved from the kept
-    column at the new factor, with no covariance evaluated again.  Values
-    are raw ``mpf`` tuples; the variance and mean updates round each
-    product and each sum at the solve context's precision, as the ``mpf``
-    operators of ``FittedPosterior.moments`` do.  A state serves one run:
+    ``CholeskyFactor.solve_lower``.  The leading rows of L and entries of w
+    do not change when a point is appended, so a state grown step by step
+    holds bit for bit the z, variance and mean of a state synced once to
+    the last fit; ``FittedPosterior.moments`` is such a one-candidate
+    state.  When the solve precision or the jitter changes, z, the variance
+    and the mean are re-solved from the kept column at the new factor, with
+    no covariance evaluated again.  Values are raw ``mpf`` tuples; the
+    variance and mean updates round each product and each sum at the solve
+    context's precision.  A state serves one run:
     one kernel, one precision context, and one design that only grows.
     """
 
@@ -295,8 +287,8 @@ class CandidatePosterior:
     def moments(self, i) -> PosteriorMoments:
         """Working-precision moments at candidate ``i`` for the synced design.
 
-        Raises ``NonPositivePivot`` like ``FittedPosterior.moments`` when the
-        variance is negative beyond the cancellation budget.
+        Raises ``NonPositivePivot`` when the variance is negative beyond the
+        cancellation budget.
         """
         fitted = self._fitted
         mp = fitted.ctx.mp
@@ -332,11 +324,8 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     tanh-sinh does not converge on its polynomially decaying integrand.
     """
     kernel = state.kernel
-    if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        raise VariantUnsupported(
-            "the spectral variance oracle needs a super-exponentially decaying "
-            "density; the Ornstein-Uhlenbeck kernel has none"
-        )
+    # Raises VariantUnsupported for the Ornstein-Uhlenbeck kernel.
+    spectral_power_form(kernel, ctx)
     if state.size > _ORACLE_MAX_DESIGN:
         raise EILabError(
             f"spectral variance oracle supports designs of at most "

@@ -36,11 +36,30 @@ def gauss_unit():
     return eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
 
 
+def _run_prefix(run, steps):
+    """The run ``run`` would have been with ``steps`` requested, for a run
+    that completed at least that many: ``run_trajectory`` reads ``steps``
+    only as its loop bound, so the shorter run is the first steps + 1
+    points, values and records, and the first ``steps`` timings."""
+    state = run.state
+    points, values = state.points[: steps + 1], state.values[: steps + 1]
+    return eilab.TrajectoryRun(
+        state=eilab.TrajectoryState(kernel=state.kernel, ctx=state.ctx, points=points, values=values, best=min(values)),
+        records=run.records[: steps + 1],
+        timings=run.timings[:steps],
+    )
+
+
 @pytest.fixture(scope="session")
-def default_run(ctx300, gauss_unit):
-    """The full collapse run with default settings (expensive, built once)."""
-    grid = eilab.CandidateGrid()
-    return eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 9, grid, ctx300)
+def run_prefix():
+    return _run_prefix
+
+
+@pytest.fixture(scope="session")
+def default_run(extended_run):
+    """The full collapse run with default settings (9 steps): the prefix of
+    the extended run, which takes the same first steps."""
+    return _run_prefix(extended_run, 9)
 
 
 @pytest.fixture(scope="session")

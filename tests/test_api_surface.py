@@ -84,12 +84,10 @@ def test_no_export_shadows_a_module():
     assert sorted(_exports() & modules) == []
 
 
-# mpmath's quadrature entry points.  Every tanh-sinh integral goes through
-# ``quadrature.integrate``, which alone decides its precision; the one
-# exception is the oscillatory ``quadosc`` of the Ornstein-Uhlenbeck
-# covariance, whose density decays too slowly for tanh-sinh.
+# mpmath's quadrature entry points.  Every integral goes through
+# ``quadrature.integrate``, which alone decides its precision.
 _QUADRATURE_CALLS = {"quad", "quadts", "quadgl", "quadsubdiv", "quadosc"}
-_QUADRATURE_ALLOWED = {("quadrature.py", "quad"), ("kernels.py", "quadosc")}
+_QUADRATURE_ALLOWED = {("quadrature.py", "quad")}
 
 
 def test_only_the_quadrature_module_runs_mpmath_quadrature():

@@ -3,9 +3,12 @@
 ``run_trajectory`` scores the grid from a ``CandidatePosterior`` that gains
 one covariance and one forward-substitution entry per candidate per step.
 These tests replay runs step by step, syncing the candidates to a fit grown
-from the previous step's, and hold every candidate's moments against
-``FittedPosterior.moments`` of a fresh fit: the variance bit for bit, the
-mean to digits/2.  They also count the covariances each sync evaluates.
+from the previous step's, and hold every candidate's moments bit for bit
+against ``FittedPosterior.moments`` of a fresh fit, a one-candidate state
+synced once.  The mean is also held, to digits/2, against sum_k lambda_k f_k
+with the weights lambda = G^-1 g of ``FittedPosterior.weights``, a route
+that shares no update with the candidate state.  The tests also count the
+covariances each sync evaluates.
 """
 
 from unittest import mock
@@ -36,20 +39,21 @@ def _counted_sync(candidates, fitted):
 
 
 def _assert_matches_direct(candidates, fitted):
-    """Every candidate's moments equal the direct query; returns the slow
-    argmax under the run's tie rule and the slow EI values by point."""
+    """Every candidate's moments equal the direct query, and the mean the
+    weights' sum; returns the slow argmax under the run's tie rule and the
+    slow EI values by point."""
     ctx = fitted.ctx
     mp = ctx.mp
     tol = ctx.tol(-(ctx.digits // 2))
     fstar = fitted.state.best
+    values = fitted.state.values
     eis = {}
     for i, c in enumerate(candidates.points):
         fast = candidates.moments(i)
         slow = fitted.moments(c)
-        assert fast.point == c
-        assert fast.variance == slow.variance, f"variance differs at {mp.nstr(c, 12)}"
-        assert fast.clamped == slow.clamped
-        assert abs(fast.mean - slow.mean) <= tol * max(abs(slow.mean), 1)
+        assert fast == slow, f"moments differ at {mp.nstr(c, 12)}"
+        weighted = mp.fsum(lk * fk for lk, fk in zip(fitted.weights(c), values))
+        assert abs(fast.mean - weighted) <= tol * max(abs(weighted), 1)
         eis[c] = _ei_value(ctx, fstar, slow.mean, mp.sqrt(slow.variance))
     top = max(eis.values())
     slack = top * tol

@@ -178,6 +178,16 @@ def test_small_run_collapses_super_exponentially(small_run, ctx60):
     assert all(a > b for a, b in zip(eis, eis[1:]))
 
 
+def test_shorter_run_is_the_prefix_of_a_longer_one(ctx60, gauss_unit, run_prefix):
+    # The default_run fixture is taken from the extended run this way.
+    grid = eilab.CandidateGrid(l_max=600)
+    short = eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 5, grid, ctx60)
+    long = eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 29, grid, ctx60)
+    assert len(long.records) > 6
+    assert short == run_prefix(long, 5)
+    assert [t.size for t in short.timings] == [t.size for t in long.timings[:5]]
+
+
 def test_default_run_eis_meet_the_precision_contract(default_run, ctx300, gauss_unit):
     """Every EI of the default run agrees to relative 10^-(digits/2) with the
     EI rebuilt at 1200 digits from the run's own working-precision inputs:

@@ -99,26 +99,19 @@ def test_covariance_quadrature_keeps_the_working_precision(ctx60, monkeypatch):
     assert _ran_at(seen, ctx60.working_dps)
 
 
-@pytest.mark.parametrize("x", ["1", "0"])
-def test_ou_covariance_quadrature_runs_at_the_oracle_precision(ctx60, monkeypatch, x):
-    # The Ornstein-Uhlenbeck integral is a cross-check only: quadosc off
-    # zero, tanh-sinh at zero.  The integrand's context is checked rather
-    # than its argument's digits, because the series acceleration of
-    # quadosc raises the precision of the context it runs in far past the
-    # few guard bits of tanh-sinh.
-    seen = []
-    real = kernels.spectral_density
+def test_ou_spectral_routines_refused_before_any_quadrature(ctx60, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
 
-    def spy(kernel, t, ctx):
-        seen.append(ctx)
-        return real(kernel, t, ctx)
-
-    monkeypatch.setattr(kernels, "spectral_density", spy)
-    value = eilab.covariance_by_quadrature(eilab.OrnsteinUhlenbeckKernel(theta="1"), x, ctx60)
-    expected = quadrature_context(ctx60)
-    assert expected.dps == _lowered_dps(ctx60)
-    assert seen and all(c is expected for c in seen)
-    assert value.context is ctx60.mp
+    monkeypatch.setattr(kernels, "integrate", forbidden)
+    ou = eilab.OrnsteinUhlenbeckKernel(theta="1")
+    for refused in (
+        lambda: eilab.covariance_by_quadrature(ou, "1", ctx60),
+        lambda: eilab.spectral_density(ou, "0.5", ctx60),
+        lambda: kernels.spectral_breakpoints(ou, ctx60, ctx60.working_dps),
+    ):
+        with pytest.raises(eilab.VariantUnsupported):
+            refused()
 
 
 def test_legendre_search_runs_at_its_bracket_precision(ctx300, monkeypatch):
