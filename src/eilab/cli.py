@@ -29,7 +29,7 @@ from dataclasses import asdict
 from .config import ExperimentConfig, load_config
 from .ei import run_trajectory
 from .errors import EILabError
-from .kernels import legendre_conjugate, profile_rate, spectral_power_form
+from .kernels import legendre_conjugate, profile_rate, spectral_power_law
 from .reports import RunReport, bound_to_dict, write_outputs
 from .verifier import (
     decay_scan,
@@ -133,7 +133,9 @@ def cmd_contrast(config: ExperimentConfig) -> RunReport:
 def cmd_spectral(config: ExperimentConfig) -> RunReport:
     """Tabulate s*, the conjugate value, and the rate F(K) over a K range."""
     ctx = config.precision()
-    kernel = spectral_power_form(config.kernel(), ctx)
+    kernel = config.kernel()
+    # Refuses a kernel without a rate function, however short the K range.
+    spectral_power_law(kernel, ctx)
     k_min, k_max = config.spectral_range()
     report = RunReport(command="spectral", config=config, digits=ctx.digits)
     report.columns = ["K", "s_star", "conjugate", "conjugate_numeric", "rate", "rate_over_k"]
@@ -191,9 +193,10 @@ def cmd_verify(config: ExperimentConfig, suite: str) -> RunReport:
         bounds = list(sweep.reports)
     elif suite == "thm3-bounds":
         # Refuse a kernel without a rate function before the run, not after.
-        spectral = spectral_power_form(config.kernel(), ctx)
+        kernel = config.kernel()
+        spectral_power_law(kernel, ctx)
         run = _run_into(report, config, ctx)
-        bounds = trajectory_envelope_check(run.state.points, spectral, ctx)
+        bounds = trajectory_envelope_check(run.state.points, kernel, ctx)
 
     report.bounds = [bound_to_dict(b, ctx) for b in bounds]
     if not report.rows and bounds:

@@ -11,6 +11,8 @@ whole expression is recomputed at a precision raised by ~2 log10|u| digits:
 the two terms then cancel to relative size 1/u^2, and the bump keeps the
 result accurate to the context's working precision instead of losing those
 digits.  At design points (s = 0) the value is exactly zero by definition.
+The improvement tail integral of Lemma 3 is the same closed form at
+f* = 0, m = h, s = 1, times sqrt(2 pi) (``improvement_tail``).
 
 The candidate grid is the log-spaced set {+-e^{-l eps} : l = 0..l_max}; the
 next point of a run is the grid argmax of EI, with exact ties broken toward
@@ -94,24 +96,6 @@ class EIEvaluation:
     moments: PosteriorMoments
 
 
-def closed_form_at(ctx: PrecisionContext, t, closed_form, *args):
-    """``closed_form(mp, *args)`` evaluated at a precision fit for the scale t.
-
-    The Gaussian-tail closed forms here (EI, and the improvement tail
-    integral of the verifier) subtract terms that agree to relative size
-    ~1/t^2 once |t| is large.  For |t| > 16 the arguments are lifted exactly
-    to a precision raised by int(2 log10|t|) + 8 digits, the form is
-    evaluated there and the result rounded back to working precision;
-    otherwise it runs at working precision.
-    """
-    mp = ctx.mp
-    at = abs(t)
-    if at > 16:
-        hp = raw_context(ctx.working_dps + int(2 * mp.log10(at)) + 8)
-        return mp.mpf(closed_form(hp, *(hp.mpf(a) for a in args)))
-    return closed_form(mp, *args)
-
-
 def _ei_closed(mp, fstar, mean, sigma):
     u = (fstar - mean) / sigma
     phi = mp.exp(-u * u / 2) / mp.sqrt(2 * mp.pi)
@@ -120,12 +104,35 @@ def _ei_closed(mp, fstar, mean, sigma):
 
 
 def _ei_value(ctx: PrecisionContext, fstar, mean, sigma):
+    """EI by the closed form, clamped at zero; max(f* - m, 0) at s = 0.
+
+    Its two terms cancel to relative size ~1/u^2 once |u| is large: for
+    |u| > 16 the arguments are lifted exactly to a precision raised by
+    int(2 log10|u|) + 8 digits, the form is evaluated there and the result
+    rounded back to working precision.
+    """
     mp = ctx.mp
     if sigma == 0:
         gap = fstar - mean
         return gap if gap > 0 else mp.mpf(0)
-    value = closed_form_at(ctx, (fstar - mean) / sigma, _ei_closed, fstar, mean, sigma)
+    au = abs((fstar - mean) / sigma)
+    if au > 16:
+        hp = raw_context(ctx.working_dps + int(2 * mp.log10(au)) + 8)
+        value = mp.mpf(_ei_closed(hp, hp.mpf(fstar), hp.mpf(mean), hp.mpf(sigma)))
+    else:
+        value = _ei_closed(mp, fstar, mean, sigma)
     return value if value > 0 else mp.mpf(0)
+
+
+def improvement_tail(ctx: PrecisionContext, h):
+    """The improvement tail I(h) = integral_0^inf w exp(-(w+h)^2/2) dw.
+
+    I(h) = sqrt(2 pi) tau(-h) with tau(u) = u Phi(u) + phi(u): sqrt(2 pi)
+    times the EI closed form at f* = 0, m = h, s = 1, with its precision
+    lift for |h| > 16.
+    """
+    mp = ctx.mp
+    return mp.sqrt(2 * mp.pi) * _ei_value(ctx, mp.zero, ctx.mpf(h), mp.one)
 
 
 def expected_improvement(state: TrajectoryState, x, fitted: FittedPosterior | None = None) -> EIEvaluation:
@@ -164,19 +171,18 @@ def ei_integral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     if sigma == 0:
         raise EILabError("integral oracle needs positive posterior variance")
     h = (moments.mean - state.best) / sigma
-    val = improvement_tail_quadrature(ctx, h)
-    return sigma / mp.sqrt(2 * mp.pi) * mp.exp(-h * h / 2) * val
+    return sigma / mp.sqrt(2 * mp.pi) * improvement_tail_quadrature(ctx, h)
 
 
 def improvement_tail_quadrature(ctx: PrecisionContext, h):
-    """integral_0^inf w exp(-wh - w^2/2) dw by quadrature, for either sign of h.
+    """The improvement tail I(h) by quadrature, for either sign of h.
 
-    This is the improvement tail integral_0^inf w exp(-(w+h)^2/2) dw with
-    the factor exp(-h^2/2) taken out (callers multiply it back).  For h < 0
-    the integrand's peak e^{h^2/2} is taken out too and multiplied back at
-    working precision: mpmath tests convergence in absolute terms, so the
-    integrand's scale must stay near max(1, |h|).  Nothing cancels, so it
-    runs in ``quadrature_context(ctx)`` (digits//2 + guard digits).  The
+    I(h) = integral_0^inf w exp(-(w+h)^2/2) dw, the quadrature oracle of
+    ``improvement_tail``.  mpmath tests convergence in absolute terms, so
+    the integrand's scale must stay near max(1, |h|): for h < 0 that is the
+    integrand itself, and for h >= 0 the factor exp(-h^2/2) is taken out of
+    it and multiplied in at working precision.  Nothing cancels, so it runs
+    in ``quadrature_context(ctx)`` (digits//2 + guard digits).  The
     integrand is a bump about w = -h; it is truncated on both sides where
     it falls 10 digits below that context's roundoff and split at its peak.
     """
@@ -189,8 +195,8 @@ def improvement_tail_quadrature(ctx: PrecisionContext, h):
     peak = (-hq + mp.sqrt(hq * hq + 4)) / 2
     points = [lower, peak, upper] if peak < upper else [lower, upper]
     if h >= 0:
-        return integrate(ctx, lambda w: mp.exp(-w * hq - w * w / 2) * w, points)
-    return integrate(ctx, lambda w: mp.exp(-(w + hq) ** 2 / 2) * w, points) * ctx.mp.exp(h * h / 2)
+        return integrate(ctx, lambda w: mp.exp(-w * hq - w * w / 2) * w, points) * ctx.mp.exp(-h * h / 2)
+    return integrate(ctx, lambda w: mp.exp(-(w + hq) ** 2 / 2) * w, points)
 
 
 def _tie_key(x):

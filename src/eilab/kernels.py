@@ -13,9 +13,8 @@ scaled by an overall covariance factor gamma > 0:
   rough contrast case.  Its density gamma * theta / (pi (theta^2 + t^2))
   decays only polynomially, so only the closed-form covariance serves it:
   the spectral machinery below (density, breakpoints, covariance
-  quadrature, and the conversion to the spectral-power family that the
-  Legendre and rate-function machinery needs) refuses it with
-  ``VariantUnsupported``, in the one check of ``_power_law``.
+  quadrature, Legendre conjugate and rate function) refuses it with
+  ``VariantUnsupported``, in the one check of ``spectral_power_law``.
 
 The Fourier convention throughout is G(x) = integral of Ghat(t) e^{itx} dt.
 
@@ -24,9 +23,11 @@ constant ``sqrt_pi``), which resolve at whatever working precision a context
 asks for, or as exact mpf values produced internally.  Kernels are immutable
 values and safe to share across threads.
 
-The spectral-power family also carries the Legendre-transform machinery used
-by the conditional-variance analysis: writing the full density as
-``exp(-S(|t|))`` with S(t) = a t^b - ln(gamma c0), and T(s) = S(e^s), the
+The Gaussian and spectral-power densities are both amplitude * exp(-a |t|^b)
+(b = 2 and amplitude gamma/(2 pi) for the Gaussian); ``spectral_power_law``
+gives (a, b, amplitude), and the Legendre-transform machinery of the
+conditional-variance analysis reads it: writing the full density as
+``exp(-S(|t|))`` with S(t) = a t^b - ln(amplitude), and T(s) = S(e^s), the
 convex conjugate T*(q) = max_s (q s - T(s)) yields the collapse rate
 function F(K) = T*(2K+1) - (2K+1) ln K.
 """
@@ -145,14 +146,16 @@ def _resolved_params(kernel: KernelSpec, mp, prec):
     return (theta, gamma)
 
 
-def _power_law(kernel, mp):
+def spectral_power_law(kernel: KernelSpec, ctx: PrecisionContext | MPContext):
     """(a, b, amplitude) of a Gaussian or spectral-power density, which is
-    amplitude * exp(-a |t|^b) in both cases.
+    amplitude * exp(-a |t|^b) in both cases.  ``ctx`` may also be an mpmath
+    context.
 
     The Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``: its
     density has no super-exponential decay, and every spectral routine of
     this module refuses it here.
     """
+    mp = ctx.mp if isinstance(ctx, PrecisionContext) else ctx
     if isinstance(kernel, GaussianKernel):
         a, gamma, _, _ = _params(kernel, mp)
         return a, mp.mpf(2), gamma / (2 * mp.pi)
@@ -165,22 +168,6 @@ def _power_law(kernel, mp):
     return a, b, gamma * c0
 
 
-def spectral_power_form(kernel: KernelSpec, ctx: PrecisionContext) -> SpectralPowerKernel:
-    """The kernel as a member of the spectral-power family, which the
-    Legendre and rate-function machinery needs.
-
-    A Gaussian kernel converts exactly to b = 2, c0 = gamma/(2 pi), gamma = 1:
-    the amplitude is resolved at the context's working precision and stored
-    exactly, so the converted kernel feeds the Legendre machinery with the
-    same normalization the closed-form covariance uses.  The
-    Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``.
-    """
-    if isinstance(kernel, SpectralPowerKernel):
-        return kernel
-    a, _, amplitude = _power_law(kernel, ctx.mp)
-    return SpectralPowerKernel(a=a, b=2, c0=amplitude, gamma=1)
-
-
 def spectral_breakpoints(kernel: KernelSpec, ctx: PrecisionContext, budget_dps, weight_scale=1):
     """Breakpoints of the half-line integral of w(t) Ghat(t), |w| <= weight_scale^2.
 
@@ -190,7 +177,7 @@ def spectral_breakpoints(kernel: KernelSpec, ctx: PrecisionContext, budget_dps, 
     Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``.
     """
     mp = ctx.mp
-    a, b, amp = _power_law(kernel, mp)
+    a, b, amp = spectral_power_law(kernel, mp)
     target = budget_dps * mp.log(10) + mp.log(amp * weight_scale * weight_scale)
     if target <= 0:
         return [0, mp.mpf(1)]
@@ -228,7 +215,7 @@ def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext | MPContext):
     if isinstance(kernel, GaussianKernel):
         a, gamma, _, _ = _params(kernel, mp)
         return gamma * mp.exp(-a * t * t) / (2 * mp.pi)
-    a, b, amp = _power_law(kernel, mp)
+    a, b, amp = spectral_power_law(kernel, mp)
     return amp * mp.exp(-a * abs(t) ** b)
 
 
@@ -244,7 +231,7 @@ def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
     quadrature.
     """
     mp = ctx.mp
-    floor = _power_law(kernel, mp)[2]
+    floor = spectral_power_law(kernel, mp)[2]
     extra = ctx.digits - ctx.digits // 2
     qp = quadrature_context(ctx, extra)
     x = mp.mpf(x)
@@ -252,14 +239,6 @@ def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):
     f = lambda t: spectral_density(kernel, t, qp) * qp.cos(t * xq)
     points = spectral_breakpoints(kernel, ctx, ctx.working_dps + 10)
     return 2 * integrate(ctx, f, points, floor=floor, extra_digits=extra)
-
-
-def _require_spectral_power(kernel):
-    if not isinstance(kernel, SpectralPowerKernel):
-        raise VariantUnsupported(
-            "this operation is defined for the spectral-power family only "
-            f"(got {type(kernel).__name__})"
-        )
 
 
 @dataclass(frozen=True)
@@ -332,11 +311,12 @@ def _brent_max(mp, phi, lo, hi):
                 v, fv = u, fu
 
 
-def legendre_conjugate(kernel: SpectralPowerKernel, q, ctx: PrecisionContext):
-    """T*(q) = max_s (q s - T(s)) for the spectral-power family.
+def legendre_conjugate(kernel: KernelSpec, q, ctx: PrecisionContext):
+    """T*(q) = max_s (q s - T(s)) for a Gaussian or spectral-power kernel.
 
-    Returns the closed form s* = ln(q/(ab))/b and
-    T*(q) = q/b (ln(q/(ab)) - 1) + ln(gamma c0), at working precision,
+    (a, b, amplitude) come from ``spectral_power_law``, which refuses the
+    Ornstein-Uhlenbeck kernel.  Returns the closed form s* = ln(q/(ab))/b and
+    T*(q) = q/b (ln(q/(ab)) - 1) + ln(amplitude), at working precision,
     after verifying the value to relative 10^-(digits/2) against a
     maximization of q s - T(s) by Brent's derivative-free search.  The
     search runs at 0.55 digits + 10 + guard digits and locates s* to the
@@ -345,13 +325,12 @@ def legendre_conjugate(kernel: SpectralPowerKernel, q, ctx: PrecisionContext):
     agreement needed.  At 300 digits it takes about 30 evaluations of
     q s - T(s).
     """
-    _require_spectral_power(kernel)
     mp = ctx.mp
+    a, b, amplitude = spectral_power_law(kernel, mp)
     q = mp.mpf(q)
     if not q > 0:
         raise EILabError("legendre_conjugate requires q > 0")
-    a, b, c0, gamma = _params(kernel, mp)
-    log_amp = mp.log(gamma * c0)
+    log_amp = mp.log(amplitude)
     s_star = mp.log(q / (a * b)) / b
     value = q / b * (mp.log(q / (a * b)) - 1) + log_amp
 
@@ -382,7 +361,7 @@ def legendre_conjugate(kernel: SpectralPowerKernel, q, ctx: PrecisionContext):
     return LegendreProfile(q=q, s_star=s_star, value=value, numeric_value=numeric)
 
 
-def rate_function(kernel: SpectralPowerKernel, K: int, ctx: PrecisionContext):
+def rate_function(kernel: KernelSpec, K: int, ctx: PrecisionContext):
     """Collapse rate F(K) = T*(2K+1) - (2K+1) ln K, K >= 2."""
     if K < 2:
         raise EILabError(f"rate_function requires K >= 2, got {K}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
 from .errors import EILabError, NonPositivePivot, require_distinct
-from .kernels import KernelSpec, covariance, spectral_breakpoints, spectral_density, spectral_power_form
+from .kernels import KernelSpec, covariance, spectral_breakpoints, spectral_density, spectral_power_law
 from .linalg import CholeskyFactor, exact_residual
 from .precision import PrecisionContext
 from .quadrature import integrate, quadrature_context
@@ -124,9 +124,13 @@ class FittedPosterior:
 
     Building this object performs the only factorization; ``moments`` then
     costs K covariance evaluations and one forward substitution per query.
-    The object is read-only after construction and safe to query from
-    several threads.  Raises ``NonPositivePivot`` when the design is numerically
-    degenerate at the context's precision.
+    The object is not modified after construction, but it is not safe to
+    query from several threads: its arithmetic runs in the process-wide
+    mpmath context of its precision, whose precision ``mp.quad`` raises
+    while it integrates (see ``precision``), and the covariance of a
+    spectral-power kernel with b != 2 integrates in that very context
+    (``covariance_by_quadrature``).  Raises ``NonPositivePivot`` when the
+    design is numerically degenerate at the context's precision.
 
     ``extends`` may be the fit of an earlier design of the same run (same
     kernel, context and jitter) that this design extends.  Only the Gram
@@ -325,7 +329,7 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     """
     kernel = state.kernel
     # Raises VariantUnsupported for the Ornstein-Uhlenbeck kernel.
-    spectral_power_form(kernel, ctx)
+    spectral_power_law(kernel, ctx)
     if state.size > _ORACLE_MAX_DESIGN:
         raise EILabError(
             f"spectral variance oracle supports designs of at most "

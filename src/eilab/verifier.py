@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .ei import closed_form_at, ei_integral_oracle, expected_improvement, improvement_tail_quadrature
+from .ei import ei_integral_oracle, expected_improvement, improvement_tail, improvement_tail_quadrature
 from .errors import DimensionMismatch, EILabError, require_distinct
-from .kernels import GaussianKernel, KernelSpec, SpectralPowerKernel, covariance, rate_function, spectral_power_form
+from .kernels import GaussianKernel, KernelSpec, SpectralPowerKernel, covariance, rate_function, spectral_power_law
 from .linalg import gram_det
 from .posterior import FittedPosterior, TrajectoryState, variance_spectral_oracle
 from .precision import PrecisionContext
@@ -235,7 +235,7 @@ def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext,
     k = len(nodes)
     if k < 2:
         raise EILabError("sandwich check needs at least 2 nodes")
-    spectral = spectral_power_form(kernel, ctx)
+    rate = rate_function(kernel, k, ctx)
     x = mp.mpf(x)
     points = tuple(mp.mpf(v) for v in nodes)
     require_distinct(points + (x,), "points (x_1..x_K, x)")
@@ -248,7 +248,6 @@ def variance_sandwich_check(kernel: KernelSpec, x, nodes, ctx: PrecisionContext,
     log_prod = mp.mpf(0)
     for p in points:
         log_prod += 2 * mp.log(abs(x - p))
-    rate = rate_function(spectral, k, ctx)
     log_ratio = log_sigma2 - rate - log_prod
     context = {
         "x": ctx.to_str(x, 30),
@@ -269,13 +268,14 @@ def trajectory_envelope_check(points, kernel: KernelSpec, ctx: PrecisionContext)
     every comparison happens on logarithms.
     """
     mp = ctx.mp
-    spectral = spectral_power_form(kernel, ctx)
+    # Refuses a kernel without a rate function, however short the trajectory.
+    spectral_power_law(kernel, ctx)
     pts = [mp.mpf(p) for p in points]
     reports = []
     for k in range(2, len(pts)):
         x_next = pts[k]
         log_x = mp.log(abs(x_next)) if x_next != 0 else mp.ninf
-        rate = rate_function(spectral, k, ctx)
+        rate = rate_function(kernel, k, ctx)
         lower_bound = (2**k) * rate
         upper_bound = rate / 3
         context = {
@@ -287,18 +287,10 @@ def trajectory_envelope_check(points, kernel: KernelSpec, ctx: PrecisionContext)
     return reports
 
 
-def _tail_integral_closed(mp, h):
-    """integral_0^inf w exp(-(w+h)^2/2) dw = e^{-h^2/2} - h sqrt(pi/2) erfc(h/sqrt 2).
-
-    The two terms cancel to relative size ~1/h^2 for large h; evaluate it
-    through ``closed_form_at``.
-    """
-    return mp.exp(-h * h / 2) - h * mp.sqrt(mp.pi / 2) * mp.erfc(h / mp.sqrt(2))
-
-
 def tail_integral_check(h_values, ctx: PrecisionContext):
     """Bracket (1/2) e^{-h^2} <= I(h) <= e^{-h^2/2} for the improvement tail
-    integral, plus closed-form vs quadrature agreement, per h >= 0."""
+    integral ``improvement_tail``, plus its agreement with
+    ``improvement_tail_quadrature``, per h >= 0."""
     mp = ctx.mp
     reports = []
     agree_tol = ctx.tol(-(ctx.digits // 4))
@@ -306,8 +298,8 @@ def tail_integral_check(h_values, ctx: PrecisionContext):
         h = mp.mpf(raw)
         if h < 0:
             raise EILabError("tail check requires h >= 0")
-        closed = closed_form_at(ctx, h, _tail_integral_closed, h)
-        quad = mp.exp(-h * h / 2) * improvement_tail_quadrature(ctx, h)
+        closed = improvement_tail(ctx, h)
+        quad = improvement_tail_quadrature(ctx, h)
         low = mp.exp(-h * h) / 2
         high = mp.exp(-h * h / 2)
         context = {"h": ctx.to_str(h, 30)}

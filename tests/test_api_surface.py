@@ -102,3 +102,16 @@ def test_only_the_quadrature_module_runs_mpmath_quadrature():
             ):
                 offenders.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
     assert not offenders
+
+
+def test_only_the_ei_module_evaluates_the_gaussian_tail():
+    # The Gaussian tail closed form, EI and the improvement tail integral
+    # alike, has one implementation: ``ei._ei_closed``.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "ei.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "erfc":
+                offenders.append(f"{path.name}:{node.lineno} .erfc(")
+    assert not offenders

@@ -89,12 +89,12 @@ GOLDEN = {
     "trajectory-jitter/table.csv": "34440094ede027316025245f3bee9e6ba839e4e4e72758b5d3fddcd430a354ff",
     "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
     "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
-    "verify-ei-oracle/report.json": "f239a46fb40e039f6c2f87b9b3a94a24b546313da9d59fc76176f8c90a282d6a",
-    "verify-ei-oracle/table.csv": "60ef5113c39fba238cc960e344798ef5a698cef6211f1540f6fbc83296d9cfdc",
+    "verify-ei-oracle/report.json": "ca7ad67494ad09e102a697a89cbe12fbdc48c41291830c90693b7884d158a187",
+    "verify-ei-oracle/table.csv": "355b61664a1a256072fec90f34274e8d99012cf7b3506592d9809924b0f7046d",
     "verify-lemma-vandermonde/report.json": "91b7bcfd66161028bb41d03fccf68a0e02964b29eb3cb7b003032ed301f0abe6",
     "verify-lemma-vandermonde/table.csv": "faeb7d3fdc31d819ea375d34eb961a04836d4e0dc8d7942b37b4c2e3ec1fd67b",
-    "verify-lemma3-tails/report.json": "682949dbbc5fbe2d8fa79a74f96f513f00b5d333b958d71d59140b26f1e7356f",
-    "verify-lemma3-tails/table.csv": "1da01538820ddfdde09a52503c383512b693ca90521b8e327358f1718e331b8a",
+    "verify-lemma3-tails/report.json": "6c6dd4bdc66dea6438c07e8ee372b3b266b467e1a868a85c64248a42695fb276",
+    "verify-lemma3-tails/table.csv": "784149c8ac6affbde97cc5c7dc77ba91fd30476a243bbbe57278bd094d08d619",
     "verify-posterior-oracle/report.json": "cd5397d17b7356e1bd49f916393a81f86c69b6ed2400856825de6a540b1bc112",
     "verify-posterior-oracle/table.csv": "5d6f59be5229d417d63747cb80aa7cf1e7057ab2d15fdc9388fb8fbbe289f151",
     "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",

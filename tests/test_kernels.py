@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import eilab
 from eilab import kernels as kernels_module
-from eilab.kernels import profile_rate, spectral_power_form
+from eilab.kernels import profile_rate, resolve_param, spectral_power_law
 from eilab.quadrature import integrate, quadrature_context
 
 
@@ -115,9 +115,7 @@ def test_fourier_pair_consistency(ctx60, gauss_unit, x):
         assert abs(direct - quad) <= abs(direct) * tol
 
 
-def test_exponent_profile_rejects_other_variants(ctx60, gauss_unit):
-    with pytest.raises(eilab.VariantUnsupported):
-        eilab.legendre_conjugate(gauss_unit, 5, ctx60)
+def test_exponent_profile_rejects_other_variants(ctx60):
     with pytest.raises(eilab.VariantUnsupported):
         eilab.legendre_conjugate(eilab.OrnsteinUhlenbeckKernel(), 5, ctx60)
 
@@ -217,7 +215,7 @@ def test_legendre_search_takes_at_most_60_evaluations(ctx300, gauss_unit, monkey
     # section search this replaced took about 850 per call at 300 digits.
     # No exp argument repeats within a call: the bracketing loops revisit
     # phi(0) and phi(+-1), and each is computed once.
-    kernels = (spectral_power_form(gauss_unit, ctx300), eilab.SpectralPowerKernel(a="0.3", b="2.5", c0="0.7"))
+    kernels = (gauss_unit, eilab.SpectralPowerKernel(a="0.3", b="2.5", c0="0.7"))
     real = kernels_module.raw_context
     calls = []
 
@@ -284,17 +282,41 @@ def test_profile_rate_is_the_rate_of_its_profile(ctx60):
         profile_rate(profile, 9, ctx60)
 
 
-def test_gaussian_spectral_equivalent(ctx60, gauss_unit):
+def _gaussian_as_spectral_power(kernel, ctx):
+    """The Gaussian's density gamma exp(-a t^2) / (2 pi) as a spectral-power
+    kernel: b = 2, c0 = gamma / (2 pi) and gamma = 1, resolved at the
+    context's working precision and stored exactly."""
+    mp = ctx.mp
+    a = resolve_param(kernel.a, mp)
+    amplitude = resolve_param(kernel.gamma, mp) / (2 * mp.pi)
+    return eilab.SpectralPowerKernel(a=a, b=2, c0=amplitude, gamma=1)
+
+
+def test_gaussian_spectral_equivalent(ctx60, ctx300, gauss_unit):
+    # The Legendre machinery reads the Gaussian's power law directly; its
+    # profiles are bit for bit those of the equivalent spectral-power kernel.
+    for ctx in (ctx60, ctx300):
+        for gauss in (gauss_unit, eilab.GaussianKernel(a="0.4", gamma="1.7")):
+            spectral = _gaussian_as_spectral_power(gauss, ctx)
+            for q in range(5, 52):
+                direct = eilab.legendre_conjugate(gauss, q, ctx)
+                converted = eilab.legendre_conjugate(spectral, q, ctx)
+                assert direct.s_star == converted.s_star, (ctx.digits, gauss, q)
+                assert direct.value == converted.value, (ctx.digits, gauss, q)
+                assert direct.numeric_value == converted.numeric_value, (ctx.digits, gauss, q)
     mp = ctx60.mp
-    spectral = spectral_power_form(gauss_unit, ctx60)
-    assert spectral.b == 2
+    spectral = _gaussian_as_spectral_power(gauss_unit, ctx60)
     # same covariance both ways
     for x in ("0", "0.4", "1.2"):
         a = eilab.covariance(gauss_unit, x, ctx60)
         b = eilab.covariance(spectral, x, ctx60)
         assert abs(a - b) <= abs(a) * ctx60.tol(-(ctx60.digits - 5))
     # the amplitude is 1/(2 sqrt(pi)) for the unit-Gaussian normalization
-    assert abs(spectral.c0 - 1 / (2 * mp.sqrt(mp.pi))) <= ctx60.tol(-(ctx60.digits - 5))
+    _, b, amplitude = spectral_power_law(gauss_unit, ctx60)
+    assert b == 2
+    assert abs(amplitude - 1 / (2 * mp.sqrt(mp.pi))) <= ctx60.tol(-(ctx60.digits - 5))
+    with pytest.raises(eilab.VariantUnsupported):
+        spectral_power_law(eilab.OrnsteinUhlenbeckKernel(), ctx60)
 
 
 def test_invalid_parameters_rejected():

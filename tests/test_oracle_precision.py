@@ -165,13 +165,12 @@ def test_ou_variance_oracle_refused_before_any_fit_or_quadrature(ctx60, monkeypa
 
 
 def _tail_reference(h, dps):
-    """integral_0^inf w exp(-wh - w^2/2) dw in plain mpmath at ``dps`` digits,
-    from e^{h^2/2} (e^{-h^2/2} - h sqrt(pi/2) erfc(h/sqrt 2)); the extra
-    digits cover the 1/h^2 cancellation of the two terms."""
+    """I(h) = integral_0^inf w exp(-(w+h)^2/2) dw in plain mpmath at ``dps``
+    digits, from e^{-h^2/2} - h sqrt(pi/2) erfc(h/sqrt 2); the extra digits
+    cover the 1/h^2 cancellation of the two terms."""
     with mpmath.workdps(dps + 40):
         h = mpmath.mpf(h)
-        inner = mpmath.exp(-h * h / 2) - h * mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(h / mpmath.sqrt(2))
-        return mpmath.exp(h * h / 2) * inner
+        return mpmath.exp(-h * h / 2) - h * mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(h / mpmath.sqrt(2))
 
 
 def _agrees(value, reference, digits):
@@ -204,7 +203,7 @@ def test_ei_oracle_matches_full_precision_reference_on_seed_0(ctx300):
         h = (moments.mean - state.best) / sigma
         with mpmath.workdps(ctx.working_dps + 40):
             s, hh = mpmath.mpf(sigma), mpmath.mpf(h)
-            reference = s / mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(-hh * hh / 2) * _tail_reference(hh, ctx.working_dps)
+            reference = s / mpmath.sqrt(2 * mpmath.pi) * _tail_reference(hh, ctx.working_dps)
         assert _agrees(oracle, reference, ctx.digits), query
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 import eilab
-from eilab import verifier
+from eilab import ei, verifier
 
 
 def test_lagrange_midpoint(ctx60):
@@ -165,6 +165,18 @@ def test_tail_check_closed_vs_quadrature(ctx60):
     quad = [r for r in reports if r.label == "tail-quadrature"]
     assert len(quad) == 5
     assert all(r.satisfied for r in quad)
+
+
+def test_tail_check_sees_a_wrong_ei_closed_form(ctx60, monkeypatch):
+    # lemma3-tails checks the EI closed form itself: off by 10^-13 relative,
+    # it disagrees with the quadrature at every h, in the lifted branch
+    # (h = 20) too.
+    real = ei._ei_closed
+    monkeypatch.setattr(ei, "_ei_closed", lambda mp, *args: real(mp, *args) * (1 + mp.mpf(10) ** -13))
+    reports = eilab.tail_integral_check(["0", "2", "20"], ctx60)
+    quad = [r for r in reports if r.label == "tail-quadrature"]
+    assert len(quad) == 3
+    assert not any(r.satisfied for r in quad)
 
 
 def test_tail_check_rejects_negative_h(ctx60):
