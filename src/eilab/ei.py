@@ -20,8 +20,9 @@ smaller |x| and then toward the negative sign.
 
 The argmax screens the grid in floats first.  ln EI = ln s + ln tau(u), with
 tau(u) = u Phi(u) + phi(u), is computed in double precision for every
-candidate from the raw binary exponents of f* - m and s^2, so nothing
-underflows however small EI gets (on the default run u reaches -1.6e23).
+candidate from the raw binary exponents of f* - m and s^2, read as raw mpf
+tuples from the candidate state, so nothing underflows however small EI
+gets (on the default run u reaches -1.6e23).
 Only the candidates whose float ln EI lies within the margin
 ``_SCREEN_MARGIN`` of the float maximum, and those whose float value is not
 finite, are scored with the closed form above; the maximum, the tie slack
@@ -37,6 +38,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+
+from mpmath.libmp import mpf_sub
 
 from .errors import EILabError, EmptyGrid, NonPositivePivot, UnknownObjective
 from .kernels import KernelSpec, covariance
@@ -250,21 +253,19 @@ def _split(raw):
     return math.ldexp(man >> shift, shift - bc), exp + bc
 
 
-def _screen_log_ei(fstar, moments: PosteriorMoments):
+def _screen_log_ei(variance, gap):
     """Float ln EI at one candidate, or None where that is not a finite float.
 
-    f* - m is an mpf subtraction at working precision (the mean cancels
-    against f*); ln|f* - m| and ln s = ln(s^2) / 2 come from the raw
-    mantissas and exponents, the exponents combined as integers, so no
-    square root runs and nothing underflows.  s = 0 (after a clamp, or at
-    a design point) yields None.
+    ``variance`` (s^2) and ``gap`` (f* - m) are raw mpf tuples at working
+    precision.  ln|f* - m| and ln s = ln(s^2) / 2 come from their mantissas
+    and exponents, the exponents combined as integers, so no square root
+    runs and nothing underflows.  s = 0 (after a clamp, or at a design
+    point) yields None.
     """
-    var = moments.variance._mpf_
-    if not var[1]:
+    if not variance[1]:
         return None
-    fv, ev = _split(var)
+    fv, ev = _split(variance)
     log_sigma = (math.log(fv) + ev * _LN2) / 2
-    gap = (fstar - moments.mean)._mpf_
     if not gap[1]:
         return log_sigma - _LN_SQRT_2PI
     fd, ed = _split(gap)
@@ -276,6 +277,25 @@ def _screen_log_ei(fstar, moments: PosteriorMoments):
     return value if math.isfinite(value) else None
 
 
+def _screen(ctx: PrecisionContext, fstar, working):
+    """The float ln EI (``_screen_log_ei``) of every candidate, in order,
+    and the number of clamped variances.
+
+    ``working`` yields each candidate's (mean, variance, clamped) as raw
+    mpf tuples at working precision (``CandidatePosterior.working_moments``);
+    f* - m is one mpf subtraction at working precision (the mean cancels
+    against f*).
+    """
+    prec, rnd = ctx.mp._prec_rounding
+    fstar = fstar._mpf_
+    clamps = 0
+    screen = []
+    for mean, variance, clamped in working:
+        clamps += clamped
+        screen.append(_screen_log_ei(variance, mpf_sub(fstar, mean, prec, rnd)))
+    return screen, clamps
+
+
 def _grid_candidates(state: TrajectoryState, grid: CandidateGrid) -> CandidatePosterior:
     design = set(state.points)
     return CandidatePosterior(c for c in grid.points(state.ctx) if c not in design)
@@ -284,27 +304,32 @@ def _grid_candidates(state: TrajectoryState, grid: CandidateGrid) -> CandidatePo
 def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
     """EI argmax over ``candidates``, which must be synced to ``fitted``.
 
-    Every candidate's moments are read and screened by a float ln EI; only
-    those within the margin ``_SCREEN_MARGIN`` of the float maximum are
-    scored with the closed form, which cannot change the winner (see
-    ``_select``).  Returns the winner's evaluation, the number of clamped
-    variances and the winner's index in ``candidates``.
+    Every candidate is screened by a float ln EI from its raw moments; only
+    those within the margin ``_SCREEN_MARGIN`` of the float maximum get
+    ``PosteriorMoments`` and the closed form, which cannot change the
+    winner (see ``_select``).  Returns the winner's evaluation, the number
+    of clamped variances and the winner's index in ``candidates``.
     """
     if not candidates:
         raise EmptyGrid("no candidates remain after filtering design points")
-    best, value, clamps = _select(fitted.ctx, fitted.state.best, candidates.moments, candidates.points)
-    moments = candidates.moments(best)
-    return EIEvaluation(point=moments.point, ei=value, moments=moments), clamps, best
+    best, evaluation, clamps = _select(
+        fitted.ctx, fitted.state.best, candidates.working_moments(), candidates.moments, candidates.points
+    )
+    return evaluation, clamps, best
 
 
-def _select(ctx: PrecisionContext, fstar, moments_at, points):
-    """Index and EI of the argmax over ``points``, and the clamp count.
+def _select(ctx: PrecisionContext, fstar, working, moments_at, points):
+    """Index and evaluation of the EI argmax over ``points``, and the clamp
+    count.
 
-    ``moments_at(i)`` gives the moments at ``points[i]``; it is read once
-    for every candidate (counting clamps, and raising ``NonPositivePivot``
-    on a variance negative beyond the budget) and again for each candidate
-    that survives the float screen.  Survivors are the candidates whose
-    float ln EI L satisfies
+    ``working`` yields the raw working-precision (mean, variance, clamped)
+    of every candidate in index order, as ``CandidatePosterior.working_moments``
+    does: it raises ``NonPositivePivot`` at the first variance negative
+    beyond the budget.  ``_screen`` turns them into float ln EI values and
+    counts the clamps.  ``moments_at(i)`` gives the ``PosteriorMoments`` at
+    ``points[i]``; it is read once for each candidate that survives the
+    screen, and for no other.  Survivors are the candidates whose float
+    ln EI L satisfies
 
         L + margin * max(1, |L|) >= L* - margin * max(1, |L*|)
 
@@ -315,24 +340,20 @@ def _select(ctx: PrecisionContext, fstar, moments_at, points):
     over the survivors' closed-form EI are those over every candidate.
     """
     mp = ctx.mp
-    clamps = 0
-    screen = []
-    for i in range(len(points)):
-        moments = moments_at(i)
-        clamps += moments.clamped
-        screen.append(_screen_log_ei(fstar, moments))
+    screen, clamps = _screen(ctx, fstar, working)
     top_log = max((v for v in screen if v is not None), default=0.0)
     cut = top_log - _SCREEN_MARGIN * max(1.0, abs(top_log))
+    survivors = [i for i, v in enumerate(screen) if v is None or v + _SCREEN_MARGIN * max(1.0, abs(v)) >= cut]
+    del screen
     values = {}
-    for i, log_ei in enumerate(screen):
-        if log_ei is None or log_ei + _SCREEN_MARGIN * max(1.0, abs(log_ei)) >= cut:
-            moments = moments_at(i)
-            values[i] = _ei_value(ctx, fstar, moments.mean, mp.sqrt(moments.variance))
-    top = max(values.values())
+    for i in survivors:
+        moments = moments_at(i)
+        values[i] = EIEvaluation(moments.point, _ei_value(ctx, fstar, moments.mean, mp.sqrt(moments.variance)), moments)
+    top = max(v.ei for v in values.values())
     slack = top * ctx.tol(-(ctx.digits // 2))
     best = None
     for i, value in values.items():
-        if value + slack >= top and (best is None or _tie_key(points[i]) < _tie_key(points[best])):
+        if value.ei + slack >= top and (best is None or _tie_key(points[i]) < _tie_key(points[best])):
             best = i
     return best, values[best], clamps
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import mpf_abs, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
 
 from .errors import EILabError, MaximizationDiverged, VariantUnsupported
 from .precision import PrecisionContext, raw_context
@@ -185,25 +186,53 @@ def spectral_breakpoints(kernel: KernelSpec, ctx: PrecisionContext, budget_dps, 
 
 
 def covariance(kernel: KernelSpec, x, ctx: PrecisionContext):
-    """Covariance G(x) of the stationary kernel at lag x.
+    """Covariance G(x) of the stationary kernel at lag x, at working precision.
 
-    Closed form for the Gaussian and Ornstein-Uhlenbeck variants and for the
-    spectral-power family at b = 2; otherwise the Fourier integral of the
-    density, truncated where the density falls below the working roundoff
-    (the super-exponential tail makes the cutoff explicit).
+    The one-lag case of ``covariance_column``: closed form for the Gaussian
+    and Ornstein-Uhlenbeck variants and for the spectral-power family at
+    b = 2; otherwise the Fourier integral of the density, truncated where
+    the density falls below the working roundoff (the super-exponential
+    tail makes the cutoff explicit).
     """
     mp = ctx.mp
-    x = mp.mpf(x)
-    if isinstance(kernel, GaussianKernel):
-        _, _, pref, four_a = _params(kernel, mp)
-        return pref * mp.exp(-x * x / four_a)
+    return mp.make_mpf(covariance_column(kernel, mp.zero, (mp.mpf(x),), ctx)[0])
+
+
+def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext):
+    """G(p - x0) for every p of ``points``, as raw mpf tuples.
+
+    ``x0`` and ``points`` are working-precision mpf values.  The parameters
+    are resolved once per call.  Each lag x = p - x0 is rounded at working
+    precision, and so is each operation of the closed forms, in this order:
+
+    * Gaussian and spectral-power at b = 2: pref * exp(((-x) * x) / (4a)),
+      with pref = gamma / (2 sqrt(pi a)) for the Gaussian and
+      ((gamma * c0) * sqrt(pi / a)) for b = 2;
+    * Ornstein-Uhlenbeck: gamma * exp((-theta) * |x|).
+
+    For the spectral-power family at b != 2 each lag is one
+    ``covariance_by_quadrature``.
+    """
+    mp = ctx.mp
+    prec, rnd = mp._prec_rounding
+    origin = x0._mpf_
+    lags = (mpf_sub(p._mpf_, origin, prec, rnd) for p in points)
     if isinstance(kernel, OrnsteinUhlenbeckKernel):
         theta, gamma = _params(kernel, mp)
-        return gamma * mp.exp(-theta * abs(x))
-    a, b, c0, gamma = _params(kernel, mp)
-    if b == 2:
-        return gamma * c0 * mp.sqrt(mp.pi / a) * mp.exp(-x * x / (4 * a))
-    return covariance_by_quadrature(kernel, x, ctx)
+        rate, gamma = mpf_neg(theta._mpf_), gamma._mpf_
+        return [mpf_mul(gamma, mpf_exp(mpf_mul(rate, mpf_abs(x), prec, rnd), prec, rnd), prec, rnd) for x in lags]
+    if isinstance(kernel, GaussianKernel):
+        _, _, pref, four_a = _params(kernel, mp)
+    else:
+        a, b, c0, gamma = _params(kernel, mp)
+        if b != 2:
+            return [covariance_by_quadrature(kernel, mp.make_mpf(x), ctx)._mpf_ for x in lags]
+        pref, four_a = gamma * c0 * mp.sqrt(mp.pi / a), 4 * a
+    pref, four_a = pref._mpf_, four_a._mpf_
+    return [
+        mpf_mul(pref, mpf_exp(mpf_div(mpf_mul(mpf_neg(x), x, prec, rnd), four_a, prec, rnd), prec, rnd), prec, rnd)
+        for x in lags
+    ]
 
 
 def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext | MPContext):

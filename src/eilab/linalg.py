@@ -203,9 +203,12 @@ class CholeskyFactor:
         mp = self.ctx.mp
         return [mp.mpf(v) for v in self.solve_upper_t(self.solve_lower(rhs))]
 
-    def solve_lower(self, rhs):
+    def solve_lower(self, rhs, leading=()):
         """y = L^-1 rhs at the solve precision, ``rhs`` converted to it.
 
+        ``leading`` may hold the first entries of y, as solved by a factor
+        this one extends at the same solve precision (whose rows are this
+        one's leading rows); only the entries after them are computed.
         Raises ``DimensionMismatch`` for a wrong-length ``rhs``.
         """
         if len(rhs) != self.n:
@@ -214,9 +217,10 @@ class CholeskyFactor:
             )
         smp = self.solve_mp
         prec, rnd = smp._prec_rounding
-        y = []
-        for i, (row, v) in enumerate(zip(self.lower, rhs)):
-            y.append(mpf_div(exact_residual(smp.mpf(v)._mpf_, row[:i], y), row[i], prec, rnd))
+        y = [v._mpf_ for v in leading]
+        for i in range(len(y), self.n):
+            row = self.lower[i]
+            y.append(mpf_div(exact_residual(smp.mpf(rhs[i])._mpf_, row[:i], y), row[i], prec, rnd))
         return [smp.make_mpf(v) for v in y]
 
     def solve_upper_t(self, y):

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_sub
 
 from .errors import EILabError, NonPositivePivot, require_distinct
-from .kernels import KernelSpec, covariance, spectral_breakpoints, spectral_density, spectral_power_law
+from .kernels import KernelSpec, covariance, covariance_column, spectral_breakpoints, spectral_density, spectral_power_law
 from .linalg import CholeskyFactor, exact_residual
 from .precision import PrecisionContext
 from .quadrature import integrate, quadrature_context
@@ -100,25 +100,6 @@ def add_point(state: TrajectoryState, x, f_x) -> TrajectoryState:
     )
 
 
-def _checked_moments(ctx, x, mean, variance, clamp_threshold) -> PosteriorMoments:
-    """Moments at working precision, with the negative-variance clamp."""
-    clamped = False
-    if variance < 0:
-        # Tiny negatives are cancellation roundoff; anything beyond the
-        # clamp threshold means the precision budget is spent and the
-        # value would be fiction.
-        mp = ctx.mp
-        if variance < -clamp_threshold:
-            raise NonPositivePivot(
-                f"posterior variance {mp.nstr(variance, 6)} at "
-                f"{mp.nstr(x, 12)} is negative beyond the cancellation "
-                "budget: design too degenerate at this precision"
-            )
-        clamped = True
-        variance = mp.mpf(0)
-    return PosteriorMoments(point=x, mean=mean, variance=variance, clamped=clamped)
-
-
 class FittedPosterior:
     """One factorization of the design Gram matrix, reusable across queries.
 
@@ -135,7 +116,9 @@ class FittedPosterior:
     ``extends`` may be the fit of an earlier design of the same run (same
     kernel, context and jitter) that this design extends.  Only the Gram
     rows of the new points are evaluated (the lower triangle) and the
-    factor is extended by them; the result is bit for bit the fresh fit.
+    factor is extended by them; when the solve precision is unchanged, so
+    is w = L^-1 f, by its new entries only.  The result is bit for bit the
+    fresh fit.
     ``EILabError`` is raised when this design does not start with that one
     (``DimensionMismatch`` when the context or jitter differs).
     """
@@ -155,7 +138,10 @@ class FittedPosterior:
         self.ctx = ctx
         self._factor = factor
         # w = L^-1 f: the mean at c is z(c) . w (see ``CandidatePosterior``).
-        self._w_hi = factor.solve_lower(state.values)
+        # The leading entries of a fit extended at the same solve precision
+        # are its own.
+        leading = extends._w_hi if extends and extends.solve_dps == factor.solve_dps else ()
+        self._w_hi = factor.solve_lower(state.values, leading)
         self._g0_hi = factor.solve_mp.mpf(covariance(kernel, 0, ctx))
         self._clamp_threshold = ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))
         self.condition = factor.pivot_ratio
@@ -211,8 +197,9 @@ class CandidatePosterior:
     z(c) = L^-1 g(c), the variance G(0) - sum z^2 and the mean sum z_j w_j
     with w = L^-1 f, at the solve precision of the factor it was last synced
     to.  When the design gains one point x_K, ``sync`` costs one covariance
-    and K exact products per candidate: the new column entry g_K(c) =
-    G(c - x_K) and the new forward-substitution entry
+    and K exact products per candidate: the new column entries g_K(c) =
+    G(c - x_K) of every candidate, from one ``kernels.covariance_column``
+    call, and the new forward-substitution entry
 
         z_K(c) = (g_K(c) - sum_{j<K} L_{K,j} z_j(c)) / L_{K,K}
 
@@ -227,7 +214,9 @@ class CandidatePosterior:
     and the mean are re-solved from the kept column at the new factor, with
     no covariance evaluated again.  Values are raw ``mpf`` tuples; the
     variance and mean updates round each product and each sum at the solve
-    context's precision.  A state serves one run:
+    context's precision.  ``working_moments`` reads them back at working
+    precision, still raw, for the whole set at once; ``moments`` wraps one
+    candidate's in ``PosteriorMoments``.  A state serves one run:
     one kernel, one precision context, and one design that only grows.
     """
 
@@ -263,43 +252,74 @@ class CandidatePosterior:
             self._mean = [fzero] * n
         prec, rnd = fitted._factor.solve_mp._prec_rounding
         for k in range(solved, state.size):
-            self._advance(fitted, k, prec, rnd)
+            self._advance(fitted, k, k < kept, prec, rnd)
         self._fitted = fitted
         return n * (state.size - kept), solved < kept
 
-    def _advance(self, fitted, k, prec, rnd):
-        """Add forward-substitution entry ``k`` for every candidate; column
-        entry k is evaluated here the first time it is needed."""
+    def _advance(self, fitted, k, kept, prec, rnd):
+        """Add forward-substitution entry ``k`` for every candidate.  Column
+        entry k is read from the kept columns when ``kept``; otherwise it is
+        evaluated here for every candidate in one ``covariance_column`` call
+        and kept."""
         lower = fitted._factor.lower
         row, diag = lower[k][:k], lower[k][k]
         w = fitted._w_hi[k]._mpf_
-        xk = fitted.state.points[k]
-        kernel, ctx = fitted.state.kernel, fitted.ctx
-        zs, var, mean = self._z, self._var, self._mean
-        for i, (c, g) in enumerate(zip(self.points, self._g)):
-            z = zs[i]
-            if k < len(g):
-                s = _unpack(g[k])
-            else:
-                s = covariance(kernel, c - xk, ctx)._mpf_
+        columns, zs, var, mean = self._g, self._z, self._var, self._mean
+        if kept:
+            column = (_unpack(g[k]) for g in columns)
+        else:
+            state = fitted.state
+            column = covariance_column(state.kernel, state.points[k], self.points, fitted.ctx)
+            for g, s in zip(columns, column):
                 g.append(_pack(s))
+        for i, (z, s) in enumerate(zip(zs, column)):
             s = mpf_div(exact_residual(s, row, z), diag, prec, rnd)
             z.append(s)
             var[i] = mpf_sub(var[i], mpf_mul(s, s, prec, rnd), prec, rnd)
             mean[i] = mpf_add(mean[i], mpf_mul(s, w, prec, rnd), prec, rnd)
 
+    def working_moments(self, indices=None):
+        """Yield (mean, variance, clamped) at working precision, as raw mpf
+        tuples, for the candidates at ``indices`` (every one, in index
+        order, by default) for the synced design.
+
+        A negative variance is cancellation roundoff: it is clamped to zero
+        and flagged.  Below -10**(-digits + 2 guard), the level that marks
+        precision exhaustion rather than benign roundoff, it raises
+        ``NonPositivePivot`` when its candidate is reached.
+        """
+        fitted = self._fitted
+        ctx = fitted.ctx
+        mp = ctx.mp
+        prec, rnd = mp._prec_rounding
+        rounded = fitted.solve_dps != ctx.working_dps
+        budget = mpf_neg(fitted._clamp_threshold._mpf_)
+        means, variances = self._mean, self._var
+        for i in range(len(means)) if indices is None else indices:
+            mean, variance = means[i], variances[i]
+            if rounded:
+                mean, variance = mpf_pos(mean, prec, rnd), mpf_pos(variance, prec, rnd)
+            if not variance[0]:
+                yield mean, variance, False
+            elif mpf_lt(variance, budget):
+                raise NonPositivePivot(
+                    f"posterior variance {mp.nstr(mp.make_mpf(variance), 6)} at "
+                    f"{mp.nstr(self.points[i], 12)} is negative beyond the cancellation "
+                    "budget: design too degenerate at this precision"
+                )
+            else:
+                yield mean, fzero, True
+
     def moments(self, i) -> PosteriorMoments:
-        """Working-precision moments at candidate ``i`` for the synced design.
+        """Working-precision moments at candidate ``i`` for the synced design,
+        those of ``working_moments``.
 
         Raises ``NonPositivePivot`` when the variance is negative beyond the
         cancellation budget.
         """
-        fitted = self._fitted
-        mp = fitted.ctx.mp
-        prec, rnd = mp._prec_rounding
-        mean = mp.make_mpf(mpf_pos(self._mean[i], prec, rnd))
-        variance = mp.make_mpf(mpf_pos(self._var[i], prec, rnd))
-        return _checked_moments(fitted.ctx, self.points[i], mean, variance, fitted._clamp_threshold)
+        ((mean, variance, clamped),) = self.working_moments((i,))
+        mp = self._fitted.ctx.mp
+        return PosteriorMoments(point=self.points[i], mean=mp.make_mpf(mean), variance=mp.make_mpf(variance), clamped=clamped)
 
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""

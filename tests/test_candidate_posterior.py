@@ -8,9 +8,10 @@ against ``FittedPosterior.moments`` of a fresh fit, a one-candidate state
 synced once.  The mean is also held, to digits/2, against sum_k lambda_k f_k
 with the weights lambda = G^-1 g of ``FittedPosterior.weights``, a route
 that shares no update with the candidate state.  The tests also count the
-covariances each sync evaluates.
+covariances each sync evaluates, and the objects one step makes per candidate.
 """
 
+import contextlib
 from unittest import mock
 
 import pytest
@@ -18,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp
 
 import eilab
+from eilab import ei as ei_module
+from eilab import kernels as kernels_module
 from eilab import posterior as posterior_module
 from eilab.ei import _ei_value, _tie_key
 from eilab.posterior import CandidatePosterior, _pack, _unpack
@@ -31,10 +34,11 @@ def test_packed_column_entry_unpacks_to_the_raw_tuple(man, exp):
 
 
 def _counted_sync(candidates, fitted):
-    """Sync, checking the reported covariance count against the calls made."""
-    with mock.patch.object(posterior_module, "covariance", wraps=posterior_module.covariance) as cov:
+    """Sync, checking the reported covariance count against the entries the
+    column calls evaluated."""
+    with mock.patch.object(posterior_module, "covariance_column", wraps=posterior_module.covariance_column) as column:
         evaluated, resolved = candidates.sync(fitted)
-    assert evaluated == cov.call_count
+    assert evaluated == sum(len(call.args[2]) for call in column.call_args_list)
     return evaluated, resolved
 
 
@@ -141,10 +145,10 @@ def test_sync_refuses_a_design_that_does_not_extend(ctx60, gauss_unit):
     # replace the last point, or shrink the design: refused before any
     # covariance is evaluated, and the synced state stays as it was
     for fit in (fitted("-0.5"), fitted()):
-        with mock.patch.object(posterior_module, "covariance") as cov:
+        with mock.patch.object(posterior_module, "covariance_column") as column:
             with pytest.raises(eilab.EILabError, match="does not extend"):
                 candidates.sync(fit)
-        assert cov.call_count == 0
+        assert column.call_count == 0
     # growing by three points at once evaluates three column entries each
     fit = fitted("0.5", "0.35", "-0.45", "0.25")
     evaluated, _ = _counted_sync(candidates, fit)
@@ -169,3 +173,32 @@ def test_sync_refuses_changed_values(ctx60, gauss_unit):
     fit = _fit(gauss_unit, ctx60, xs, [mp.mpf(1), mp.mpf(2), mp.mpf(0)])
     assert _counted_sync(candidates, fit) == (len(candidates), False)
     _assert_matches_direct(candidates, fit)
+
+
+def test_one_step_makes_no_per_candidate_covariance_call_or_moments(ctx60, gauss_unit):
+    # a sync evaluates the covariances of each new design point in one column
+    # call, and the argmax builds PosteriorMoments for the screen survivors
+    # only: one per closed-form EI
+    mp = ctx60.mp
+    f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
+    xs = [mp.mpf(0), mp.mpf("0.5"), mp.mpf("-0.35")]
+    grid = eilab.CandidateGrid(l_max=300)
+    candidates = CandidatePosterior(c for c in grid.points(ctx60) if c not in xs)
+    for size in (2, 3):
+        fitted = _fit(gauss_unit, ctx60, xs[:size], [f(x) for x in xs[:size]])
+        with contextlib.ExitStack() as stack:
+            spy = lambda module, name: stack.enter_context(
+                mock.patch.object(module, name, wraps=getattr(module, name))
+            )
+            per_lag = [spy(posterior_module, "covariance"), spy(kernels_module, "covariance")]
+            column = spy(posterior_module, "covariance_column")
+            made = spy(posterior_module, "PosteriorMoments")
+            scored = spy(ei_module, "_ei_value")
+            evaluated, _ = candidates.sync(fitted)
+            best, clamps, index = ei_module._argmax(fitted, candidates)
+        new_points = size if size == 2 else 1
+        assert [cov.call_count for cov in per_lag] == [0, 0]
+        assert column.call_count == new_points
+        assert evaluated == new_points * len(candidates)
+        assert 1 <= made.call_count == scored.call_count <= 4
+        assert best.moments == candidates.moments(index)

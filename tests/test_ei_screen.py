@@ -4,18 +4,21 @@
 within ``_SCREEN_MARGIN`` of the float maximum with the full-precision
 closed form.  The reference here scores every candidate with ``_ei_value``
 and applies the same top, tie slack and tie-break; winner and EI must agree
-exactly.
+exactly.  The screen reads raw working-precision tuples from the candidate
+state; it is also held, float for float, against a copy of the screen that
+read every candidate through ``PosteriorMoments``.
 """
 
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import mpf_pos
 
 import eilab
 from eilab import ei
-from eilab.ei import _SCREEN_MARGIN, _ei_value, _log_tau, _screen_log_ei, _select, _tie_key
-from eilab.posterior import PosteriorMoments, _checked_moments
+from eilab.ei import _SCREEN_MARGIN, _ei_value, _log_tau, _screen, _screen_log_ei, _select, _split, _tie_key
+from eilab.posterior import CandidatePosterior, PosteriorMoments
 from eilab.precision import raw_context
 
 
@@ -58,8 +61,10 @@ def _exhaustive(ctx, fstar, moments):
 
 
 def _screened(ctx, fstar, moments):
-    best, value, _ = _select(ctx, fstar, moments.__getitem__, [m.point for m in moments])
-    return best, value
+    working = ((m.mean._mpf_, m.variance._mpf_, m.clamped) for m in moments)
+    best, evaluation, _ = _select(ctx, fstar, working, moments.__getitem__, [m.point for m in moments])
+    assert evaluation.moments is moments[best]
+    return best, evaluation.ei
 
 
 @pytest.fixture
@@ -77,19 +82,20 @@ def ei_calls(monkeypatch):
 
 
 def _adversarial(monkeypatch, front):
-    """Shift the float ln EI by 0.9 margin: down at the points in ``front``,
-    up everywhere else.  The screen must absorb any float error below the
-    margin."""
-    real = ei._screen_log_ei
+    """Shift the float ln EI by 0.9 margin: down at the candidate indices in
+    ``front``, up everywhere else.  The screen must absorb any float error
+    below the margin."""
+    real = ei._screen
 
-    def shifted(fstar, moments):
-        value = real(fstar, moments)
-        if value is None:
-            return None
-        shift = 0.9 * _SCREEN_MARGIN * max(1.0, abs(value))
-        return value - shift if moments.point in front else value + shift
+    def shifted(ctx, fstar, working):
+        screen, clamps = real(ctx, fstar, working)
+        for i, value in enumerate(screen):
+            if value is not None:
+                shift = 0.9 * _SCREEN_MARGIN * max(1.0, abs(value))
+                screen[i] = value - shift if i in front else value + shift
+        return screen, clamps
 
-    monkeypatch.setattr(ei, "_screen_log_ei", shifted)
+    monkeypatch.setattr(ei, "_screen", shifted)
 
 
 def test_mirrored_exact_tie_goes_to_the_negative_sign(ctx60):
@@ -132,7 +138,7 @@ def test_float_errors_below_the_margin_keep_the_winner(ctx60, monkeypatch):
         _moments(ctx60, "0.7", "1e-12", "1"),
     ]
     expected = _exhaustive(ctx60, fstar, moments)
-    _adversarial(monkeypatch, {ctx60.mpf("0.3"), ctx60.mpf("0.5")})
+    _adversarial(monkeypatch, {1, 2})
     assert _screened(ctx60, fstar, moments) == expected
 
 
@@ -164,7 +170,8 @@ def test_mean_at_the_incumbent_scores_u_zero(ctx60):
     mp = ctx60.mp
     fstar = ctx60.mpf("-0.7")
     at_u0 = _moments(ctx60, "0.3", "-0.7", "0.04")
-    assert abs(_screen_log_ei(fstar, at_u0) - (math.log(0.2) - 0.5 * math.log(2 * math.pi))) <= 1e-15
+    log_ei = _screen_log_ei(at_u0.variance._mpf_, (fstar - at_u0.mean)._mpf_)
+    assert abs(log_ei - (math.log(0.2) - 0.5 * math.log(2 * math.pi))) <= 1e-15
     moments = [_moments(ctx60, "0.8", "-0.6", "0.04"), at_u0]
     best, value = _screened(ctx60, fstar, moments)
     assert (best, value) == _exhaustive(ctx60, fstar, moments)
@@ -184,23 +191,136 @@ def test_every_ei_zero_picks_the_smallest_tie_key_of_all(ctx60):
     assert moments[best].point == ctx60.mpf("-0.3") and value == 0
 
 
+def _synced(ctx, design, candidates):
+    """A candidate state synced to the fit of ``design`` under the headline
+    kernel with f = -G."""
+    mp = ctx.mp
+    kernel = eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
+    xs = tuple(mp.mpf(x) for x in design)
+    values = tuple(-eilab.covariance(kernel, x, ctx) for x in xs)
+    fitted = eilab.FittedPosterior(eilab.TrajectoryState(kernel=kernel, ctx=ctx, points=xs, values=values, best=min(values)))
+    state = CandidatePosterior(mp.mpf(c) for c in candidates)
+    state.sync(fitted)
+    return fitted, state
+
+
+def _poke(fitted, candidates, i, mean=None, variance=None):
+    """Overwrite the mean and variance the state holds for candidate ``i``,
+    at the solve precision."""
+    smp = raw_context(fitted.solve_dps)
+    if mean is not None:
+        candidates._mean[i] = smp.mpf(mean)._mpf_
+    if variance is not None:
+        candidates._var[i] = smp.mpf(variance)._mpf_
+
+
 def test_clamps_are_counted_and_a_deep_negative_variance_aborts(ctx60):
-    mp = ctx60.mp
-    threshold = ctx60.tol(-(ctx60.digits - 2 * ctx60.guard_digits))
     fstar = ctx60.mpf(-1)
     raw = [("0.5", "-0.5", "0.3"), ("0.2", "-0.9", "-1e-30"), ("-0.5", "-0.4", "0.3")]
-
-    def moments_at(i):
-        x, mean, variance = raw[i]
-        return _checked_moments(ctx60, mp.mpf(x), mp.mpf(mean), mp.mpf(variance), threshold)
-
-    points = [mp.mpf(x) for x, _, _ in raw]
-    best, value, clamps = _select(ctx60, fstar, moments_at, points)
+    fitted, candidates = _synced(ctx60, ["0"], [x for x, _, _ in raw])
+    for i, (_, mean, variance) in enumerate(raw):
+        _poke(fitted, candidates, i, mean, variance)
+    best, evaluation, clamps = _select(ctx60, fstar, candidates.working_moments(), candidates.moments, candidates.points)
     assert clamps == 1
-    assert (best, value) == _exhaustive(ctx60, fstar, [moments_at(i) for i in range(len(raw))])
-    raw[1] = ("0.2", "-0.9", "-1e-10")
-    with pytest.raises(eilab.NonPositivePivot):
-        _select(ctx60, fstar, moments_at, points)
+    moments = [candidates.moments(i) for i in range(len(raw))]
+    assert moments[1].clamped and moments[1].variance == 0
+    assert (best, evaluation.ei) == _exhaustive(ctx60, fstar, moments)
+    _poke(fitted, candidates, 1, variance="-1e-10")
+    with pytest.raises(eilab.NonPositivePivot, match="negative beyond the cancellation budget"):
+        _select(ctx60, fstar, candidates.working_moments(), candidates.moments, candidates.points)
+
+
+def _moments_before_the_raw_screen(fitted, candidates, i):
+    """Candidate ``i``'s moments as they were read before the screen went
+    raw: mean and variance rounded to working precision as mpf values, the
+    variance clamped or refused against -10**(-digits + 2 guard)."""
+    ctx = fitted.ctx
+    mp = ctx.mp
+    prec, rnd = mp._prec_rounding
+    mean = mp.make_mpf(mpf_pos(candidates._mean[i], prec, rnd))
+    variance = mp.make_mpf(mpf_pos(candidates._var[i], prec, rnd))
+    clamped = False
+    if variance < 0:
+        if variance < -ctx.tol(-(ctx.digits - 2 * ctx.guard_digits)):
+            raise eilab.NonPositivePivot(
+                f"posterior variance {mp.nstr(variance, 6)} at "
+                f"{mp.nstr(candidates.points[i], 12)} is negative beyond the cancellation "
+                "budget: design too degenerate at this precision"
+            )
+        clamped = True
+        variance = mp.mpf(0)
+    return PosteriorMoments(point=candidates.points[i], mean=mean, variance=variance, clamped=clamped)
+
+
+def _log_ei_before_the_raw_screen(fstar, moments):
+    """The float ln EI as computed from ``PosteriorMoments``."""
+    var = moments.variance._mpf_
+    if not var[1]:
+        return None
+    fv, ev = _split(var)
+    log_sigma = (math.log(fv) + ev * math.log(2)) / 2
+    gap = (fstar - moments.mean)._mpf_
+    if not gap[1]:
+        return log_sigma - 0.5 * math.log(2 * math.pi)
+    fd, ed = _split(gap)
+    log_u = math.log(fd) - math.log(fv) / 2 + (2 * ed - ev) * math.log(2) / 2
+    if log_u > 700:
+        return None
+    u = math.exp(log_u)
+    value = log_sigma + _log_tau(-u if gap[0] else u)
+    return value if math.isfinite(value) else None
+
+
+def _screen_before_the_raw_screen(fitted, candidates):
+    clamps = 0
+    screen = []
+    for i in range(len(candidates)):
+        moments = _moments_before_the_raw_screen(fitted, candidates, i)
+        clamps += moments.clamped
+        screen.append(_log_ei_before_the_raw_screen(fitted.state.best, moments))
+    return screen, clamps
+
+
+# Designs whose factor solves at the working precision (80 digits) and at a
+# raised one (95 digits), and 40 candidates off them.
+_DESIGNS = (["0", "0.5"], ["0", "0.05", "-0.05"])
+_CANDIDATES = [f"{s}{k / 41}" for k in range(1, 21) for s in ("", "-")]
+# Overwrites of one candidate's moments, at the solve precision with full
+# mantissas: a variance of exactly zero, one negative within the clamp
+# budget (1e-20 at 60 digits) and one beyond it, a mean at f* itself and one
+# that rounds to f* at the working precision, and a variance so small
+# against the gap that |u| leaves the float range.
+_POKES = {
+    "zero": lambda mp, fstar: (None, mp.zero),
+    "clamp": lambda mp, fstar: (None, -mp.mpf(10) ** -50 / 3),
+    "beyond": lambda mp, fstar: (None, -mp.mpf(10) ** -10 / 3),
+    "at_fstar": lambda mp, fstar: (fstar, None),
+    "near_fstar": lambda mp, fstar: (fstar + mp.mpf(10) ** -90 / 3, None),
+    "huge_u": lambda mp, fstar: (None, mp.mpf(10) ** -700 / 3),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_DESIGNS),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=len(_CANDIDATES) - 1), st.sampled_from(sorted(_POKES))), max_size=8),
+)
+@example(_DESIGNS[1], [(0, "clamp"), (1, "zero"), (2, "huge_u"), (3, "near_fstar"), (4, "at_fstar"), (5, "clamp")])
+@example(_DESIGNS[0], [(5, "clamp"), (9, "beyond"), (7, "beyond"), (8, "zero")])
+def test_raw_screen_is_the_screen_of_the_moments(ctx60, design, pokes):
+    fitted, candidates = _synced(ctx60, design, _CANDIDATES)
+    smp = raw_context(fitted.solve_dps)
+    fstar = smp.mpf(fitted.state.best)
+    for i, kind in pokes:
+        _poke(fitted, candidates, i, *_POKES[kind](smp, fstar))
+    try:
+        expected = _screen_before_the_raw_screen(fitted, candidates)
+    except eilab.NonPositivePivot as exc:
+        with pytest.raises(eilab.NonPositivePivot) as raised:
+            _screen(ctx60, fitted.state.best, candidates.working_moments())
+        assert str(raised.value) == str(exc)
+        return
+    assert _screen(ctx60, fitted.state.best, candidates.working_moments()) == expected
 
 
 _CANDIDATE = st.tuples(
@@ -225,7 +345,7 @@ def test_random_candidates_match_the_exhaustive_argmax(ctx60, cands):
     assert _screened(ctx60, fstar, moments) == expected
     top = expected[1]
     slack = top * ctx60.tol(-(ctx60.digits // 2))
-    front = {m.point for m in moments if _ei_value(ctx60, fstar, m.mean, mp.sqrt(m.variance)) + slack >= top}
+    front = {i for i, m in enumerate(moments) if _ei_value(ctx60, fstar, m.mean, mp.sqrt(m.variance)) + slack >= top}
     with pytest.MonkeyPatch.context() as monkeypatch:
         _adversarial(monkeypatch, front)
         assert _screened(ctx60, fstar, moments) == expected

@@ -3,10 +3,11 @@ import random
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 import eilab
 from eilab import kernels as kernels_module
-from eilab.kernels import profile_rate, resolve_param, spectral_power_law
+from eilab.kernels import covariance_column, profile_rate, resolve_param, spectral_power_law
 from eilab.quadrature import integrate, quadrature_context
 
 
@@ -79,6 +80,64 @@ def test_general_b_covariance_consistency(ctx60):
     assert v == w
     assert eilab.covariance(kernel, 0, ctx60) > 0
     assert eilab.covariance_by_quadrature(kernel, "0.4", ctx60) == v
+
+
+def _closed_form(kernel, x, mp):
+    """G(x) by the closed forms written as mpf expressions, each operation
+    rounded at the working precision of ``mp`` in the order the column
+    routine promises."""
+    if isinstance(kernel, eilab.GaussianKernel):
+        a, gamma = mp.mpf(kernel.a), mp.mpf(kernel.gamma)
+        return gamma / (2 * mp.sqrt(mp.pi * a)) * mp.exp(-x * x / (4 * a))
+    if isinstance(kernel, eilab.OrnsteinUhlenbeckKernel):
+        theta, gamma = mp.mpf(kernel.theta), mp.mpf(kernel.gamma)
+        return gamma * mp.exp(-theta * abs(x))
+    a, c0, gamma = mp.mpf(kernel.a), mp.mpf(kernel.c0), mp.mpf(kernel.gamma)
+    return gamma * c0 * mp.sqrt(mp.pi / a) * mp.exp(-x * x / (4 * a))
+
+
+def _decimal(mantissa, exponent):
+    return f"{mantissa}e{exponent}"
+
+
+_PARAM = st.builds(_decimal, st.integers(min_value=1, max_value=10**40), st.integers(min_value=-42, max_value=-38))
+_KERNEL = st.one_of(
+    st.builds(lambda a, gamma: eilab.GaussianKernel(a=a, gamma=gamma), _PARAM, _PARAM),
+    st.builds(lambda theta, gamma: eilab.OrnsteinUhlenbeckKernel(theta=theta, gamma=gamma), _PARAM, _PARAM),
+    st.builds(lambda a, c0, gamma: eilab.SpectralPowerKernel(a=a, b="2", c0=c0, gamma=gamma), _PARAM, _PARAM, _PARAM),
+)
+# A point as a signed mantissa of up to 1100 bits times a power of two, so
+# that the lag p - x0 of two points of unlike scales needs more bits than
+# the working precision holds; 0 is one of them.
+_POINT = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(min_value=-(2**1100), max_value=2**1100), st.integers(min_value=-1200, max_value=-1000)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_KERNEL, st.sampled_from([60, 300]), _POINT, st.lists(_POINT, min_size=1, max_size=6))
+def test_covariance_column_is_the_covariance_at_each_lag(kernel, digits, origin, points):
+    ctx = eilab.PrecisionContext(digits=digits, guard_digits=20)
+    mp = ctx.mp
+    prec = mp.prec
+    x0 = mp.make_mpf(from_man_exp(*origin, prec, "n"))
+    pts = [mp.make_mpf(from_man_exp(*p, prec, "n")) for p in points] + [x0, -x0]
+    column = covariance_column(kernel, x0, pts, ctx)
+    assert len(column) == len(pts)
+    for p, value in zip(pts, column):
+        lag = p - x0
+        assert value == eilab.covariance(kernel, lag, ctx)._mpf_
+        assert value == _closed_form(kernel, lag, mp)._mpf_
+
+
+def test_covariance_column_integrates_each_lag_for_b_other_than_2(ctx60):
+    mp = ctx60.mp
+    kernel = eilab.SpectralPowerKernel(a="1", b="3")
+    x0, p = mp.mpf("0.1"), mp.mpf("0.5")
+    (value,) = covariance_column(kernel, x0, [p], ctx60)
+    assert value == eilab.covariance_by_quadrature(kernel, p - x0, ctx60)._mpf_
+    assert value == eilab.covariance(kernel, p - x0, ctx60)._mpf_
 
 
 def test_spectral_density_examples(ctx60):

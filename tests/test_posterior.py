@@ -124,6 +124,41 @@ def test_extends_refuses_a_design_that_does_not_start_with_the_fit(ctx60, gauss_
     assert grown.moments("0.1") == eilab.FittedPosterior(state).moments("0.1")
 
 
+# The paper's collapse design x_1..x_7 (grid indices on -e^{-0.02 l}) and
+# points at l = 1200..9000: with jitter the last two designs share a raised
+# solve precision; without it the points past l = 4000 fail the floor.
+@pytest.mark.parametrize("jitter, extra_l", [(False, (1200, 2000, 4000)), (True, (1200, 2000, 4000, 8000, 9000))])
+def test_extended_w_is_the_fresh_forward_solve(ctx300, gauss_unit, monkeypatch, jitter, extra_l):
+    mp = ctx300.mp
+    eps = mp.mpf("0.02")
+    signed = [(-1, 23), (1, 13), (1, 74), (-1, 115), (1, 281), (-1, 591)] + [(1, l) for l in extra_l]
+    points = [mp.mpf(0)] + [s * mp.exp(-l * eps) for s, l in signed]
+    values = [mp.mpf(k) / 7 - 1 for k in range(len(points))]
+    leading = []
+    real = eilab.CholeskyFactor.solve_lower
+
+    def spy(factor, rhs, *args):
+        leading.append(len(args[0]) if args else 0)
+        return real(factor, rhs, *args)
+
+    monkeypatch.setattr(eilab.CholeskyFactor, "solve_lower", spy)
+    fit, reused = None, []
+    for size in range(1, len(points) + 1):
+        state = _state(ctx300, gauss_unit, points[:size], values[:size])
+        grown = eilab.FittedPosterior(state, jitter=jitter, extends=fit)
+        fresh = real(grown._factor, state.values)
+        assert [w._mpf_ for w in grown._w_hi] == [w._mpf_ for w in fresh], f"design size {size}"
+        # only the new entry is solved when the solve precision holds
+        same = fit is not None and fit.solve_dps == grown.solve_dps
+        assert leading.pop() == (size - 1 if same else 0)
+        reused.append(same)
+        fit = grown
+    # both paths ran: at the working precision and, with jitter, at a raised one
+    assert any(reused) and not all(reused[1:])
+    if jitter:
+        assert reused[-1] and fit.solve_dps > ctx300.working_dps
+
+
 def test_state_invariants_enforced(ctx60, gauss_unit):
     mp = ctx60.mp
     with pytest.raises(eilab.DuplicatePoint):
