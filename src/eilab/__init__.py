@@ -52,7 +52,6 @@ from .precision import PrecisionContext
 from .verifier import (
     BoundReport,
     DecayScan,
-    LagrangeWeights,
     SandwichSweep,
     decay_scan,
     ei_oracle_trials,

@@ -167,11 +167,11 @@ def cmd_verify(config: ExperimentConfig, suite: str) -> RunReport:
 
     bounds = []
     if suite == "ei-oracle":
-        bounds = ei_oracle_trials(ctx, config.seed, trials=20)
+        bounds = ei_oracle_trials(ctx, config.seed)
     elif suite == "posterior-oracle":
-        bounds = posterior_oracle_trials(ctx, config.seed, trials=10)
+        bounds = posterior_oracle_trials(ctx, config.seed)
     elif suite == "lemma-vandermonde":
-        bounds = vandermonde_trials(ctx, config.seed, trials=50)
+        bounds = vandermonde_trials(ctx, config.seed)
     elif suite == "lemma3-tails":
         bounds = tail_integral_check(params["h_values"], ctx)
     elif suite == "thm1-decay":

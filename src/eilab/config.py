@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import mpmath
+
 from .ei import CandidateGrid
 from .errors import ConfigError
 from .kernels import GaussianKernel, OrnsteinUhlenbeckKernel, SpectralPowerKernel
@@ -40,6 +42,16 @@ DEFAULTS = {
     "verify.k_max": "25",
     "verify.h_values": "0,0.5,1,2,5,20",
 }
+
+
+def _decimal(key: str, text: str) -> str:
+    """``text`` as written if it parses as a finite decimal; else ``ConfigError``."""
+    try:
+        if mpmath.isfinite(mpmath.mpf(text)):
+            return text
+    except ValueError:
+        pass
+    raise ConfigError(f"config field {key!r}: not a finite decimal: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -131,18 +143,20 @@ class ExperimentConfig:
             "(expected gaussian, spectral, or ou)"
         )
 
+    def _decimals(self, key: str) -> list:
+        """The comma-separated values of ``key``, each checked by ``_decimal``."""
+        return [_decimal(key, part.strip()) for part in self.get(key).split(",") if part.strip()]
+
     def grid(self) -> CandidateGrid:
-        extra_raw = self.get("grid.extra")
-        extra = tuple(part.strip() for part in extra_raw.split(",") if part.strip())
         return CandidateGrid(
-            epsilon=self.get("grid.epsilon"),
+            epsilon=_decimal("grid.epsilon", self.get("grid.epsilon")),
             l_max=self._int("grid.l_max"),
-            extra_points=extra,
+            extra_points=tuple(self._decimals("grid.extra")),
         )
 
     @property
     def x1(self) -> str:
-        return self.get("x1")
+        return _decimal("x1", self.get("x1"))
 
     def spectral_range(self) -> tuple[int, int]:
         return self._int("spectral.k_min"), self._int("spectral.k_max")
@@ -151,11 +165,7 @@ class ExperimentConfig:
         return {
             "trials": self._int("verify.trials"),
             "k_max": self._int("verify.k_max"),
-            "h_values": [
-                part.strip()
-                for part in self.get("verify.h_values").split(",")
-                if part.strip()
-            ],
+            "h_values": self._decimals("verify.h_values"),
         }
 
 

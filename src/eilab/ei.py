@@ -43,7 +43,7 @@ from mpmath.libmp import mpf_sub
 
 from .errors import EILabError, EmptyGrid, NonPositivePivot, UnknownObjective
 from .kernels import KernelSpec, covariance
-from .posterior import CandidatePosterior, FittedPosterior, PosteriorMoments, TrajectoryState, add_point
+from .posterior import CandidatePosterior, FittedPosterior, TrajectoryState, add_point
 from .precision import PrecisionContext, raw_context
 from .quadrature import integrate, quadrature_context
 
@@ -70,33 +70,21 @@ class CandidateGrid:
         eps = mp.mpf(self.epsilon)
         if not eps > 0:
             raise EILabError("grid epsilon must be positive")
-        seen = set()
-        out = []
+        out = set()
         for l in range(self.l_max + 1):
             v = mp.exp(-l * eps)
-            for cand in (v, -v):
-                if cand not in seen:
-                    seen.add(cand)
-                    out.append(cand)
-        one = mp.mpf(1)
-        for raw in self.extra_points:
-            cand = mp.mpf(raw)
-            if abs(cand) > one:
-                continue
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-        out.sort()
-        return out
+            out.update((v, -v))
+        extras = (mp.mpf(raw) for raw in self.extra_points)
+        out.update(c for c in extras if abs(c) <= 1)
+        return sorted(out)
 
 
 @dataclass(frozen=True)
 class EIEvaluation:
-    """EI value and the posterior moments behind it at one candidate."""
+    """EI value at one candidate."""
 
     point: object
     ei: object
-    moments: PosteriorMoments
 
 
 def _ei_closed(mp, fstar, mean, sigma):
@@ -153,7 +141,7 @@ def expected_improvement(state: TrajectoryState, x, fitted: FittedPosterior | No
     moments = fitted.moments(x)
     sigma = mp.sqrt(moments.variance)
     value = _ei_value(ctx, state.best, moments.mean, sigma)
-    return EIEvaluation(point=moments.point, ei=value, moments=moments)
+    return EIEvaluation(point=moments.point, ei=value)
 
 
 def ei_integral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
@@ -348,7 +336,7 @@ def _select(ctx: PrecisionContext, fstar, working, moments_at, points):
     values = {}
     for i in survivors:
         moments = moments_at(i)
-        values[i] = EIEvaluation(moments.point, _ei_value(ctx, fstar, moments.mean, mp.sqrt(moments.variance)), moments)
+        values[i] = EIEvaluation(moments.point, _ei_value(ctx, fstar, moments.mean, mp.sqrt(moments.variance)))
     top = max(v.ei for v in values.values())
     slack = top * ctx.tol(-(ctx.digits // 2))
     best = None

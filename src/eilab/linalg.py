@@ -20,8 +20,8 @@ The factor is built row by row (the bordered Cholesky update; Rasmussen &
 Williams, GPML 2006, sec. 2.2 and Alg. 2.1): row i of L depends only on the
 leading (i+1)x(i+1) block, so the factor of a matrix grown by one row and
 column is the old factor plus one new row, and a fresh factor is the
-extension of an empty one.  Only the lower triangle of the input is read; the
-matrix is assumed symmetric, and may be given as its lower triangle alone.
+extension of an empty one.  The matrix is assumed symmetric and is given as
+its lower triangle: row i holds its i + 1 entries up to the diagonal.
 
 Each entry of the factor and of both triangular solves is one
 ``exact_residual`` b - sum_k a_k c_k, formed exactly in integers and rounded
@@ -147,8 +147,9 @@ class CholeskyFactor:
     kept and only the new ones are computed, at the working precision and,
     when the solve precision is unchanged, at the solve precision too; the
     result is bit for bit the fresh factor of the whole matrix.
-    ``DimensionMismatch`` is raised when ``extends`` was factored under
-    another context or jitter.
+    ``DimensionMismatch`` is raised for a row that is not i + 1 entries of
+    the lower triangle, and when ``extends`` was factored under another
+    context or jitter.
     """
 
     def __init__(self, matrix, ctx: PrecisionContext, jitter: bool = False, extends=None):
@@ -156,16 +157,15 @@ class CholeskyFactor:
         if extends is not None and (extends.ctx, extends.jitter_used) != (ctx, self.jitter_used):
             raise DimensionMismatch("extends was factored under another context or jitter")
         a = list(extends._a) if extends else []
-        n = len(a) + len(matrix)
         mp = ctx.mp
         for i, row in enumerate(matrix, start=len(a)):
-            if len(row) not in (i + 1, n):
-                raise DimensionMismatch("matrix is neither square nor lower triangular")
-            a.append([mp.mpf(row[j]) for j in range(i + 1)])
+            if len(row) != i + 1:
+                raise DimensionMismatch(f"row {i} has {len(row)} entries, not the {i + 1} of a lower triangle")
+            a.append([mp.mpf(v) for v in row])
             if jitter:
                 a[i][i] += ctx.tol(-(ctx.digits // 2))
         self.ctx = ctx
-        self.n = n
+        self.n = len(a)
         self._a = a
         rows, pivots = (list(extends._rows), list(extends.pivots)) if extends else ([], [])
         _border(mp, a, rows, pivots, wdps=ctx.working_dps)

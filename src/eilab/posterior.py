@@ -33,18 +33,11 @@ from .quadrature import integrate, quadrature_context
 
 @dataclass(frozen=True)
 class PosteriorMoments:
-    """Conditional mean and variance at one query point.
-
-    ``clamped`` marks a variance whose raw value came out negative from
-    cancellation and was clamped to zero; the clamp threshold
-    10**(-digits + 2 guard) is the level below which such values would
-    indicate precision exhaustion rather than benign roundoff.
-    """
+    """Conditional mean and variance at one query point; a clamped variance reads 0."""
 
     point: object
     mean: object
     variance: object
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -317,9 +310,9 @@ class CandidatePosterior:
         Raises ``NonPositivePivot`` when the variance is negative beyond the
         cancellation budget.
         """
-        ((mean, variance, clamped),) = self.working_moments((i,))
+        ((mean, variance, _),) = self.working_moments((i,))
         mp = self._fitted.ctx.mp
-        return PosteriorMoments(point=self.points[i], mean=mp.make_mpf(mean), variance=mp.make_mpf(variance), clamped=clamped)
+        return PosteriorMoments(point=self.points[i], mean=mp.make_mpf(mean), variance=mp.make_mpf(variance))
 
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""

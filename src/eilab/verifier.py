@@ -77,21 +77,10 @@ def _agreement_report(ctx: PrecisionContext, label, k, value, other, reference, 
     return BoundReport(label=label, k=k, lhs=rel, rhs=tol, ratio=rel, satisfied=rel <= tol, context=context)
 
 
-@dataclass(frozen=True)
-class LagrangeWeights:
-    """Interpolation weights lambda_k = prod_{l != k} (x - x_l)/(x_k - x_l).
-
-    They reproduce every polynomial of degree < K at the target; the
-    constructor verifies that on the monomial basis.
-    """
-
-    target: object
-    nodes: tuple
-    weights: tuple
-
-
-def lagrange_weights(x, nodes, ctx: PrecisionContext) -> LagrangeWeights:
-    """Product-formula interpolation weights for the target x."""
+def lagrange_weights(x, nodes, ctx: PrecisionContext) -> tuple:
+    """Interpolation weights lambda_k = prod_{l != k} (x - x_l)/(x_k - x_l)
+    for the target x, in node order.  They reproduce every polynomial of
+    degree < K at x; that is checked on the monomial basis."""
     mp = ctx.mp
     x = mp.mpf(x)
     ns = [mp.mpf(v) for v in nodes]
@@ -117,7 +106,7 @@ def lagrange_weights(x, nodes, ctx: PrecisionContext) -> LagrangeWeights:
                 f"weights fail to reproduce degree-{degree} monomial "
                 f"(defect {mp.nstr(abs(acc - x**degree), 4)})"
             )
-    return LagrangeWeights(target=x, nodes=tuple(ns), weights=tuple(weights))
+    return tuple(weights)
 
 
 def rkhs_approx_error(kernel: KernelSpec, x, nodes, weights, ctx: PrecisionContext):
@@ -157,10 +146,6 @@ def elementary_symmetric(values, mp):
     return coeffs
 
 
-def _as_mpc_list(mp, zs):
-    return [mp.mpc(z) for z in zs]
-
-
 def vandermonde_distance(z, zs, ctx: PrecisionContext):
     """Distance from the power vector of z to the span of those of z_1..z_K:
 
@@ -170,7 +155,7 @@ def vandermonde_distance(z, zs, ctx: PrecisionContext):
     """
     mp = ctx.mp
     z = mp.mpc(z)
-    pts = _as_mpc_list(mp, zs)
+    pts = [mp.mpc(p) for p in zs]
     require_distinct(pts + [z], "points (z_1..z_K, z)")
     numerator = mp.mpf(1)
     for p in pts:
@@ -193,7 +178,7 @@ def gram_distance_oracle(z, zs, ctx: PrecisionContext):
     if k > _GRAM_ORACLE_MAX:
         raise EILabError(f"Gram oracle supports at most {_GRAM_ORACLE_MAX} points")
     z = mp.mpc(z)
-    pts = _as_mpc_list(mp, zs)
+    pts = [mp.mpc(p) for p in zs]
     require_distinct(pts + [z], "points (z_1..z_K, z)")
 
     def row(w):
@@ -313,39 +298,30 @@ def tail_integral_check(h_values, ctx: PrecisionContext):
 class DecayScan:
     """Approximation-error decay against node count.
 
-    ``errors`` maps K to the squared approximation error of the target's
-    kernel feature using Lagrange weights on K nodes; ``slope`` is the
-    least-squares slope of ln(error) per added node.
+    ``errors`` maps K to the squared approximation error of the kernel
+    feature of 0 using Lagrange weights on K nodes in [0.1, 0.2]; ``slope``
+    is the least-squares slope of ln(error) per added node.
     """
 
-    target: object
-    interval: tuple
     errors: tuple
     slope: object
 
 
-def decay_scan(
-    kernel: KernelSpec,
-    ctx: PrecisionContext,
-    k_min: int = 6,
-    k_max: int = 14,
-    interval=("0.1", "0.2"),
-    target=0,
-) -> DecayScan:
-    """Scan the Lagrange-weight approximation error over node counts.
+def decay_scan(kernel: KernelSpec, ctx: PrecisionContext) -> DecayScan:
+    """Scan the Lagrange-weight approximation error over K = 6..14 nodes.
 
-    Nodes are K equispaced points in ``interval``; the target sits outside,
+    Nodes are K equispaced points in [0.1, 0.2]; the target 0 sits outside,
     so a decaying error exhibits vanishing conditional variance at a point
     the nodes never approach.
     """
     mp = ctx.mp
-    lo, hi = (mp.mpf(interval[0]), mp.mpf(interval[1]))
-    x = mp.mpf(target)
+    lo, hi = mp.mpf("0.1"), mp.mpf("0.2")
+    x = mp.zero
     pairs = []
-    for k in range(k_min, k_max + 1):
+    for k in range(6, 15):
         nodes = [lo + (hi - lo) * i / (k - 1) for i in range(k)]
         weights = lagrange_weights(x, nodes, ctx)
-        err = rkhs_approx_error(kernel, x, nodes, weights.weights, ctx)
+        err = rkhs_approx_error(kernel, x, nodes, weights, ctx)
         pairs.append((k, err))
     xs = [mp.mpf(k) for k, _ in pairs]
     ys = [mp.log(e) for _, e in pairs]
@@ -355,7 +331,7 @@ def decay_scan(
     num = sum((xi - xbar) * (yi - ybar) for xi, yi in zip(xs, ys))
     den = sum((xi - xbar) ** 2 for xi in xs)
     slope = num / den
-    return DecayScan(target=x, interval=(lo, hi), errors=tuple(pairs), slope=slope)
+    return DecayScan(errors=tuple(pairs), slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +362,8 @@ def _random_design(rng, max_k):
     return kernel, raw[:k], raw[k]
 
 
-def ei_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 20, max_k: int = 6):
-    """Closed-form EI vs the quadrature oracle on randomized states.
+def ei_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 20):
+    """Closed-form EI vs the quadrature oracle on random 1..6-point states.
 
     Returns a list of BoundReports, one per trial, whose ratio is the
     relative disagreement; the hard tolerance is 10**-(digits/4).
@@ -397,7 +373,7 @@ def ei_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 20, max_k: 
     tol = ctx.tol(-(ctx.digits // 4))
     reports = []
     for trial in range(trials):
-        kernel, pts, query = _random_design(rng, max_k)
+        kernel, pts, query = _random_design(rng, 6)
         k = len(pts)
         values = [mp.mpf(rng.uniform(-1.2, 0.2)) for _ in range(k)]
         state = TrajectoryState(
@@ -414,14 +390,15 @@ def ei_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 20, max_k: 
     return reports
 
 
-def posterior_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 10, max_k: int = 5):
-    """Gram-formula variance vs the spectral quadrature oracle."""
+def posterior_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 10):
+    """Gram-formula variance vs the spectral quadrature oracle on random
+    1..5-point designs."""
     mp = ctx.mp
     rng = random.Random(seed)
     tol = ctx.tol(-(ctx.digits // 4))
     reports = []
     for trial in range(trials):
-        kernel, pts, query = _random_design(rng, max_k)
+        kernel, pts, query = _random_design(rng, 5)
         state = _zero_valued_state(kernel, pts, ctx)
         direct = FittedPosterior(state).moments(query).variance
         oracle = variance_spectral_oracle(state, query, ctx)
@@ -430,15 +407,15 @@ def posterior_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 10, 
     return reports
 
 
-def vandermonde_trials(ctx: PrecisionContext, seed: int, trials: int = 50, max_k: int = 8):
+def vandermonde_trials(ctx: PrecisionContext, seed: int, trials: int = 50):
     """Elementary-symmetric formula vs the Gram-determinant oracle on random
-    unit-circle configurations."""
+    unit-circle configurations of 1..8 points."""
     mp = ctx.mp
     rng = random.Random(seed)
     tol = ctx.tol(-(ctx.digits // 2))
     reports = []
     for trial in range(trials):
-        k = rng.randint(1, max_k)
+        k = rng.randint(1, 8)
         # Angle range stays clear of the 0/2pi wraparound so the min-gap
         # guarantee carries over to the circle.
         angles = _distinct_uniform(rng, k + 1, lo=0.05, hi=6.2, min_gap=1e-2)

@@ -53,7 +53,7 @@ def test_acceptance_01_table_reproduction(default_run, ctx300):
 
 
 def test_acceptance_02_ei_oracle_equivalence(ctx300):
-    reports = eilab.ei_oracle_trials(ctx300, seed=0, trials=20, max_k=6)
+    reports = eilab.ei_oracle_trials(ctx300, seed=0, trials=20)
     assert len(reports) == 20
     tol = ctx300.mpf("1e-20")
     for r in reports:
@@ -65,7 +65,7 @@ def test_acceptance_02_ei_oracle_equivalence(ctx300):
 
 
 def test_acceptance_03_posterior_oracle_equivalence(ctx300):
-    reports = eilab.posterior_oracle_trials(ctx300, seed=0, trials=10, max_k=5)
+    reports = eilab.posterior_oracle_trials(ctx300, seed=0, trials=10)
     assert len(reports) == 10
     tol = ctx300.mpf("1e-20")
     for r in reports:
@@ -77,7 +77,7 @@ def test_acceptance_03_posterior_oracle_equivalence(ctx300):
 
 
 def test_acceptance_04_vandermonde_lemma(ctx300):
-    reports = eilab.vandermonde_trials(ctx300, seed=0, trials=50, max_k=8)
+    reports = eilab.vandermonde_trials(ctx300, seed=0, trials=50)
     assert len(reports) == 50
     tol = ctx300.mpf("1e-100")
     for r in reports:
@@ -138,7 +138,7 @@ def test_acceptance_07_sandwich_sweep(ctx300):
 
 def test_acceptance_08_decay_scan(ctx300, gauss_unit):
     mp = ctx300.mp
-    scan = eilab.decay_scan(gauss_unit, ctx300, k_min=6, k_max=14)
+    scan = eilab.decay_scan(gauss_unit, ctx300)
     assert scan.slope <= -mp.log(4)
     errs = dict(scan.errors)
     assert errs[14] < errs[6]

@@ -77,6 +77,37 @@ def test_every_export_has_a_program_caller():
     assert sorted(_exports() - _program_uses()) == []
 
 
+def test_every_field_of_an_exported_dataclass_is_read_by_the_program():
+    """Each field of an exported dataclass is read as an attribute
+    (``obj.field``) somewhere in src/ or perfbench/.
+
+    Reads are matched by attribute name alone, so a field that shares its
+    name with any attribute read elsewhere passes unseen: ``EIEvaluation``
+    could regain a ``moments`` field, since ``moments`` is also a method.
+    """
+    exports = _exports()
+    fields = []
+    for path in PACKAGE.glob("*.py"):
+        for stmt in _parse(path).body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name in exports and any(
+                ast.unparse(dec).startswith("dataclass") for dec in stmt.decorator_list
+            ):
+                fields += [
+                    f"{stmt.name}.{item.target.id}"
+                    for item in stmt.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    assert fields, "no exported dataclass found"
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        read |= {
+            node.attr
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    assert sorted(f for f in fields if f.split(".")[1] not in read) == []
+
+
 def test_no_export_shadows_a_module():
     # ``from .posterior import posterior`` would rebind the package
     # attribute ``eilab.posterior`` from the module to the function.

@@ -201,4 +201,4 @@ def test_one_step_makes_no_per_candidate_covariance_call_or_moments(ctx60, gauss
         assert column.call_count == new_points
         assert evaluated == new_points * len(candidates)
         assert 1 <= made.call_count == scored.call_count <= 4
-        assert best.moments == candidates.moments(index)
+        assert best.point == candidates.points[index]

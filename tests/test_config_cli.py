@@ -259,3 +259,20 @@ def test_hard_suite_failure_sets_exit_code(tmp_path, monkeypatch):
 def test_config_file_missing(tmp_path):
     rc = cli.main(["trajectory", "--config", str(tmp_path / "absent.txt")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "key, value, command",
+    [
+        ("x1", "0.1.2", ["trajectory"]),
+        ("grid.epsilon", "abc", ["trajectory"]),
+        ("grid.extra", "0.5,foo", ["trajectory"]),
+        ("verify.h_values", "0,zz", ["verify", "lemma3-tails"]),
+    ],
+)
+def test_malformed_decimal_is_a_config_error(tmp_path, capsys, key, value, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"digits = 60\ngrid.l_max = 20\n{key} = {value}\n", encoding="utf-8")
+    assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config field {key!r}: not a finite decimal" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

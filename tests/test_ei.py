@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 import eilab
@@ -25,6 +26,56 @@ def test_grid_deduplicates(ctx60):
     grid = eilab.CandidateGrid(epsilon="0.5", l_max=2, extra_points=("1",))
     pts = grid.points(ctx60)
     assert len(pts) == len(set(pts))
+
+
+def _two_loop_points(grid, ctx):
+    """``CandidateGrid.points`` as it was written with one dedupe loop for
+    the generated points and another for the extras."""
+    mp = ctx.mp
+    eps = mp.mpf(grid.epsilon)
+    seen = set()
+    out = []
+    for l in range(grid.l_max + 1):
+        v = mp.exp(-l * eps)
+        for cand in (v, -v):
+            if cand not in seen:
+                seen.add(cand)
+                out.append(cand)
+    for raw in grid.extra_points:
+        cand = mp.mpf(raw)
+        if abs(cand) > 1:
+            continue
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
+    out.sort()
+    return out
+
+
+@st.composite
+def _grid_with_extras(draw):
+    """A small grid and extras that repeat its points, sit at +-1 or 0,
+    lie outside [-1, 1], or are other decimals, some drawn twice."""
+    epsilon = str(draw(st.decimals(min_value="0.001", max_value="2", places=3)))
+    l_max = draw(st.integers(min_value=0, max_value=12))
+    on_grid = st.tuples(st.sampled_from((-1, 1)), st.integers(min_value=0, max_value=l_max))
+    decimal = st.decimals(min_value=-3, max_value=3, places=4).map(str)
+    extras = draw(st.lists(st.one_of(on_grid, st.sampled_from(("1", "-1", "0", "1.0001", "-2")), decimal), max_size=8))
+    if extras:
+        extras += draw(st.lists(st.sampled_from(extras), max_size=4))
+    return epsilon, l_max, draw(st.permutations(extras))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_grid_with_extras())
+def test_grid_points_match_the_two_loop_dedupe(case):
+    ctx = eilab.PrecisionContext(digits=60, guard_digits=20)
+    mp = ctx.mp
+    epsilon, l_max, extras = case
+    # an on-grid extra is the generated point itself, as an mpf
+    extras = tuple(e if isinstance(e, str) else e[0] * mp.exp(-e[1] * mp.mpf(epsilon)) for e in extras)
+    grid = eilab.CandidateGrid(epsilon=epsilon, l_max=l_max, extra_points=extras)
+    assert grid.points(ctx) == _two_loop_points(grid, ctx)
 
 
 def test_ei_zero_at_design_points(ctx60, gauss_unit):
@@ -69,7 +120,7 @@ def test_argmax_empty_grid(ctx60, gauss_unit, argmax_ei):
 
 
 def test_closed_form_matches_integral_oracle(ctx60):
-    reports = eilab.ei_oracle_trials(ctx60, seed=2, trials=20, max_k=6)
+    reports = eilab.ei_oracle_trials(ctx60, seed=2, trials=20)
     assert all(r.satisfied for r in reports)
 
 
@@ -85,7 +136,7 @@ def test_ei_oracle_sees_a_relative_error_at_any_scale(ctx60, monkeypatch):
         return dataclasses.replace(evaluation, ei=evaluation.ei * shift)
 
     monkeypatch.setattr(verifier, "expected_improvement", perturbed)
-    reports = eilab.ei_oracle_trials(ctx60, seed=0, trials=20, max_k=6)
+    reports = eilab.ei_oracle_trials(ctx60, seed=0, trials=20)
     assert len(reports) == 20
     assert not any(r.satisfied for r in reports)
 
@@ -98,7 +149,7 @@ def test_zero_mean_gap_case(ctx60, gauss_unit):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, 0)
     x = mp.mpf("0.4")
     ev = eilab.expected_improvement(state, x)
-    sigma = mp.sqrt(ev.moments.variance)
+    sigma = mp.sqrt(eilab.FittedPosterior(state).moments(x).variance)
     expected = sigma / mp.sqrt(2 * mp.pi)
     assert abs(ev.ei - expected) <= expected * ctx60.tol(-(ctx60.digits // 2))
     oracle = eilab.ei_integral_oracle(state, x, ctx60)

@@ -61,9 +61,9 @@ def _exhaustive(ctx, fstar, moments):
 
 
 def _screened(ctx, fstar, moments):
-    working = ((m.mean._mpf_, m.variance._mpf_, m.clamped) for m in moments)
+    working = ((m.mean._mpf_, m.variance._mpf_, False) for m in moments)
     best, evaluation, _ = _select(ctx, fstar, working, moments.__getitem__, [m.point for m in moments])
-    assert evaluation.moments is moments[best]
+    assert evaluation.point is moments[best].point
     return best, evaluation.ei
 
 
@@ -223,7 +223,8 @@ def test_clamps_are_counted_and_a_deep_negative_variance_aborts(ctx60):
     best, evaluation, clamps = _select(ctx60, fstar, candidates.working_moments(), candidates.moments, candidates.points)
     assert clamps == 1
     moments = [candidates.moments(i) for i in range(len(raw))]
-    assert moments[1].clamped and moments[1].variance == 0
+    assert [clamped for _, _, clamped in candidates.working_moments()] == [False, True, False]
+    assert moments[1].variance == 0
     assert (best, evaluation.ei) == _exhaustive(ctx60, fstar, moments)
     _poke(fitted, candidates, 1, variance="-1e-10")
     with pytest.raises(eilab.NonPositivePivot, match="negative beyond the cancellation budget"):
@@ -232,8 +233,9 @@ def test_clamps_are_counted_and_a_deep_negative_variance_aborts(ctx60):
 
 def _moments_before_the_raw_screen(fitted, candidates, i):
     """Candidate ``i``'s moments as they were read before the screen went
-    raw: mean and variance rounded to working precision as mpf values, the
-    variance clamped or refused against -10**(-digits + 2 guard)."""
+    raw, and whether they were clamped: mean and variance rounded to working
+    precision as mpf values, the variance clamped or refused against
+    -10**(-digits + 2 guard)."""
     ctx = fitted.ctx
     mp = ctx.mp
     prec, rnd = mp._prec_rounding
@@ -249,7 +251,7 @@ def _moments_before_the_raw_screen(fitted, candidates, i):
             )
         clamped = True
         variance = mp.mpf(0)
-    return PosteriorMoments(point=candidates.points[i], mean=mean, variance=variance, clamped=clamped)
+    return PosteriorMoments(point=candidates.points[i], mean=mean, variance=variance), clamped
 
 
 def _log_ei_before_the_raw_screen(fstar, moments):
@@ -275,8 +277,8 @@ def _screen_before_the_raw_screen(fitted, candidates):
     clamps = 0
     screen = []
     for i in range(len(candidates)):
-        moments = _moments_before_the_raw_screen(fitted, candidates, i)
-        clamps += moments.clamped
+        moments, clamped = _moments_before_the_raw_screen(fitted, candidates, i)
+        clamps += clamped
         screen.append(_log_ei_before_the_raw_screen(fitted.state.best, moments))
     return screen, clamps
 

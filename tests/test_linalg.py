@@ -9,9 +9,14 @@ from eilab.kernels import covariance
 from eilab.linalg import CholeskyFactor, exact_residual
 
 
+def _lower(matrix):
+    """The lower triangle of a square matrix, the input ``CholeskyFactor`` takes."""
+    return [row[: i + 1] for i, row in enumerate(matrix)]
+
+
 def test_identity_solve(ctx60):
     mp = ctx60.mp
-    factor = CholeskyFactor([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]], ctx60)
+    factor = CholeskyFactor(_lower([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]), ctx60)
     x = factor.solve([mp.mpf(3), mp.mpf(5)])
     assert x[0] == 3 and x[1] == 5
 
@@ -21,7 +26,7 @@ def test_gaussian_interpolation_system(ctx60):
     # vector of 0 as right-hand side: the solution is the indicator of 0.
     mp = ctx60.mp
     e1 = mp.exp(-1)
-    lam = CholeskyFactor([[mp.mpf(1), e1], [e1, mp.mpf(1)]], ctx60).solve([mp.mpf(1), e1])
+    lam = CholeskyFactor(_lower([[mp.mpf(1), e1], [e1, mp.mpf(1)]]), ctx60).solve([mp.mpf(1), e1])
     assert abs(lam[0] - 1) < ctx60.tol(-(ctx60.digits - 5))
     assert abs(lam[1]) < ctx60.tol(-(ctx60.digits - 5))
 
@@ -29,12 +34,12 @@ def test_gaussian_interpolation_system(ctx60):
 def test_duplicate_rows_fail(ctx60):
     mp = ctx60.mp
     with pytest.raises(eilab.NonPositivePivot):
-        CholeskyFactor([[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]], ctx60)
+        CholeskyFactor(_lower([[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]]), ctx60)
 
 
 def test_jitter_rescues_degenerate_matrix(ctx60):
     mp = ctx60.mp
-    matrix = [[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]]
+    matrix = _lower([[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]])
     with pytest.raises(eilab.NonPositivePivot):
         CholeskyFactor(matrix, ctx60)
     factor = CholeskyFactor(matrix, ctx60, jitter=True)
@@ -50,16 +55,19 @@ def test_dimension_mismatch(ctx60):
         CholeskyFactor([[mp.mpf(1)]], ctx60).solve([mp.mpf(1), mp.mpf(2)])
     with pytest.raises(eilab.DimensionMismatch):
         CholeskyFactor([[mp.mpf(1), mp.mpf(0)]], ctx60)
+    # a square matrix is not read as its lower triangle
+    with pytest.raises(eilab.DimensionMismatch):
+        CholeskyFactor([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]], ctx60)
 
 
 def test_pivot_ratio_identity(ctx60):
     mp = ctx60.mp
-    assert CholeskyFactor([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]], ctx60).pivot_ratio == 1
+    assert CholeskyFactor(_lower([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]), ctx60).pivot_ratio == 1
 
 
 def test_pivot_ratio_diagonal(ctx60):
     mp = ctx60.mp
-    ratio = CholeskyFactor([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf("1e-4")]], ctx60).pivot_ratio
+    ratio = CholeskyFactor(_lower([[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf("1e-4")]]), ctx60).pivot_ratio
     assert abs(ratio - mp.mpf("1e4")) < mp.mpf("1e-10")
 
 
@@ -75,7 +83,7 @@ def test_solve_round_trip_residual(dim, seed):
         for i in range(dim)
     ]
     rhs = [mp.mpf(rng.uniform(-1, 1)) for _ in range(dim)]
-    x = CholeskyFactor(matrix, ctx).solve(rhs)
+    x = CholeskyFactor(_lower(matrix), ctx).solve(rhs)
     residual = [
         sum(matrix[i][j] * x[j] for j in range(dim)) - rhs[i] for i in range(dim)
     ]
@@ -163,8 +171,8 @@ def test_solve_determinism(ctx60):
     mp = ctx60.mp
     matrix = [[mp.mpf(2), mp.mpf("0.5")], [mp.mpf("0.5"), mp.mpf(3)]]
     rhs = [mp.mpf("1.25"), mp.mpf("-0.75")]
-    first = CholeskyFactor(matrix, ctx60).solve(rhs)
-    second = CholeskyFactor(matrix, ctx60).solve(rhs)
+    first = CholeskyFactor(_lower(matrix), ctx60).solve(rhs)
+    second = CholeskyFactor(_lower(matrix), ctx60).solve(rhs)
     assert [ctx60.to_str(v) for v in first] == [ctx60.to_str(v) for v in second]
 
 
@@ -207,7 +215,7 @@ def test_grown_factor_is_the_fresh_factor_through_a_precision_rise(ctx300, gauss
     matrix = _collapse_gram(ctx300, gauss_unit, extra_l)
     grown = _grow(matrix, ctx300, jitter=jitter)
     for k, factor in enumerate(grown, start=1):
-        fresh = CholeskyFactor([row[:k] for row in matrix[:k]], ctx300, jitter=jitter)
+        fresh = CholeskyFactor(_lower(matrix[:k]), ctx300, jitter=jitter)
         assert _bits(factor) == _bits(fresh), f"block {k}"
         assert factor.jitter_used == jitter
     # the solve precision rises above the working 320 at the 6-point design
@@ -222,7 +230,7 @@ def test_extension_failing_the_floor_raises_as_the_fresh_factor(ctx60, gauss_uni
     # design at 60 digits: its pivot falls under the roundoff floor.
     matrix = _collapse_gram(ctx60, gauss_unit, extra_l=(3000,))
     with pytest.raises(eilab.NonPositivePivot) as fresh:
-        CholeskyFactor(matrix, ctx60)
+        CholeskyFactor(_lower(matrix), ctx60)
     leading = _grow(matrix[:-1], ctx60)[-1]
     with pytest.raises(eilab.NonPositivePivot) as grown:
         CholeskyFactor(matrix[-1:], ctx60, extends=leading)
@@ -243,15 +251,15 @@ def _near_singular(ctx, tail):
 @pytest.mark.parametrize("tail, accepted", [("2", True), ("100", False)])
 def test_extension_raising_the_scale_reaches_the_fresh_decision(ctx60, tail, accepted):
     matrix = _near_singular(ctx60, tail)
-    leading = CholeskyFactor([row[:2] for row in matrix[:2]], ctx60)
+    leading = CholeskyFactor(_lower(matrix[:2]), ctx60)
     assert leading.pivots[1] > 0
     if accepted:
         grown = CholeskyFactor(matrix[2:], ctx60, extends=leading)
-        assert _bits(grown) == _bits(CholeskyFactor(matrix, ctx60))
+        assert _bits(grown) == _bits(CholeskyFactor(_lower(matrix), ctx60))
         return
     # the raised scale lifts the floor of the *earlier* pivot 1 above it
     with pytest.raises(eilab.NonPositivePivot) as fresh:
-        CholeskyFactor(matrix, ctx60)
+        CholeskyFactor(_lower(matrix), ctx60)
     with pytest.raises(eilab.NonPositivePivot) as grown:
         CholeskyFactor(matrix[2:], ctx60, extends=leading)
     assert fresh.value.index == grown.value.index == 1
@@ -268,7 +276,7 @@ def test_extends_must_factor_the_leading_block(ctx60):
         CholeskyFactor([row], eilab.PrecisionContext(digits=61), extends=leading)
     with pytest.raises(eilab.DimensionMismatch, match="another context or jitter"):
         CholeskyFactor([row], ctx60, jitter=True, extends=leading)
-    with pytest.raises(eilab.DimensionMismatch, match="lower triangular"):
+    with pytest.raises(eilab.DimensionMismatch, match="lower triangle"):
         CholeskyFactor([row[1:]], ctx60, extends=leading)
     assert CholeskyFactor([row], ctx60, extends=leading).pivots == [2, 1]
 

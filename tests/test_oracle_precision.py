@@ -188,8 +188,7 @@ def test_tail_quadrature_matches_full_precision_reference(ctx300):
 
 
 def test_ei_oracle_matches_full_precision_reference_on_seed_0(ctx300):
-    # The states of ei_oracle_trials(seed=0, trials=20, max_k=6), drawn in
-    # the same order.
+    # The states of ei_oracle_trials(seed=0, trials=20), drawn in the same order.
     ctx = ctx300
     mp = ctx.mp
     rng = random.Random(0)
@@ -208,7 +207,7 @@ def test_ei_oracle_matches_full_precision_reference_on_seed_0(ctx300):
 
 
 def test_variance_oracle_matches_full_precision_reference_on_seed_0(ctx300):
-    # The designs of posterior_oracle_trials(seed=0, trials=10, max_k=5).
+    # The designs of posterior_oracle_trials(seed=0, trials=10).
     # For the weights lambda the oracle uses, its integral equals
     # G(0) - 2 lambda.g + lambda^T G lambda exactly (Parseval); that
     # expansion is evaluated at twice the working digits.

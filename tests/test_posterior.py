@@ -180,7 +180,7 @@ def test_state_invariants_enforced(ctx60, gauss_unit):
 
 
 def test_spectral_oracle_matches_gram_formula(ctx60):
-    reports = eilab.posterior_oracle_trials(ctx60, seed=5, trials=10, max_k=5)
+    reports = eilab.posterior_oracle_trials(ctx60, seed=5, trials=10)
     assert all(r.satisfied for r in reports)
 
 

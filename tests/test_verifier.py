@@ -6,13 +6,13 @@ from eilab import ei, verifier
 
 def test_lagrange_midpoint(ctx60):
     lw = eilab.lagrange_weights(0, [-1, 1], ctx60)
-    assert lw.weights[0] == ctx60.mpf("0.5")
-    assert lw.weights[1] == ctx60.mpf("0.5")
+    assert lw[0] == ctx60.mpf("0.5")
+    assert lw[1] == ctx60.mpf("0.5")
 
 
 def test_lagrange_indicator_at_node(ctx60):
     lw = eilab.lagrange_weights("0.3", ["-0.2", "0.3", "0.9"], ctx60)
-    vals = [abs(w) for w in lw.weights]
+    vals = [abs(w) for w in lw]
     assert vals[1] == 1
     assert vals[0] == 0 and vals[2] == 0
 
@@ -21,7 +21,7 @@ def test_lagrange_reproduces_quadratic(ctx60):
     mp = ctx60.mp
     nodes = ["-0.5", "0.1", "0.8"]
     lw = eilab.lagrange_weights("0.3", nodes, ctx60)
-    acc = sum(w * mp.mpf(n) ** 2 for w, n in zip(lw.weights, nodes))
+    acc = sum(w * mp.mpf(n) ** 2 for w, n in zip(lw, nodes))
     assert abs(acc - mp.mpf("0.09")) <= ctx60.tol(-(ctx60.digits // 2))
 
 
@@ -40,7 +40,7 @@ def test_rkhs_error_bounds_posterior_variance(ctx60, gauss_unit):
     mp = ctx60.mp
     nodes = ["0.1", "0.14", "0.18"]
     lw = eilab.lagrange_weights(0, nodes, ctx60)
-    err = eilab.rkhs_approx_error(gauss_unit, 0, nodes, lw.weights, ctx60)
+    err = eilab.rkhs_approx_error(gauss_unit, 0, nodes, lw, ctx60)
     state = eilab.TrajectoryState(
         kernel=gauss_unit,
         ctx=ctx60,
@@ -53,7 +53,7 @@ def test_rkhs_error_bounds_posterior_variance(ctx60, gauss_unit):
 
 
 def test_decay_scan_slope(ctx60, gauss_unit):
-    scan = eilab.decay_scan(gauss_unit, ctx60, k_min=4, k_max=10)
+    scan = eilab.decay_scan(gauss_unit, ctx60)
     mp = ctx60.mp
     assert scan.slope <= -mp.log(4)
     errs = [e for _, e in scan.errors]
@@ -86,7 +86,7 @@ def test_vandermonde_duplicates_rejected(ctx60):
 
 
 def test_vandermonde_oracle_equivalence(ctx60):
-    reports = eilab.vandermonde_trials(ctx60, seed=9, trials=15, max_k=8)
+    reports = eilab.vandermonde_trials(ctx60, seed=9, trials=15)
     assert all(r.satisfied for r in reports)
 
 
