@@ -135,7 +135,7 @@ def cmd_spectral(config: ExperimentConfig) -> RunReport:
     ctx = config.precision()
     kernel = config.kernel()
     # Refuses a kernel without a rate function, however short the K range.
-    spectral_power_law(kernel, ctx)
+    spectral_power_law(kernel, ctx.mp)
     k_min, k_max = config.spectral_range()
     report = RunReport(command="spectral", config=config, digits=ctx.digits)
     report.columns = ["K", "s_star", "conjugate", "conjugate_numeric", "rate", "rate_over_k"]
@@ -194,7 +194,7 @@ def cmd_verify(config: ExperimentConfig, suite: str) -> RunReport:
     elif suite == "thm3-bounds":
         # Refuse a kernel without a rate function before the run, not after.
         kernel = config.kernel()
-        spectral_power_law(kernel, ctx)
+        spectral_power_law(kernel, ctx.mp)
         run = _run_into(report, config, ctx)
         bounds = trajectory_envelope_check(run.state.points, kernel, ctx)
 

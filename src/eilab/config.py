@@ -162,11 +162,16 @@ class ExperimentConfig:
         return self._int("spectral.k_min"), self._int("spectral.k_max")
 
     def verify_params(self) -> dict:
-        return {
-            "trials": self._int("verify.trials"),
-            "k_max": self._int("verify.k_max"),
-            "h_values": self._decimals("verify.h_values"),
-        }
+        trials = self._int("verify.trials")
+        k_max = self._int("verify.k_max")
+        h_values = self._decimals("verify.h_values")
+        if trials < 1:
+            raise ConfigError(f"config field 'verify.trials': must be at least 1, got {trials}")
+        if k_max < 2:
+            raise ConfigError(f"config field 'verify.k_max': must be at least 2, the sandwich sweep's first K, got {k_max}")
+        if not h_values:
+            raise ConfigError("config field 'verify.h_values': must list at least one value")
+        return {"trials": trials, "k_max": k_max, "h_values": h_values}
 
 
 def parse_config(text: str) -> ExperimentConfig:

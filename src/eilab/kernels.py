@@ -38,17 +38,11 @@ import functools
 from dataclasses import dataclass
 from typing import Union
 
-from mpmath.ctx_mp import MPContext
 from mpmath.libmp import mpf_abs, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
 
 from .errors import EILabError, MaximizationDiverged, VariantUnsupported
 from .precision import PrecisionContext, raw_context
 from .quadrature import integrate, quadrature_context
-
-_NAMED_CONSTANTS = {
-    "sqrt_pi": lambda mp: mp.sqrt(mp.pi),
-}
-
 
 def resolve_param(value, mp):
     """Resolve a kernel parameter to a working-precision real.
@@ -57,9 +51,8 @@ def resolve_param(value, mp):
     and mpf values (which convert exactly at any precision).
     """
     if isinstance(value, str):
-        fn = _NAMED_CONSTANTS.get(value)
-        if fn is not None:
-            return fn(mp)
+        if value == "sqrt_pi":
+            return mp.sqrt(mp.pi)
         try:
             return mp.mpf(value)
         except ValueError:
@@ -83,8 +76,6 @@ class GaussianKernel:
         _positive("a", self.a)
         _positive("gamma", self.gamma)
 
-    variant = "gaussian"
-
 
 @dataclass(frozen=True)
 class SpectralPowerKernel:
@@ -103,8 +94,6 @@ class SpectralPowerKernel:
                 f"spectral-power kernel requires b > 1 strictly, got {self.b!r}"
             )
 
-    variant = "spectral"
-
 
 @dataclass(frozen=True)
 class OrnsteinUhlenbeckKernel:
@@ -115,13 +104,8 @@ class OrnsteinUhlenbeckKernel:
         _positive("theta", self.theta)
         _positive("gamma", self.gamma)
 
-    variant = "ou"
-
 
 KernelSpec = Union[GaussianKernel, SpectralPowerKernel, OrnsteinUhlenbeckKernel]
-
-def _params(kernel: KernelSpec, mp):
-    return _resolved_params(kernel, mp, mp.prec)
 
 
 # Resolved numeric parameters per (kernel, mpmath context, its precision now):
@@ -131,42 +115,38 @@ def _params(kernel: KernelSpec, mp):
 # per trial.
 @functools.lru_cache(maxsize=256)
 def _resolved_params(kernel: KernelSpec, mp, prec):
-    if isinstance(kernel, GaussianKernel):
-        a = resolve_param(kernel.a, mp)
-        gamma = resolve_param(kernel.gamma, mp)
-        pref = gamma / (2 * mp.sqrt(mp.pi * a))
-        return (a, gamma, pref, 4 * a)
-    if isinstance(kernel, SpectralPowerKernel):
-        a = resolve_param(kernel.a, mp)
-        b = resolve_param(kernel.b, mp)
-        c0 = resolve_param(kernel.c0, mp)
-        gamma = resolve_param(kernel.gamma, mp)
-        return (a, b, c0, gamma)
-    theta = resolve_param(kernel.theta, mp)
+    """(a, b, amplitude, pref, 4a) of a Gaussian or spectral-power kernel,
+    with ``pref`` the closed-form covariance prefactor (``None`` at b != 2);
+    (theta, gamma) of the Ornstein-Uhlenbeck kernel."""
+    if isinstance(kernel, OrnsteinUhlenbeckKernel):
+        return resolve_param(kernel.theta, mp), resolve_param(kernel.gamma, mp)
+    a = resolve_param(kernel.a, mp)
     gamma = resolve_param(kernel.gamma, mp)
-    return (theta, gamma)
+    if isinstance(kernel, GaussianKernel):
+        pref = gamma / (2 * mp.sqrt(mp.pi * a))
+        return a, mp.mpf(2), gamma / (2 * mp.pi), pref, 4 * a
+    b = resolve_param(kernel.b, mp)
+    c0 = resolve_param(kernel.c0, mp)
+    amplitude = gamma * c0
+    pref = amplitude * mp.sqrt(mp.pi / a) if b == 2 else None
+    return a, b, amplitude, pref, 4 * a
 
 
-def spectral_power_law(kernel: KernelSpec, ctx: PrecisionContext | MPContext):
+def spectral_power_law(kernel: KernelSpec, mp):
     """(a, b, amplitude) of a Gaussian or spectral-power density, which is
-    amplitude * exp(-a |t|^b) in both cases.  ``ctx`` may also be an mpmath
-    context.
+    amplitude * exp(-a |t|^b) in both cases, resolved under the mpmath
+    context ``mp``: the first three fields of ``_resolved_params``.
 
     The Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``: its
     density has no super-exponential decay, and every spectral routine of
     this module refuses it here.
     """
-    mp = ctx.mp if isinstance(ctx, PrecisionContext) else ctx
-    if isinstance(kernel, GaussianKernel):
-        a, gamma, _, _ = _params(kernel, mp)
-        return a, mp.mpf(2), gamma / (2 * mp.pi)
     if isinstance(kernel, OrnsteinUhlenbeckKernel):
         raise VariantUnsupported(
             "the spectral machinery requires super-exponential spectral decay; "
             "the Ornstein-Uhlenbeck kernel has none"
         )
-    a, b, c0, gamma = _params(kernel, mp)
-    return a, b, gamma * c0
+    return _resolved_params(kernel, mp, mp.prec)[:3]
 
 
 def spectral_breakpoints(kernel: KernelSpec, ctx: PrecisionContext, budget_dps, weight_scale=1):
@@ -202,32 +182,28 @@ def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext):
     """G(p - x0) for every p of ``points``, as raw mpf tuples.
 
     ``x0`` and ``points`` are working-precision mpf values.  The parameters
-    are resolved once per call.  Each lag x = p - x0 is rounded at working
-    precision, and so is each operation of the closed forms, in this order:
+    come from the cached ``_resolved_params``.  Each lag x = p - x0 is
+    rounded at working precision, and so is each operation of the closed
+    forms, in this order:
 
     * Gaussian and spectral-power at b = 2: pref * exp(((-x) * x) / (4a)),
-      with pref = gamma / (2 sqrt(pi a)) for the Gaussian and
-      ((gamma * c0) * sqrt(pi / a)) for b = 2;
+      with ``pref`` and 4a as ``_resolved_params`` rounds them;
     * Ornstein-Uhlenbeck: gamma * exp((-theta) * |x|).
 
-    For the spectral-power family at b != 2 each lag is one
-    ``covariance_by_quadrature``.
+    Where ``pref`` is ``None`` (the spectral-power family at b != 2) each
+    lag is one ``covariance_by_quadrature``.
     """
     mp = ctx.mp
     prec, rnd = mp._prec_rounding
     origin = x0._mpf_
     lags = (mpf_sub(p._mpf_, origin, prec, rnd) for p in points)
     if isinstance(kernel, OrnsteinUhlenbeckKernel):
-        theta, gamma = _params(kernel, mp)
+        theta, gamma = _resolved_params(kernel, mp, mp.prec)
         rate, gamma = mpf_neg(theta._mpf_), gamma._mpf_
         return [mpf_mul(gamma, mpf_exp(mpf_mul(rate, mpf_abs(x), prec, rnd), prec, rnd), prec, rnd) for x in lags]
-    if isinstance(kernel, GaussianKernel):
-        _, _, pref, four_a = _params(kernel, mp)
-    else:
-        a, b, c0, gamma = _params(kernel, mp)
-        if b != 2:
-            return [covariance_by_quadrature(kernel, mp.make_mpf(x), ctx)._mpf_ for x in lags]
-        pref, four_a = gamma * c0 * mp.sqrt(mp.pi / a), 4 * a
+    _, _, _, pref, four_a = _resolved_params(kernel, mp, mp.prec)
+    if pref is None:
+        return [covariance_by_quadrature(kernel, mp.make_mpf(x), ctx)._mpf_ for x in lags]
     pref, four_a = pref._mpf_, four_a._mpf_
     return [
         mpf_mul(pref, mpf_exp(mpf_div(mpf_mul(mpf_neg(x), x, prec, rnd), four_a, prec, rnd), prec, rnd), prec, rnd)
@@ -235,17 +211,12 @@ def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext):
     ]
 
 
-def spectral_density(kernel: KernelSpec, t, ctx: PrecisionContext | MPContext):
-    """Spectral density Ghat(t), strictly positive; the Ornstein-Uhlenbeck
-    kernel raises ``VariantUnsupported``.  ``ctx`` may also be an mpmath
-    context, such as an oracle integrand's."""
-    mp = ctx.mp if isinstance(ctx, PrecisionContext) else ctx
-    t = mp.mpf(t)
-    if isinstance(kernel, GaussianKernel):
-        a, gamma, _, _ = _params(kernel, mp)
-        return gamma * mp.exp(-a * t * t) / (2 * mp.pi)
+def spectral_density(kernel: KernelSpec, t, mp):
+    """Spectral density Ghat(t) = amplitude * exp(-a |t|^b) under the mpmath
+    context ``mp`` (such as an oracle integrand's), strictly positive; the
+    Ornstein-Uhlenbeck kernel raises ``VariantUnsupported``."""
     a, b, amp = spectral_power_law(kernel, mp)
-    return amp * mp.exp(-a * abs(t) ** b)
+    return amp * mp.exp(-a * abs(mp.mpf(t)) ** b)
 
 
 def covariance_by_quadrature(kernel: KernelSpec, x, ctx: PrecisionContext):

@@ -194,14 +194,21 @@ class CholeskyFactor:
         self.solve_mp = smp
 
     def solve(self, rhs):
-        """Solve for one right-hand side; result at working precision.
+        """Solve for one right-hand side: ``solve_lower``, then x = L^-T y
+        at the solve precision by ``exact_residual``; x at working precision.
 
         The residual ||matrix @ x - rhs|| / ||rhs|| is at most
         10**-(digits - guard_digits) for any matrix that passes the pivot
         floor.  Raises ``DimensionMismatch`` for a wrong-length ``rhs``.
         """
-        mp = self.ctx.mp
-        return [mp.mpf(v) for v in self.solve_upper_t(self.solve_lower(rhs))]
+        y = self.solve_lower(rhs)
+        L, n, smp = self.lower, self.n, self.solve_mp
+        prec, rnd = smp._prec_rounding
+        x = [None] * n
+        for i in reversed(range(n)):
+            column = [L[k][i] for k in range(i + 1, n)]
+            x[i] = mpf_div(exact_residual(y[i]._mpf_, column, x[i + 1:]), L[i][i], prec, rnd)
+        return [self.ctx.mpf(smp.make_mpf(v)) for v in x]
 
     def solve_lower(self, rhs, leading=()):
         """y = L^-1 rhs at the solve precision, ``rhs`` converted to it.
@@ -222,16 +229,6 @@ class CholeskyFactor:
             row = self.lower[i]
             y.append(mpf_div(exact_residual(smp.mpf(rhs[i])._mpf_, row[:i], y), row[i], prec, rnd))
         return [smp.make_mpf(v) for v in y]
-
-    def solve_upper_t(self, y):
-        """x = L^-T y at the solve precision, ``y`` converted to it."""
-        L, n, smp = self.lower, self.n, self.solve_mp
-        prec, rnd = smp._prec_rounding
-        x = [None] * n
-        for i in reversed(range(n)):
-            column = [L[k][i] for k in range(i + 1, n)]
-            x[i] = mpf_div(exact_residual(smp.mpf(y[i])._mpf_, column, x[i + 1:]), L[i][i], prec, rnd)
-        return [smp.make_mpf(v) for v in x]
 
 
 def gram_det(vectors, ctx: PrecisionContext):
@@ -259,7 +256,7 @@ def gram_det(vectors, ctx: PrecisionContext):
             g[i, j] = acc
     det = mp.det(g)
     re, im = mp.re(det), mp.im(det)
-    if abs(im) > ctx.eps(ctx.guard_digits) * max(abs(re), mp.mpf(1)):
+    if abs(im) > ctx.tol(-ctx.digits) * max(abs(re), mp.mpf(1)):
         raise DimensionMismatch(
             "Gram determinant has a non-negligible imaginary part; "
             "input vectors are inconsistent"

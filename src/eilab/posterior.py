@@ -342,7 +342,7 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     """
     kernel = state.kernel
     # Raises VariantUnsupported for the Ornstein-Uhlenbeck kernel.
-    spectral_power_law(kernel, ctx)
+    spectral_power_law(kernel, ctx.mp)
     if state.size > _ORACLE_MAX_DESIGN:
         raise EILabError(
             f"spectral variance oracle supports designs of at most "

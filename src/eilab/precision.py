@@ -73,10 +73,6 @@ class PrecisionContext:
         """
         return self.mp.mpf(value)
 
-    def eps(self, drop: int = 0):
-        """10**-(working_dps - drop), the roundoff scale of this context."""
-        return self.mp.mpf(10) ** (-(self.working_dps - drop))
-
     def tol(self, exponent: int):
         """10**exponent as a working-precision real (for thresholds)."""
         return self.mp.mpf(10) ** exponent

@@ -42,21 +42,21 @@ class BoundReport:
     context: dict = field(default_factory=dict)
 
 
-def _holds_leq(ctx: PrecisionContext, lhs, rhs) -> bool:
+def _leq_report(ctx: PrecisionContext, label, k, lhs, rhs, ratio, context) -> BoundReport:
+    """The report of lhs <= rhs, allowed the relative slack
+    10**-(digits/4) of the larger magnitude (at least 1); an infinite side
+    decides it outright."""
     mp = ctx.mp
     if lhs == mp.ninf or rhs == mp.inf:
-        return True
-    if lhs == mp.inf or rhs == mp.ninf:
-        return False
-    slack = ctx.tol(-(ctx.digits // 4)) * max(abs(lhs), abs(rhs), mp.mpf(1))
-    return lhs <= rhs + slack
-
-
-def _leq_report(ctx: PrecisionContext, label, k, lhs, rhs, ratio, context) -> BoundReport:
-    """The report of lhs <= rhs, judged with ``_holds_leq``."""
+        satisfied = True
+    elif lhs == mp.inf or rhs == mp.ninf:
+        satisfied = False
+    else:
+        slack = ctx.tol(-(ctx.digits // 4)) * max(abs(lhs), abs(rhs), mp.mpf(1))
+        satisfied = lhs <= rhs + slack
     return BoundReport(
         label=label, k=k, lhs=lhs, rhs=rhs, ratio=ratio,
-        satisfied=_holds_leq(ctx, lhs, rhs), context=context,
+        satisfied=satisfied, context=context,
     )
 
 
@@ -254,7 +254,7 @@ def trajectory_envelope_check(points, kernel: KernelSpec, ctx: PrecisionContext)
     """
     mp = ctx.mp
     # Refuses a kernel without a rate function, however short the trajectory.
-    spectral_power_law(kernel, ctx)
+    spectral_power_law(kernel, mp)
     pts = [mp.mpf(p) for p in points]
     reports = []
     for k in range(2, len(pts)):

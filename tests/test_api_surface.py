@@ -77,6 +77,28 @@ def test_every_export_has_a_program_caller():
     assert sorted(_exports() - _program_uses()) == []
 
 
+def _attributes_read():
+    """Attribute names loaded (``obj.name``) anywhere in src/ or perfbench/."""
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        read |= {
+            node.attr
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return read
+
+
+def _exported_classes():
+    exports = _exports()
+    return [
+        stmt
+        for path in PACKAGE.glob("*.py")
+        for stmt in _parse(path).body
+        if isinstance(stmt, ast.ClassDef) and stmt.name in exports
+    ]
+
+
 def test_every_field_of_an_exported_dataclass_is_read_by_the_program():
     """Each field of an exported dataclass is read as an attribute
     (``obj.field``) somewhere in src/ or perfbench/.
@@ -85,27 +107,32 @@ def test_every_field_of_an_exported_dataclass_is_read_by_the_program():
     name with any attribute read elsewhere passes unseen: ``EIEvaluation``
     could regain a ``moments`` field, since ``moments`` is also a method.
     """
-    exports = _exports()
-    fields = []
-    for path in PACKAGE.glob("*.py"):
-        for stmt in _parse(path).body:
-            if isinstance(stmt, ast.ClassDef) and stmt.name in exports and any(
-                ast.unparse(dec).startswith("dataclass") for dec in stmt.decorator_list
-            ):
-                fields += [
-                    f"{stmt.name}.{item.target.id}"
-                    for item in stmt.body
-                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                ]
+    fields = [
+        f"{cls.name}.{item.target.id}"
+        for cls in _exported_classes()
+        if any(ast.unparse(dec).startswith("dataclass") for dec in cls.decorator_list)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
     assert fields, "no exported dataclass found"
-    read = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
-        read |= {
-            node.attr
-            for node in ast.walk(_parse(path))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        }
+    read = _attributes_read()
     assert sorted(f for f in fields if f.split(".")[1] not in read) == []
+
+
+def test_every_class_constant_of_an_exported_class_is_read_by_the_program():
+    """Each class-level constant (``name = value`` in the class body) of an
+    exported class is read as an attribute somewhere in src/ or perfbench/,
+    matched by name alone as the fields are."""
+    constants = [
+        f"{cls.name}.{target.id}"
+        for cls in _exported_classes()
+        for item in cls.body
+        if isinstance(item, ast.Assign)
+        for target in item.targets
+        if isinstance(target, ast.Name)
+    ]
+    read = _attributes_read()
+    assert sorted(c for c in constants if c.split(".")[1] not in read) == []
 
 
 def test_no_export_shadows_a_module():

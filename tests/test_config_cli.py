@@ -276,3 +276,20 @@ def test_malformed_decimal_is_a_config_error(tmp_path, capsys, key, value, comma
     assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config field {key!r}: not a finite decimal" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, suite",
+    [
+        ("verify.trials", "0", "thm2-sandwich"),
+        ("verify.trials", "-3", "thm2-sandwich"),
+        ("verify.k_max", "1", "thm2-sandwich"),
+        ("verify.h_values", "", "lemma3-tails"),
+    ],
+)
+def test_verify_value_that_checks_nothing_is_a_config_error(tmp_path, capsys, key, value, suite):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"digits = 60\n{key} = {value}\n", encoding="utf-8")
+    assert cli.main(["verify", suite, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config field {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -175,7 +175,7 @@ def test_mean_at_the_incumbent_scores_u_zero(ctx60):
     moments = [_moments(ctx60, "0.8", "-0.6", "0.04"), at_u0]
     best, value = _screened(ctx60, fstar, moments)
     assert (best, value) == _exhaustive(ctx60, fstar, moments)
-    assert best == 1 and abs(value - mp.mpf("0.2") / mp.sqrt(2 * mp.pi)) <= ctx60.eps(5)
+    assert best == 1 and abs(value - mp.mpf("0.2") / mp.sqrt(2 * mp.pi)) <= ctx60.tol(-(ctx60.working_dps - 5))
 
 
 def test_every_ei_zero_picks_the_smallest_tie_key_of_all(ctx60):

@@ -8,6 +8,7 @@ from mpmath.libmp import from_man_exp
 import eilab
 from eilab import kernels as kernels_module
 from eilab.kernels import covariance_column, profile_rate, resolve_param, spectral_power_law
+from eilab.precision import raw_context
 from eilab.quadrature import integrate, quadrature_context
 
 
@@ -142,7 +143,7 @@ def test_covariance_column_integrates_each_lag_for_b_other_than_2(ctx60):
 
 def test_spectral_density_examples(ctx60):
     mp = ctx60.mp
-    assert eilab.spectral_density(eilab.SpectralPowerKernel(a="1", b="2"), 0, ctx60) == 1
+    assert eilab.spectral_density(eilab.SpectralPowerKernel(a="1", b="2"), 0, ctx60.mp) == 1
     v = _ou_density(eilab.OrnsteinUhlenbeckKernel(theta="1"), 0, mp)
     assert abs(v - 1 / mp.pi) <= ctx60.tol(-(ctx60.digits - 2))
 
@@ -150,8 +151,8 @@ def test_spectral_density_examples(ctx60):
 def test_density_even_and_positive(ctx60, gauss_unit):
     ou = eilab.OrnsteinUhlenbeckKernel(theta="2")
     for density in (
-        lambda t: eilab.spectral_density(gauss_unit, t, ctx60),
-        lambda t: eilab.spectral_density(eilab.SpectralPowerKernel(a="0.5", b="2.5"), t, ctx60),
+        lambda t: eilab.spectral_density(gauss_unit, t, ctx60.mp),
+        lambda t: eilab.spectral_density(eilab.SpectralPowerKernel(a="0.5", b="2.5"), t, ctx60.mp),
         lambda t: _ou_density(ou, t, ctx60.mp),
     ):
         for t in ("0.2", "1", "7"):
@@ -159,6 +160,21 @@ def test_density_even_and_positive(ctx60, gauss_unit):
             minus = density("-" + t)
             assert plus == minus
             assert plus > 0
+
+
+@pytest.mark.parametrize("dps", [60, 320])
+@pytest.mark.parametrize("a, gamma", [("0.25", "sqrt_pi"), ("0.3", "1.7")])
+def test_gaussian_density_value(dps, a, gamma):
+    """The Gaussian density is gamma exp(-a t^2) / (2 pi), checked against
+    that expression evaluated 20 digits higher."""
+    mp, ref = raw_context(dps), raw_context(dps + 20)
+    kernel = eilab.GaussianKernel(a=a, gamma=gamma)
+    ra, rgamma = resolve_param(a, ref), resolve_param(gamma, ref)
+    for t in ("0", "0.5", "3.7", "12.25", "40"):
+        value = eilab.spectral_density(kernel, t, mp)
+        rt = ref.mpf(t)
+        expected = rgamma * ref.exp(-ra * rt * rt) / (2 * ref.pi)
+        assert abs(ref.mpf(value) - expected) <= expected * ref.mpf(10) ** -(dps - 2)
 
 
 @pytest.mark.parametrize("x", ["0", "0.3", "1"])
@@ -371,11 +387,11 @@ def test_gaussian_spectral_equivalent(ctx60, ctx300, gauss_unit):
         b = eilab.covariance(spectral, x, ctx60)
         assert abs(a - b) <= abs(a) * ctx60.tol(-(ctx60.digits - 5))
     # the amplitude is 1/(2 sqrt(pi)) for the unit-Gaussian normalization
-    _, b, amplitude = spectral_power_law(gauss_unit, ctx60)
+    _, b, amplitude = spectral_power_law(gauss_unit, ctx60.mp)
     assert b == 2
     assert abs(amplitude - 1 / (2 * mp.sqrt(mp.pi))) <= ctx60.tol(-(ctx60.digits - 5))
     with pytest.raises(eilab.VariantUnsupported):
-        spectral_power_law(eilab.OrnsteinUhlenbeckKernel(), ctx60)
+        spectral_power_law(eilab.OrnsteinUhlenbeckKernel(), ctx60.mp)
 
 
 def test_invalid_parameters_rejected():

@@ -107,7 +107,7 @@ def test_ou_spectral_routines_refused_before_any_quadrature(ctx60, monkeypatch):
     ou = eilab.OrnsteinUhlenbeckKernel(theta="1")
     for refused in (
         lambda: eilab.covariance_by_quadrature(ou, "1", ctx60),
-        lambda: eilab.spectral_density(ou, "0.5", ctx60),
+        lambda: eilab.spectral_density(ou, "0.5", ctx60.mp),
         lambda: kernels.spectral_breakpoints(ou, ctx60, ctx60.working_dps),
     ):
         with pytest.raises(eilab.VariantUnsupported):
