@@ -159,7 +159,12 @@ class ExperimentConfig:
         return _decimal("x1", self.get("x1"))
 
     def spectral_range(self) -> tuple[int, int]:
-        return self._int("spectral.k_min"), self._int("spectral.k_max")
+        k_min, k_max = self._int("spectral.k_min"), self._int("spectral.k_max")
+        if k_max < max(2, k_min):
+            raise ConfigError(
+                f"config field 'spectral.k_max': must be at least max(2, spectral.k_min) = {max(2, k_min)}, got {k_max}"
+            )
+        return k_min, k_max
 
     def verify_params(self) -> dict:
         trials = self._int("verify.trials")

@@ -35,13 +35,14 @@ function F(K) = T*(2K+1) - (2K+1) ln K.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Union
 
-from mpmath.libmp import mpf_abs, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import mpf_abs, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift, mpf_sub
 
 from .errors import EILabError, MaximizationDiverged, VariantUnsupported
-from .precision import PrecisionContext, raw_context
+from .precision import PrecisionContext, pack, raw_context, unpack
 from .quadrature import integrate, quadrature_context
 
 def resolve_param(value, mp):
@@ -168,30 +169,53 @@ def spectral_breakpoints(kernel: KernelSpec, ctx: PrecisionContext, budget_dps, 
 def covariance(kernel: KernelSpec, x, ctx: PrecisionContext):
     """Covariance G(x) of the stationary kernel at lag x, at working precision.
 
-    The one-lag case of ``covariance_column``: closed form for the Gaussian
-    and Ornstein-Uhlenbeck variants and for the spectral-power family at
-    b = 2; otherwise the Fourier integral of the density, truncated where
-    the density falls below the working roundoff (the super-exponential
-    tail makes the cutoff explicit).
+    The one-lag case of ``covariance_column`` at origin 0, where its
+    Gaussian factors other than the closed form are exactly 1: closed form
+    for the Gaussian and Ornstein-Uhlenbeck variants and for the
+    spectral-power family at b = 2; otherwise the Fourier integral of the
+    density, truncated where the density falls below the working roundoff
+    (the super-exponential tail makes the cutoff explicit).
     """
     mp = ctx.mp
     return mp.make_mpf(covariance_column(kernel, mp.zero, (mp.mpf(x),), ctx)[0])
 
 
-def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext):
+def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext, decay=None, origin_decay=None):
     """G(p - x0) for every p of ``points``, as raw mpf tuples.
 
     ``x0`` and ``points`` are working-precision mpf values.  The parameters
-    come from the cached ``_resolved_params``.  Each lag x = p - x0 is
-    rounded at working precision, and so is each operation of the closed
-    forms, in this order:
+    come from the cached ``_resolved_params``, and each operation below is
+    rounded at working precision.
 
-    * Gaussian and spectral-power at b = 2: pref * exp(((-x) * x) / (4a)),
-      with ``pref`` and 4a as ``_resolved_params`` rounds them;
-    * Ornstein-Uhlenbeck: gamma * exp((-theta) * |x|).
+    Gaussian and spectral-power at b = 2, with ``pref`` and 4a as
+    ``_resolved_params`` rounds them, by the factorization behind the fast
+    Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12,
+    1991):
 
-    Where ``pref`` is ``None`` (the spectral-power family at b != 2) each
-    lag is one ``covariance_by_quadrature``.
+        G(p - x0) = scale * D(p) * e^(p x0 / 2a),  scale = pref * D(x0),
+        D(q) = exp(((-q) * q) / (4a)).
+
+    D(p) depends on |p| only, and e^(-|p| x0 / 2a) = 1 / E with
+    E = exp(|p| * ((2 x0) / (4a))), so the two members of a mirror pair +-p
+    share one D and one E: p >= 0 reads (scale * D) * E and p < 0
+    (scale * D) / E, whether or not its mirror is among ``points``.  At
+    x0 = 0 the scale is ``pref`` and E is 1, exactly, so the column is bit
+    for bit the closed form pref * D(p).  Elsewhere it loses about
+    log10(1 + M) digits, M = (|p| + |x0|)^2 / 4a.  Where the binary
+    exponents of p, x0 and 4a cannot rule out M > 10^(guard_digits / 2),
+    the entry is the x0 = 0 case at the rounded lag p - x0 instead,
+    pref * D(p - x0), which is ``covariance(kernel, p - x0, ctx)``.
+
+    ``decay`` and ``origin_decay`` map |p| and |x0| to D, packed (see
+    ``precision.pack``).  A caller that keeps them across calls for one
+    kernel and context (``CandidatePosterior`` for its candidates,
+    ``FittedPosterior`` for its design points) evaluates each D once; the
+    ones missing are evaluated and added here.  Omitted, each is the call's
+    own.
+
+    Ornstein-Uhlenbeck: gamma * exp((-theta) * |x|) at the rounded lag
+    x = p - x0.  Where ``pref`` is ``None`` (the spectral-power family at
+    b != 2) each rounded lag is one ``covariance_by_quadrature``.
     """
     mp = ctx.mp
     prec, rnd = mp._prec_rounding
@@ -205,10 +229,45 @@ def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext):
     if pref is None:
         return [covariance_by_quadrature(kernel, mp.make_mpf(x), ctx)._mpf_ for x in lags]
     pref, four_a = pref._mpf_, four_a._mpf_
-    return [
-        mpf_mul(pref, mpf_exp(mpf_div(mpf_mul(mpf_neg(x), x, prec, rnd), four_a, prec, rnd), prec, rnd), prec, rnd)
-        for x in lags
-    ]
+
+    def gauss(x):
+        return mpf_exp(mpf_div(mpf_mul(mpf_neg(x), x, prec, rnd), four_a, prec, rnd), prec, rnd)
+
+    def kept(cache, man, exp, bc):
+        packed = cache.get((man, exp))
+        if packed is not None:
+            return unpack(packed)
+        d = gauss((0, man, exp, bc))
+        cache[man, exp] = pack(d)
+        return d
+
+    decay = {} if decay is None else decay
+    if not origin[1]:
+        # x0 = 0: the scale is pref and E is 1, so each entry is pref * D(p)
+        return [mpf_mul(pref, kept(decay, *p._mpf_[1:]), prec, rnd) for p in points]
+    scale = mpf_mul(pref, kept({} if origin_decay is None else origin_decay, *origin[1:]), prec, rnd)
+    rate = mpf_div(mpf_shift(origin, 1), four_a, prec, rnd)
+    # |v| < 2^(exp + bc), so M < 2^(2 t + 3 - e), t the larger of that
+    # exponent of p and of x0 and e the one of 4a: entries with t > reach
+    # fall back.
+    reach = (int(ctx.guard_digits * math.log2(10) / 2) + four_a[2] + four_a[3] - 3) // 2
+    if origin[2] + origin[3] > reach:
+        reach = -math.inf
+    growth = {}
+    column = []
+    for p in points:
+        sign, man, exp, bc = raw = p._mpf_
+        if exp + bc > reach:
+            column.append(mpf_mul(pref, gauss(mpf_sub(raw, origin, prec, rnd)), prec, rnd))
+            continue
+        pair = growth.get((man, exp))
+        if pair is None:
+            pair = growth[man, exp] = (
+                mpf_mul(scale, kept(decay, man, exp, bc), prec, rnd),
+                mpf_exp(mpf_mul((0, man, exp, bc), rate, prec, rnd), prec, rnd),
+            )
+        column.append((mpf_div if sign else mpf_mul)(*pair, prec, rnd))
+    return column
 
 
 def spectral_density(kernel: KernelSpec, t, mp):

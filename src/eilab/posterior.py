@@ -27,7 +27,7 @@ from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_
 from .errors import EILabError, NonPositivePivot, require_distinct
 from .kernels import KernelSpec, covariance, covariance_column, spectral_breakpoints, spectral_density, spectral_power_law
 from .linalg import CholeskyFactor, exact_residual
-from .precision import PrecisionContext
+from .precision import PrecisionContext, pack, unpack
 from .quadrature import integrate, quadrature_context
 
 
@@ -98,7 +98,11 @@ class FittedPosterior:
 
     Building this object performs the only factorization; ``moments`` then
     costs K covariance evaluations and one forward substitution per query.
-    The object is not modified after construction, but it is not safe to
+    Under a Gaussian kernel those K covariances take K + 1 exponentials,
+    for the fit keeps D(x_k) = e^(-x_k^2/4a) of each design point: shared
+    with the fits that extend it, and evaluated on first use by a candidate
+    column (``kernels.covariance_column``).  Apart from that cache the
+    object is not modified after construction, and it is not safe to
     query from several threads: its arithmetic runs in the process-wide
     mpmath context of its precision, whose precision ``mp.quad`` raises
     while it integrates (see ``precision``), and the covariance of a
@@ -136,6 +140,9 @@ class FittedPosterior:
         leading = extends._w_hi if extends and extends.solve_dps == factor.solve_dps else ()
         self._w_hi = factor.solve_lower(state.values, leading)
         self._g0_hi = factor.solve_mp.mpf(covariance(kernel, 0, ctx))
+        # e^(-x_k^2/4a) per design point of a Gaussian kernel, shared along
+        # the fits one run extends and filled by the candidate columns.
+        self._decay = extends._decay if extends else {}
         self._clamp_threshold = ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))
         self.condition = factor.pivot_ratio
 
@@ -160,33 +167,12 @@ class FittedPosterior:
         return self._factor.solve(g)
 
 
-# A kept covariance entry is one int: the signed mantissa above 64 bits that
-# hold the binary exponent offset by 2^63.  It takes about 60 % of the
-# memory of the raw (sign, man, exp, bc) tuple, and unpacks to that tuple
-# exactly for any finite normalized mpf (bc is the mantissa's bit length).
-_EXP_BITS = 64
-_EXP_MASK = (1 << _EXP_BITS) - 1
-_EXP_OFFSET = 1 << (_EXP_BITS - 1)
-
-
-def _pack(raw) -> int:
-    sign, man, exp, _ = raw
-    return ((-man if sign else man) << _EXP_BITS) | (exp + _EXP_OFFSET)
-
-
-def _unpack(packed: int):
-    man = packed >> _EXP_BITS
-    sign = int(man < 0)
-    man = -man if sign else man
-    return (sign, man, (packed & _EXP_MASK) - _EXP_OFFSET, man.bit_length())
-
-
 class CandidatePosterior:
     """Posterior moments over a fixed candidate set, kept across a growing design.
 
     For each candidate c the state holds its covariance column g(c), the
     covariances against the design points at working precision (packed, see
-    ``_pack``), and
+    ``precision.pack``), and
     z(c) = L^-1 g(c), the variance G(0) - sum z^2 and the mean sum z_j w_j
     with w = L^-1 f, at the solve precision of the factor it was last synced
     to.  When the design gains one point x_K, ``sync`` costs one covariance
@@ -211,12 +197,21 @@ class CandidatePosterior:
     precision, still raw, for the whole set at once; ``moments`` wraps one
     candidate's in ``PosteriorMoments``.  A state serves one run:
     one kernel, one precision context, and one design that only grows.
+
+    Under a Gaussian kernel the state also keeps D(c) = e^(-c^2/4a), one
+    per mirror pair +-c, for the whole run, so each column costs one
+    exponential per pair and one for the new design point (see
+    ``kernels.covariance_column``).  An entry's bits depend only on the
+    kernel, the context, c and x_K, so they are those of the one-candidate
+    state whatever else the set holds.
     """
 
     def __init__(self, points):
         self.points = list(points)
         self._fitted = None
         self._g = self._z = self._var = self._mean = None
+        # e^(-p^2/4a) per mirror pair +-p of a Gaussian kernel, for the run.
+        self._decay = {}
 
     def __len__(self):
         return len(self.points)
@@ -259,12 +254,12 @@ class CandidatePosterior:
         w = fitted._w_hi[k]._mpf_
         columns, zs, var, mean = self._g, self._z, self._var, self._mean
         if kept:
-            column = (_unpack(g[k]) for g in columns)
+            column = (unpack(g[k]) for g in columns)
         else:
             state = fitted.state
-            column = covariance_column(state.kernel, state.points[k], self.points, fitted.ctx)
+            column = covariance_column(state.kernel, state.points[k], self.points, fitted.ctx, self._decay, fitted._decay)
             for g, s in zip(columns, column):
-                g.append(_pack(s))
+                g.append(pack(s))
         for i, (z, s) in enumerate(zip(zs, column)):
             s = mpf_div(exact_residual(s, row, z), diag, prec, rnd)
             z.append(s)

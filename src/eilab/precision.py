@@ -34,6 +34,36 @@ def raw_context(dps: int) -> MPContext:
     return ctx
 
 
+# A kept raw mpf value is one int: the signed mantissa above 64 bits that
+# hold the binary exponent offset by 2^63.  It takes about 60 % of the
+# memory of the raw (sign, man, exp, bc) tuple, and unpacks to that tuple
+# exactly for any finite normalized mpf (bc is the mantissa's bit length).
+# A value whose exponent does not fit those bits (below 2^-(2^63), such as
+# exp(-x^2/4a) at a tiny a) is kept as the tuple itself.
+_EXP_BITS = 64
+_EXP_MASK = (1 << _EXP_BITS) - 1
+_EXP_OFFSET = 1 << (_EXP_BITS - 1)
+
+
+def pack(raw):
+    """The raw mpf tuple ``raw`` as one int, or as itself when its exponent
+    does not fit (see ``unpack``)."""
+    sign, man, exp, _ = raw
+    if not -_EXP_OFFSET <= exp < _EXP_OFFSET:
+        return raw
+    return ((-man if sign else man) << _EXP_BITS) | (exp + _EXP_OFFSET)
+
+
+def unpack(packed):
+    """The raw mpf tuple that ``pack`` stored."""
+    if isinstance(packed, tuple):
+        return packed
+    man = packed >> _EXP_BITS
+    sign = int(man < 0)
+    man = -man if sign else man
+    return (sign, man, (packed & _EXP_MASK) - _EXP_OFFSET, man.bit_length())
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working precision for a run.

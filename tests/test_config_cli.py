@@ -293,3 +293,12 @@ def test_verify_value_that_checks_nothing_is_a_config_error(tmp_path, capsys, ke
     assert cli.main(["verify", suite, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config field {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("settings", ["spectral.k_max = 1", "spectral.k_min = 9\nspectral.k_max = 5"])
+def test_empty_spectral_range_is_a_config_error(tmp_path, capsys, settings):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"digits = 50\n{settings}\n", encoding="utf-8")
+    assert cli.main(["spectral", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config field 'spectral.k_max'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

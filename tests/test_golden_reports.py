@@ -85,21 +85,21 @@ GOLDEN = {
     "spectral/table.csv": "eb089bbc8c155fe57bab20be3abd691d46defb29557cbc5c4eacfc4e716af424",
     "trajectory-300/report.json": "33ef2c0335df62bb39a4cf4b161bb81b7e3e7ccbcd29babc2a74f878b94e2051",
     "trajectory-300/table.csv": "f21711adad68ea76d52f9f613f34cba608e568c6b854fe0d9bd400bb21ccf1ff",
-    "trajectory-jitter/report.json": "65bd7a3b2eaa4e059fee552c03daf14f61c69c873dabbde51256156568b61f6d",
-    "trajectory-jitter/table.csv": "34440094ede027316025245f3bee9e6ba839e4e4e72758b5d3fddcd430a354ff",
+    "trajectory-jitter/report.json": "74e6d90fe5d440a6a976aacc28ed149351412605ebd1fba8317260eb8b64d69c",
+    "trajectory-jitter/table.csv": "d34ec6f87e02725aa575cdf4b08f7dc11c7a524c98e0fc84ec3cb66641a0a010",
     "trajectory/report.json": "700f55dd90fef7cadc6002b1c1576847c656b445dfac3afca8e8532597d801f4",
     "trajectory/table.csv": "3fccc503e4eb0e22e01cc0f6fcf1abd800b8c7044a15ccf7a32fc5a20eb08ba3",
-    "verify-ei-oracle/report.json": "ca7ad67494ad09e102a697a89cbe12fbdc48c41291830c90693b7884d158a187",
-    "verify-ei-oracle/table.csv": "355b61664a1a256072fec90f34274e8d99012cf7b3506592d9809924b0f7046d",
+    "verify-ei-oracle/report.json": "6b304115253f5195833e9b6a7002d7d057aa1d95338581361bb1c553bdc27692",
+    "verify-ei-oracle/table.csv": "8dfc38bf1fdf93af9678bcfb60146999de08d5cc3b1fe1f065006b23875f76a6",
     "verify-lemma-vandermonde/report.json": "91b7bcfd66161028bb41d03fccf68a0e02964b29eb3cb7b003032ed301f0abe6",
     "verify-lemma-vandermonde/table.csv": "faeb7d3fdc31d819ea375d34eb961a04836d4e0dc8d7942b37b4c2e3ec1fd67b",
     "verify-lemma3-tails/report.json": "6c6dd4bdc66dea6438c07e8ee372b3b266b467e1a868a85c64248a42695fb276",
     "verify-lemma3-tails/table.csv": "784149c8ac6affbde97cc5c7dc77ba91fd30476a243bbbe57278bd094d08d619",
-    "verify-posterior-oracle/report.json": "cd5397d17b7356e1bd49f916393a81f86c69b6ed2400856825de6a540b1bc112",
-    "verify-posterior-oracle/table.csv": "5d6f59be5229d417d63747cb80aa7cf1e7057ab2d15fdc9388fb8fbbe289f151",
+    "verify-posterior-oracle/report.json": "dcb2ff1ccfc2cee7f914f92892e8b0bc00830e3e4df7109642ca6ec8be011fe3",
+    "verify-posterior-oracle/table.csv": "5f5f2301a76f7a4b3a4dfd555db10363ee8b776e9aef63e210c24ce5b7d96048",
     "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",
     "verify-thm1-decay/table.csv": "a77daf1fcc38a4e915fb0d429deaeb98312fe6b6972c2b82d0f2a415240bee5b",
-    "verify-thm2-sandwich/report.json": "71199b7ff206a02aafa111d5c7de6f8a15cdd091d44ae6d72b24303e6ebaf785",
+    "verify-thm2-sandwich/report.json": "26969341eccd1b2efb4ae78530cd74f561e570231f43e494bcc2e6a71278a606",
     "verify-thm2-sandwich/table.csv": "31ac6069da794cb8b3b2c2dc1af06c6eef3008182b92075ebcc46a566a158f91",
     "verify-thm3-bounds/report.json": "3ad12ff635af30c89a9575dc2960c1e44491cf72f4591dd911f1d7609b24a9ad",
     "verify-thm3-bounds/table.csv": "eab1649ec60680d171ee85b9ef978ecfecf025a8814534b92cd6fa510c25b9ac",

@@ -124,12 +124,72 @@ def test_covariance_column_is_the_covariance_at_each_lag(kernel, digits, origin,
     prec = mp.prec
     x0 = mp.make_mpf(from_man_exp(*origin, prec, "n"))
     pts = [mp.make_mpf(from_man_exp(*p, prec, "n")) for p in points] + [x0, -x0]
+    lags = [p - x0 for p in pts]
     column = covariance_column(kernel, x0, pts, ctx)
-    assert len(column) == len(pts)
+    at_zero = covariance_column(kernel, mp.zero, lags, ctx)
+    assert len(column) == len(at_zero) == len(pts)
+    for lag, value, direct in zip(lags, column, at_zero):
+        assert direct == eilab.covariance(kernel, lag, ctx)._mpf_
+        assert direct == _closed_form(kernel, lag, mp)._mpf_
+        # the Gaussian column at x0 != 0 is separable, and held to its
+        # accuracy bound in the test below
+        if not x0 or isinstance(kernel, eilab.OrnsteinUhlenbeckKernel):
+            assert value == direct
+
+
+# a in [0.01, 4]
+_A = st.integers(10**6, 4 * 10**8).map(lambda n: f"{n}e-8")
+_SCALE = st.sampled_from(["1", "0.3", "7.25"])
+_SMOOTH = st.one_of(
+    st.builds(lambda a, gamma: eilab.GaussianKernel(a=a, gamma=gamma), _A, _SCALE),
+    st.builds(lambda a, c0: eilab.SpectralPowerKernel(a=a, b="2", c0=c0), _A, _SCALE),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    _SMOOTH,
+    st.sampled_from([60, 300]),
+    st.sampled_from(["0.02", "0.3", "1.5"]),
+    st.integers(min_value=0, max_value=8),
+    st.one_of(st.just(None), st.integers(min_value=-(10**12), max_value=10**12)),
+    st.integers(min_value=0),
+)
+def test_separable_gaussian_column_is_accurate(kernel, digits, epsilon, l_max, origin, drop):
+    """Every entry of a Gaussian column at x0 in [-1, 1] lies within
+    relative (8 + 4M) 2^-prec of G(p - x0) evaluated at twice the working
+    precision, over the grid's mirror pairs and one point whose mirror has
+    left the set; an entry has the bits it has alone; at x0 = 0 the column
+    is the closed form bit for bit."""
+    ctx = eilab.PrecisionContext(digits=digits, guard_digits=20)
+    mp = ctx.mp
+    hp = raw_context(2 * ctx.working_dps)
+    pts = eilab.CandidateGrid(epsilon=epsilon, l_max=l_max).points(ctx)
+    del pts[drop % len(pts)]
+    # x0 in [-1, 1] (0 among them), or a point of the grid
+    x0 = mp.mpf(origin) / 10**12 if origin is not None else pts[drop % len(pts)]
+    column = covariance_column(kernel, x0, pts, ctx)
+    unit = hp.mpf(2) ** -mp.prec
     for p, value in zip(pts, column):
-        lag = p - x0
-        assert value == eilab.covariance(kernel, lag, ctx)._mpf_
-        assert value == _closed_form(kernel, lag, mp)._mpf_
+        reference = _closed_form(kernel, hp.mpf(p) - hp.mpf(x0), hp)
+        m = (abs(hp.mpf(p)) + abs(hp.mpf(x0))) ** 2 / (4 * hp.mpf(kernel.a))
+        assert abs(hp.make_mpf(value) - reference) <= (8 + 4 * m) * unit * reference
+        assert covariance_column(kernel, x0, [p], ctx) == [value]
+    at_zero = covariance_column(kernel, mp.zero, pts, ctx)
+    assert at_zero == [_closed_form(kernel, p, mp)._mpf_ for p in pts]
+    assert at_zero == [eilab.covariance(kernel, p, ctx)._mpf_ for p in pts]
+
+
+@pytest.mark.parametrize("a", ["1e-12", "3e-40"])
+def test_small_a_column_is_the_covariance_at_the_rounded_lag(ctx60, a):
+    # M = (|p| + |x0|)^2 / 4a far above 10^(guard_digits / 2): each entry is
+    # the closed form at p - x0, as the covariance evaluates it
+    mp = ctx60.mp
+    kernel = eilab.GaussianKernel(a=a)
+    pts = eilab.CandidateGrid(epsilon="0.3", l_max=6).points(ctx60)
+    for x0 in (mp.mpf("0.35"), mp.mpf("-0.7"), pts[3]):
+        column = covariance_column(kernel, x0, pts, ctx60)
+        assert column == [eilab.covariance(kernel, p - x0, ctx60)._mpf_ for p in pts]
 
 
 def test_covariance_column_integrates_each_lag_for_b_other_than_2(ctx60):
