@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from mpmath.libmp import mpf_sub
 
 from .errors import EILabError, EmptyGrid, NonPositivePivot, UnknownObjective
-from .kernels import KernelSpec, covariance
-from .posterior import CandidatePosterior, FittedPosterior, TrajectoryState, add_point
+from .kernels import KernelSpec, OrnsteinUhlenbeckKernel, covariance
+from .posterior import CandidatePosterior, FittedPosterior, MarkovPosterior, TrajectoryState, add_point
 from .precision import PrecisionContext, raw_context
 from .quadrature import integrate, quadrature_context
 
@@ -284,9 +284,13 @@ def _screen(ctx: PrecisionContext, fstar, working):
     return screen, clamps
 
 
-def _grid_candidates(state: TrajectoryState, grid: CandidateGrid) -> CandidatePosterior:
+def _grid_candidates(state: TrajectoryState, grid: CandidateGrid, jitter: bool = False) -> CandidatePosterior:
+    """The grid's candidates off the design, in increasing order: a
+    ``MarkovPosterior`` for the unjittered Ornstein-Uhlenbeck kernel, a
+    ``CandidatePosterior`` otherwise."""
     design = set(state.points)
-    return CandidatePosterior(c for c in grid.points(state.ctx) if c not in design)
+    markov = isinstance(state.kernel, OrnsteinUhlenbeckKernel) and not jitter
+    return (MarkovPosterior if markov else CandidatePosterior)(c for c in grid.points(state.ctx) if c not in design)
 
 
 def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
@@ -367,8 +371,10 @@ class StepTiming:
     Wall seconds of the fit (the new Gram rows and the extended factor), of
     the candidate sync and of the EI argmax, the number of covariances the
     sync evaluated, and whether it re-solved the kept covariance columns at
-    a new factor (a raised solve precision).  Timings vary between runs, so
-    they go to the timings sidecar, never into the deterministic reports.
+    a new factor (a raised solve precision).  The ``MarkovPosterior`` of an
+    unjittered Ornstein-Uhlenbeck run evaluates no covariance and re-solves
+    nothing: 0 and False.  Timings vary between runs, so they go to the
+    timings sidecar, never into the deterministic reports.
     """
 
     size: int
@@ -434,13 +440,15 @@ def run_trajectory(
     The grid is built once.  Each iteration extends the previous Gram
     factor by the newest point's row, brings the candidates' posterior state
     up to the new design (one covariance per candidate; see
-    ``CandidatePosterior``), scores EI on every remaining candidate, appends
-    the argmax, and evaluates the objective there.  On a factorization
-    failure the run stops cleanly and returns the partial trajectory with
-    the failing design size recorded.  ``jitter`` turns on the exploratory
-    diagonal shift (recorded per iteration); the default run never
-    regularizes.  ``timings`` of the result say where each step's time
-    went (see ``StepTiming``).
+    ``CandidatePosterior``; an unjittered Ornstein-Uhlenbeck run recomputes
+    only the candidates between the new point's neighbours by the Markov
+    closed form, see ``MarkovPosterior``), scores EI on every remaining
+    candidate, appends the argmax, and evaluates the objective there.  On a
+    factorization failure the run stops cleanly and returns the partial
+    trajectory with the failing design size recorded.  ``jitter`` turns on
+    the exploratory diagonal shift (recorded per iteration); the default
+    run never regularizes.  ``timings`` of the result say where each step's
+    time went (see ``StepTiming``).
     """
     if steps < 1:
         raise EILabError(f"steps must be >= 1, got {steps}")
@@ -461,7 +469,7 @@ def run_trajectory(
             solve_dps=ctx.working_dps,
         )
     ]
-    candidates = _grid_candidates(state, grid)
+    candidates = _grid_candidates(state, grid, jitter)
     timings = []
     fitted = None
     aborted_at = None

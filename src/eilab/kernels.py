@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from mpmath.libmp import mpf_abs, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift, mpf_sub
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub
 
 from .errors import EILabError, MaximizationDiverged, VariantUnsupported
 from .precision import PrecisionContext, pack, raw_context, unpack
@@ -268,6 +268,29 @@ def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext, dec
             )
         column.append((mpf_div if sign else mpf_mul)(*pair, prec, rnd))
     return column
+
+
+def ou_correlations(kernel: OrnsteinUhlenbeckKernel, lags, ctx: PrecisionContext):
+    """(rho, 1 - rho^2) with rho = e^(-theta d), as raw mpf tuples, for each
+    lag d >= 0 of ``lags`` (raw tuples, read exactly) of the
+    Ornstein-Uhlenbeck kernel, whose covariance is gamma rho.
+
+    1 - rho^2 = (1 - rho)(1 + rho), and 1 - rho = -expm1(-theta d) is 1
+    minus one exponential evaluated at enough bits past the working
+    precision to hold the ones the subtraction cancels, about
+    -log2(theta d): each factor is rounded once at working precision, and
+    nothing cancels however small d is.  The Markov closed form of the
+    posterior reads them (``posterior.MarkovPosterior``).
+    """
+    mp = ctx.mp
+    prec, rnd = mp._prec_rounding
+    theta = _resolved_params(kernel, mp, mp.prec)[0]._mpf_
+    pairs = []
+    for d in lags:
+        wp = prec + max(0, -(theta[2] + theta[3] + d[2] + d[3])) + 10
+        e = mpf_exp(mpf_neg(mpf_mul(theta, d, wp, rnd)), wp, rnd)
+        pairs.append((mpf_pos(e, prec, rnd), mpf_mul(mpf_sub(fone, e, prec, rnd), mpf_add(fone, e, prec, rnd), prec, rnd)))
+    return pairs
 
 
 def spectral_density(kernel: KernelSpec, t, mp):

@@ -20,12 +20,22 @@ entry-level rounding.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_sub
+from mpmath.libmp import fone, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_sub
 
 from .errors import EILabError, NonPositivePivot, require_distinct
-from .kernels import KernelSpec, covariance, covariance_column, spectral_breakpoints, spectral_density, spectral_power_law
+from .kernels import (
+    KernelSpec,
+    covariance,
+    covariance_column,
+    ou_correlations,
+    resolve_param,
+    spectral_breakpoints,
+    spectral_density,
+    spectral_power_law,
+)
 from .linalg import CholeskyFactor, exact_residual
 from .precision import PrecisionContext, pack, unpack
 from .quadrature import integrate, quadrature_context
@@ -226,9 +236,7 @@ class CandidatePosterior:
         """
         state, prev = fitted.state, self._fitted
         n = len(self.points)
-        kept = prev.state.size if prev else 0
-        if prev and (state.points[:kept], state.values[:kept]) != (prev.state.points, prev.state.values):
-            raise EILabError("the fit does not extend the last synced design")
+        kept = self._kept(fitted)
         solved = kept if prev and (prev.solve_dps, prev.jitter_used) == (fitted.solve_dps, fitted.jitter_used) else 0
         if not kept:
             self._g = [[] for _ in range(n)]
@@ -243,6 +251,17 @@ class CandidatePosterior:
             self._advance(fitted, k, k < kept, prec, rnd)
         self._fitted = fitted
         return n * (state.size - kept), solved < kept
+
+    def _kept(self, fitted):
+        """The size of the design last synced (0 before the first sync),
+        after checking that ``fitted`` extends its points and values."""
+        prev = self._fitted
+        if not prev:
+            return 0
+        kept, state = prev.state.size, fitted.state
+        if (state.points[:kept], state.values[:kept]) != (prev.state.points, prev.state.values):
+            raise EILabError("the fit does not extend the last synced design")
+        return kept
 
     def _advance(self, fitted, k, kept, prec, rnd):
         """Add forward-substitution entry ``k`` for every candidate.  Column
@@ -312,6 +331,102 @@ class CandidatePosterior:
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""
         del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i]
+
+
+class MarkovPosterior(CandidatePosterior):
+    """``CandidatePosterior`` for the Ornstein-Uhlenbeck kernel, by the
+    Markov closed form.
+
+    The Ornstein-Uhlenbeck process is Markov (Rasmussen & Williams, GPML
+    2006, App. B; Hartikainen & Sarkka, IEEE MLSP 2010), so the moments at
+    a candidate c depend only on its design neighbours x_l < c < x_r.  With
+    rho_l = e^(-theta (c - x_l)), rho_r = e^(-theta (x_r - c)) and
+    q = 1 - rho^2,
+
+        variance = gamma q_l q_r / Q,   mean = (rho_l q_r f_l + rho_r q_l f_r) / Q,
+
+    Q = 1 - rho_l^2 rho_r^2 = 1 - e^(-2 theta (x_r - x_l)); beyond the
+    design's hull they are gamma q and rho f of the nearest point.  The
+    lags are exact, rho, q and Q come from ``kernels.ou_correlations``
+    without cancellation, and each product and quotient is rounded once at
+    working precision: the moments are raw working-precision tuples, never
+    negative, and agree with the fit's Cholesky moments to roundoff, not bit
+    for bit.
+
+    The candidates stay sorted (``CandidateGrid.points`` gives them so, and
+    ``remove`` keeps the order), and so does the design.  Each candidate
+    keeps its (rho, q) pair towards either neighbour.  A sync that adds x_K
+    finds by bisection the candidates between the neighbours x_K had before
+    it arrived, and recomputes only those: the pair towards x_K (one
+    exponential each), one Q per new gap, and the moments.  It evaluates no
+    covariance.  The fit still decides a pivot abort.  A jittered fit is
+    refused: its posterior is not the Markov bridge.
+    """
+
+    def __init__(self, points):
+        self.points = list(points)
+        self._fitted = None
+
+    def sync(self, fitted: FittedPosterior):
+        """Bring the moments up to the design of ``fitted``, refused with
+        ``EILabError`` as ``CandidatePosterior.sync`` refuses it, or when
+        jittered; returns (0, False), no covariance evaluated or re-solved."""
+        kept = self._kept(fitted)
+        if fitted.jitter_used:
+            raise EILabError("a jittered fit has no Markov closed form")
+        ctx, state, points = fitted.ctx, fitted.state, self.points
+        n = len(points)
+        if not kept:
+            self._xs, self._fs = [], []
+            # (rho, q) towards each candidate's left and right neighbour
+            self._left, self._right = [(fzero, fone)] * n, [(fzero, fone)] * n
+            self._mean, self._var = [None] * n, [None] * n
+        xs = self._xs
+        for x, f in zip(state.points[kept:], state.values[kept:]):
+            j = bisect_left(xs, x)
+            lo = bisect_right(points, xs[j - 1]) if j else 0
+            hi = bisect_left(points, xs[j]) if j < len(xs) else n
+            split = bisect_right(points, x, lo, hi)
+            xs.insert(j, x)
+            self._fs.insert(j, f._mpf_)
+            # x is the new right neighbour of the candidates below it and
+            # the new left one of those above: one exponential each, at the
+            # exact lag (mpf_sub rounds nothing at its default precision 0)
+            x = x._mpf_
+            self._right[lo:split] = ou_correlations(state.kernel, [mpf_sub(x, c._mpf_) for c in points[lo:split]], ctx)
+            self._left[split:hi] = ou_correlations(state.kernel, [mpf_sub(c._mpf_, x) for c in points[split:hi]], ctx)
+            self._bridge(fitted, j - 1, lo, split)
+            self._bridge(fitted, j, split, hi)
+        self._fitted = fitted
+        return 0, False
+
+    def _bridge(self, fitted, l, lo, hi):
+        """Moments of candidates lo..hi-1, which lie between the sorted
+        design points l and l + 1, from their kept (rho, q) pairs.  -1 and
+        the design size stand for beyond the hull, where that side's pair
+        reads rho = 0 and q = 1, and Q = 1."""
+        if lo == hi:
+            return
+        ctx, kernel = fitted.ctx, fitted.state.kernel
+        prec, rnd = ctx.mp._prec_rounding
+        xs, fs, r = self._xs, self._fs, l + 1
+        f_l, f_r = fs[l] if l >= 0 else fzero, fs[r] if r < len(xs) else fzero
+        q_lr = fone
+        if 0 <= l and r < len(xs):
+            ((_, q_lr),) = ou_correlations(kernel, [mpf_sub(xs[r]._mpf_, xs[l]._mpf_)], ctx)
+        gamma = resolve_param(kernel.gamma, ctx.mp)._mpf_
+
+        def mul(a, b):
+            return mpf_mul(a, b, prec, rnd)
+
+        for i in range(lo, hi):
+            (rho_l, q_l), (rho_r, q_r) = self._left[i], self._right[i]
+            self._var[i] = mpf_div(mul(mul(gamma, q_l), q_r), q_lr, prec, rnd)
+            mean = mpf_add(mul(mul(rho_l, q_r), f_l), mul(mul(rho_r, q_l), f_r), prec, rnd)
+            self._mean[i] = mpf_div(mean, q_lr, prec, rnd)
+
+    def remove(self, i) -> None:
+        del self.points[i], self._left[i], self._right[i], self._var[i], self._mean[i]
 
 
 _ORACLE_MAX_DESIGN = 8

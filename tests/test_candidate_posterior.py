@@ -9,6 +9,12 @@ synced once.  The mean is also held, to digits/2, against sum_k lambda_k f_k
 with the weights lambda = G^-1 g of ``FittedPosterior.weights``, a route
 that shares no update with the candidate state.  The tests also count the
 covariances each sync evaluates, and the objects one step makes per candidate.
+
+An unjittered Ornstein-Uhlenbeck run scores from a ``MarkovPosterior``
+instead, the closed form from each candidate's two design neighbours.  It is
+held to roundoff against the Cholesky moments at twice the working digits,
+its run against the same run on the Cholesky state, and a step is held to
+recomputing only the candidates between the new point's neighbours.
 """
 
 import contextlib
@@ -23,7 +29,7 @@ from eilab import ei as ei_module
 from eilab import kernels as kernels_module
 from eilab import posterior as posterior_module
 from eilab.ei import _ei_value, _tie_key
-from eilab.posterior import CandidatePosterior
+from eilab.posterior import CandidatePosterior, MarkovPosterior
 from eilab.precision import pack, unpack
 
 
@@ -113,8 +119,21 @@ def test_gaussian_run_resolves_on_raised_solve_precision(ctx300, gauss_unit):
     assert [t.sync_resolved for t in run.timings] == [False] * 5 + [True]
 
 
-def test_jitter_run_matches_direct_path(ctx60, gauss_unit):
-    run = _replay(gauss_unit, "neg_kernel", 0, 6, eilab.CandidateGrid(l_max=300), ctx60, jitter=True)
+_KERNELS = {
+    "gaussian": eilab.GaussianKernel(a="0.25", gamma="sqrt_pi"),
+    "ou": eilab.OrnsteinUhlenbeckKernel(theta="1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_jitter_run_matches_direct_path(ctx60, name, monkeypatch):
+    # the jittered posterior is not the Markov bridge: a jittered run keeps
+    # the Cholesky candidate state under the Ornstein-Uhlenbeck kernel too
+    def refused(points):
+        raise AssertionError("a jittered run built the Markov state")
+
+    monkeypatch.setattr(ei_module, "MarkovPosterior", refused)
+    run = _replay(_KERNELS[name], "neg_kernel", 0, 6, eilab.CandidateGrid(l_max=300), ctx60, jitter=True)
     assert all(rec.jitter for rec in run.records[1:])
 
 
@@ -136,16 +155,36 @@ def _fit(kernel, ctx, points, values):
     return eilab.FittedPosterior(state)
 
 
-def test_sync_refuses_a_design_that_does_not_extend(ctx60, gauss_unit):
+def _assert_close_to_direct(candidates, fitted):
+    """Every candidate's moments within the run's digits/2 contract of the
+    direct query: the variance relative to itself, the mean relative to the
+    largest observed value."""
+    ctx = fitted.ctx
+    tol = ctx.tol(-(ctx.digits // 2))
+    scale = max(abs(v) for v in fitted.state.values)
+    for i, c in enumerate(candidates.points):
+        fast, slow = candidates.moments(i), fitted.moments(c)
+        assert abs(fast.variance - slow.variance) <= tol * slow.variance
+        assert abs(fast.mean - slow.mean) <= tol * scale
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_sync_refuses_a_design_that_does_not_extend(ctx60, name):
+    kernel = _KERNELS[name]
+    markov = name == "ou"
     mp = ctx60.mp
-    f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
-    candidates = CandidatePosterior([mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5, -5)])
+    f = eilab.objective_function("neg_kernel", kernel, ctx60)
+    points = [mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5, -5)]
+    candidates = (MarkovPosterior if markov else CandidatePosterior)(points)
+    # covariances a sync evaluates per candidate and new design point
+    per_point = 0 if markov else len(candidates)
+    matches = _assert_close_to_direct if markov else _assert_matches_direct
 
     def fitted(*xs):
         xs = [mp.mpf(0)] + [mp.mpf(x) for x in xs]
-        return _fit(gauss_unit, ctx60, xs, [f(x) for x in xs])
+        return _fit(kernel, ctx60, xs, [f(x) for x in xs])
 
-    assert _counted_sync(candidates, fitted("0.5")) == (2 * len(candidates), False)
+    assert _counted_sync(candidates, fitted("0.5")) == (2 * per_point, False)
     # replace the last point, or shrink the design: refused before any
     # covariance is evaluated, and the synced state stays as it was
     for fit in (fitted("-0.5"), fitted()):
@@ -156,12 +195,18 @@ def test_sync_refuses_a_design_that_does_not_extend(ctx60, gauss_unit):
     # growing by three points at once evaluates three column entries each
     fit = fitted("0.5", "0.35", "-0.45", "0.25")
     evaluated, _ = _counted_sync(candidates, fit)
-    assert evaluated == 3 * len(candidates)
-    _assert_matches_direct(candidates, fit)
-    # the same design under jitter re-solves the kept columns
+    assert evaluated == 3 * per_point
+    matches(candidates, fit)
+    # the same design under jitter re-solves the kept columns; the Markov
+    # state has no closed form for it and refuses
     jittered = eilab.FittedPosterior(fit.state, jitter=True)
-    assert _counted_sync(candidates, jittered) == (0, True)
-    _assert_matches_direct(candidates, jittered)
+    if markov:
+        with pytest.raises(eilab.EILabError, match="jittered"):
+            candidates.sync(jittered)
+        matches(candidates, fit)
+    else:
+        assert _counted_sync(candidates, jittered) == (0, True)
+        matches(candidates, jittered)
 
 
 def test_sync_refuses_changed_values(ctx60, gauss_unit):
@@ -211,3 +256,94 @@ def test_one_step_makes_no_per_candidate_covariance_call_or_moments(ctx60, gauss
             assert len(candidates) == 602 and synced_exps <= 301 + 1
         assert 1 <= made.call_count == scored.call_count <= 4
         assert best.point == candidates.points[index]
+
+
+def test_one_markov_step_recomputes_only_the_candidates_between_the_new_points_neighbours(ctx60):
+    # 0.2 lands in the gap (0, 0.5) of the design {-0.35, 0, 0.5}: only the
+    # candidates strictly inside that gap get new moments, each from one
+    # exponential (towards 0.2), plus one for each of the two new gaps, well
+    # inside 2 x (recomputed + 1); no covariance is evaluated
+    ou = _KERNELS["ou"]
+    mp = ctx60.mp
+    f = eilab.objective_function("neg_gauss", ou, ctx60)
+    xs = [mp.mpf(0), mp.mpf("0.5"), mp.mpf("-0.35"), mp.mpf("0.2")]
+    grid = eilab.CandidateGrid(l_max=300)
+    candidates = MarkovPosterior(c for c in grid.points(ctx60) if c not in xs)
+    assert candidates.points == sorted(candidates.points)
+    fitted = _fit(ou, ctx60, xs[:3], [f(x) for x in xs[:3]])
+    candidates.sync(fitted)
+    means, variances = list(candidates._mean), list(candidates._var)
+    grown = eilab.FittedPosterior(
+        eilab.add_point(fitted.state, xs[3], f(xs[3])), extends=fitted
+    )
+    with contextlib.ExitStack() as stack:
+        spy = lambda module, name: stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+        exps = spy(kernels_module, "mpf_exp")
+        column = spy(posterior_module, "covariance_column")
+        assert candidates.sync(grown) == (0, False)
+    between = {i for i, c in enumerate(candidates.points) if 0 < c < mp.mpf("0.5")}
+    renewed = {
+        i
+        for i in range(len(candidates))
+        if candidates._mean[i] is not means[i] or candidates._var[i] is not variances[i]
+    }
+    assert renewed == between and 0 < 2 * len(between) < len(candidates)
+    assert exps.call_count <= len(between) + 2
+    assert column.call_count == 0
+    _assert_close_to_direct(candidates, grown)
+
+
+_DYADIC = st.integers(min_value=1, max_value=2**11).map(lambda k: str(k / 2**8))
+
+
+@pytest.mark.parametrize("digits", [60, 300])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_markov_closed_form_matches_the_cholesky_moments_at_twice_the_digits(digits, data):
+    # Random theta, gamma in (0, 8], designs of 1-12 points in [-1, 1] at a
+    # spacing of at least 2^-20, random values, and candidates inside every
+    # gap, beyond both hull ends and 1e-40 from every design point.  All
+    # inputs are exact at both precisions.  The closed form rounds a few
+    # times at digits + guard; the reference, ``FittedPosterior.moments`` at
+    # twice the working digits, loses at most the 40 digits the variance
+    # cancels near a design point and the digits of the Gram condition
+    # (below 10^10 here).  The bound is relative 10^-digits: on the
+    # variance, and on the mean against the largest |f| (the mean's weights
+    # are positive and sum to at most 1).
+    ctx = eilab.PrecisionContext(digits=digits, guard_digits=20)
+    ref = eilab.PrecisionContext(digits=2 * digits, guard_digits=40)
+    mp = ctx.mp
+    kernel = eilab.OrnsteinUhlenbeckKernel(theta=data.draw(_DYADIC), gamma=data.draw(_DYADIC))
+    xs = data.draw(st.lists(st.integers(min_value=-(2**20), max_value=2**20), min_size=1, max_size=12, unique=True))
+    xs = [mp.mpf(k) / 2**20 for k in xs]
+    fs = [mp.mpf(v) / 2**10 for v in data.draw(st.lists(st.integers(-(2**12), 2**12), min_size=len(xs), max_size=len(xs)))]
+    ordered = sorted(xs)
+    fraction = st.integers(min_value=1, max_value=2**10 - 1).map(lambda j: mp.mpf(j) / 2**10)
+    inside = [a + (b - a) * data.draw(fraction) for a, b in zip(ordered, ordered[1:])]
+    beyond = [ordered[0] - data.draw(fraction), ordered[-1] + data.draw(fraction)]
+    near = [x + s * mp.mpf("1e-40") for x in xs for s in (-1, 1)]
+    candidates = MarkovPosterior(sorted(inside + beyond + near))
+    candidates.sync(_fit(kernel, ctx, xs, fs))
+    reference = _fit(kernel, ref, [ref.mpf(x) for x in xs], [ref.mpf(v) for v in fs])
+    tol = ref.tol(-digits)
+    scale = max(abs(ref.mpf(v)) for v in fs)
+    for i, c in enumerate(candidates.points):
+        fast, slow = candidates.moments(i), reference.moments(ref.mpf(c))
+        assert abs(ref.mpf(fast.variance) - slow.variance) <= tol * slow.variance, f"variance at {mp.nstr(c, 12)}"
+        assert abs(ref.mpf(fast.mean) - slow.mean) <= tol * scale, f"mean at {mp.nstr(c, 12)}"
+
+
+def test_ou_coverage_run_makes_the_cholesky_choices(ou_coverage_run, ctx60, monkeypatch):
+    # The 30-point contrast run scores from the Markov state; on the
+    # Cholesky state the same run makes the same choices, clamps and solve
+    # precisions, and its EIs agree to digits/2.
+    grid = eilab.CandidateGrid(l_max=500)
+    state = ou_coverage_run.state
+    assert type(ei_module._grid_candidates(state, grid)) is MarkovPosterior
+    monkeypatch.setattr(ei_module, "MarkovPosterior", CandidatePosterior)
+    cholesky = eilab.run_trajectory(state.kernel, "neg_gauss", 0, 29, grid, ctx60)
+    assert cholesky.state.points == state.points and cholesky.aborted_at == ou_coverage_run.aborted_at
+    tol = ctx60.tol(-(ctx60.digits // 2))
+    for fast, slow in zip(ou_coverage_run.records[1:], cholesky.records[1:], strict=True):
+        assert (fast.variance_clamps, fast.solve_dps) == (slow.variance_clamps, slow.solve_dps)
+        assert abs(fast.ei - slow.ei) <= tol * slow.ei
