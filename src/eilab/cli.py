@@ -6,9 +6,10 @@ Four subcommands drive the lab:
   (K, x_K, EI) table alongside the structured report.
 * ``verify <suite>`` -- run one named verification suite.  The
   oracle-equivalence suites (ei-oracle, posterior-oracle,
-  lemma-vandermonde, lemma3-tails) are hard: the process exits nonzero if
-  any trial fails.  The empirical-threshold sweeps (thm1-decay,
-  thm2-sandwich, thm3-bounds) always exit zero and report what they saw.
+  posterior-markov, lemma-vandermonde, lemma3-tails) are hard: the process
+  exits nonzero if any trial fails.  The empirical-threshold sweeps
+  (thm1-decay, thm2-sandwich, thm3-bounds) always exit zero and report
+  what they saw.
 * ``spectral`` -- tabulate the Legendre profile and collapse rate over K.
 * ``contrast`` -- run the same objective under the configured (typically
   rough) kernel and report the trajectory coverage per K.
@@ -34,6 +35,7 @@ from .reports import RunReport, bound_to_dict, write_outputs
 from .verifier import (
     decay_scan,
     ei_oracle_trials,
+    markov_posterior_trials,
     posterior_oracle_trials,
     sandwich_sweep,
     tail_integral_check,
@@ -49,9 +51,10 @@ SUITES = (
     "lemma3-tails",
     "ei-oracle",
     "posterior-oracle",
+    "posterior-markov",
 )
 HARD_SUITES = frozenset(
-    {"lemma-vandermonde", "lemma3-tails", "ei-oracle", "posterior-oracle"}
+    {"lemma-vandermonde", "lemma3-tails", "ei-oracle", "posterior-oracle", "posterior-markov"}
 )
 
 ENV_DIGITS = "EILAB_DIGITS"
@@ -170,6 +173,8 @@ def cmd_verify(config: ExperimentConfig, suite: str) -> RunReport:
         bounds = ei_oracle_trials(ctx, config.seed)
     elif suite == "posterior-oracle":
         bounds = posterior_oracle_trials(ctx, config.seed)
+    elif suite == "posterior-markov":
+        bounds = markov_posterior_trials(ctx, config.seed)
     elif suite == "lemma-vandermonde":
         bounds = vandermonde_trials(ctx, config.seed)
     elif suite == "lemma3-tails":

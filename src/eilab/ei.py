@@ -22,7 +22,9 @@ The argmax screens the grid in floats first.  ln EI = ln s + ln tau(u), with
 tau(u) = u Phi(u) + phi(u), is computed in double precision for every
 candidate from the raw binary exponents of f* - m and s^2, read as raw mpf
 tuples from the candidate state, so nothing underflows however small EI
-gets (on the default run u reaches -1.6e23).
+gets (on the default run u reaches -1.6e23).  The candidate state keeps
+these values, so a step recomputes only those whose moments its sync
+changed, or all of them when f* moved.
 Only the candidates whose float ln EI lies within the margin
 ``_SCREEN_MARGIN`` of the float maximum, and those whose float value is not
 finite, are scored with the closed form above; the maximum, the tie slack
@@ -265,22 +267,29 @@ def _screen_log_ei(variance, gap):
     return value if math.isfinite(value) else None
 
 
-def _screen(ctx: PrecisionContext, fstar, working):
-    """The float ln EI (``_screen_log_ei``) of every candidate, in order,
-    and the number of clamped variances.
-
-    ``working`` yields each candidate's (mean, variance, clamped) as raw
-    mpf tuples at working precision (``CandidatePosterior.working_moments``);
-    f* - m is one mpf subtraction at working precision (the mean cancels
-    against f*).
-    """
+def _scorer(ctx: PrecisionContext, fstar):
+    """``_screen_log_ei`` as a function of one candidate's raw working
+    (mean, variance): f* - m is one mpf subtraction at working precision
+    (the mean cancels against f*)."""
     prec, rnd = ctx.mp._prec_rounding
     fstar = fstar._mpf_
+    return lambda mean, variance: _screen_log_ei(variance, mpf_sub(fstar, mean, prec, rnd))
+
+
+def _screen(ctx: PrecisionContext, fstar, working):
+    """The float ln EI (``_scorer``) of every candidate, in order, and the
+    number of clamped variances, from scratch: the reference of the
+    screen the candidate state keeps (``CandidatePosterior.screen``).
+
+    ``working`` yields each candidate's (mean, variance, clamped) as raw
+    mpf tuples at working precision (``CandidatePosterior.working_moments``).
+    """
+    score = _scorer(ctx, fstar)
     clamps = 0
     screen = []
     for mean, variance, clamped in working:
         clamps += clamped
-        screen.append(_screen_log_ei(variance, mpf_sub(fstar, mean, prec, rnd)))
+        screen.append(score(mean, variance))
     return screen, clamps
 
 
@@ -296,32 +305,33 @@ def _grid_candidates(state: TrajectoryState, grid: CandidateGrid, jitter: bool =
 def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
     """EI argmax over ``candidates``, which must be synced to ``fitted``.
 
-    Every candidate is screened by a float ln EI from its raw moments; only
-    those within the margin ``_SCREEN_MARGIN`` of the float maximum get
+    Every candidate is screened by a float ln EI from its raw moments
+    (``working_moments``), kept by the candidate state across steps: a step
+    scores only the candidates whose moments its sync changed, or every
+    candidate when f* moved (``CandidatePosterior.screen``), and the kept
+    values equal those of ``_screen`` over every candidate.  Only those
+    within the margin ``_SCREEN_MARGIN`` of the float maximum get
     ``PosteriorMoments`` and the closed form, which cannot change the
     winner (see ``_select``).  Returns the winner's evaluation, the number
-    of clamped variances and the winner's index in ``candidates``.
+    of clamped variances, the winner's index in ``candidates`` and the
+    number of float ln EI values the step computed.
     """
     if not candidates:
         raise EmptyGrid("no candidates remain after filtering design points")
-    best, evaluation, clamps = _select(
-        fitted.ctx, fitted.state.best, candidates.working_moments(), candidates.moments, candidates.points
-    )
-    return evaluation, clamps, best
+    ctx, fstar = fitted.ctx, fitted.state.best
+    screen, clamps, screened = candidates.screen(fstar._mpf_, _scorer(ctx, fstar))
+    best, evaluation = _select(ctx, fstar, screen, candidates.moments, candidates.points)
+    return evaluation, clamps, best, screened
 
 
-def _select(ctx: PrecisionContext, fstar, working, moments_at, points):
-    """Index and evaluation of the EI argmax over ``points``, and the clamp
-    count.
+def _select(ctx: PrecisionContext, fstar, screen, moments_at, points):
+    """Index and evaluation of the EI argmax over ``points``.
 
-    ``working`` yields the raw working-precision (mean, variance, clamped)
-    of every candidate in index order, as ``CandidatePosterior.working_moments``
-    does: it raises ``NonPositivePivot`` at the first variance negative
-    beyond the budget.  ``_screen`` turns them into float ln EI values and
-    counts the clamps.  ``moments_at(i)`` gives the ``PosteriorMoments`` at
-    ``points[i]``; it is read once for each candidate that survives the
-    screen, and for no other.  Survivors are the candidates whose float
-    ln EI L satisfies
+    ``screen`` holds the float ln EI of every candidate in index order, as
+    ``_screen`` computes it (None where it is not a finite float).
+    ``moments_at(i)`` gives the ``PosteriorMoments`` at ``points[i]``; it is
+    read once for each candidate that survives the screen, and for no
+    other.  Survivors are the candidates whose float ln EI L satisfies
 
         L + margin * max(1, |L|) >= L* - margin * max(1, |L*|)
 
@@ -332,11 +342,9 @@ def _select(ctx: PrecisionContext, fstar, working, moments_at, points):
     over the survivors' closed-form EI are those over every candidate.
     """
     mp = ctx.mp
-    screen, clamps = _screen(ctx, fstar, working)
     top_log = max((v for v in screen if v is not None), default=0.0)
     cut = top_log - _SCREEN_MARGIN * max(1.0, abs(top_log))
     survivors = [i for i, v in enumerate(screen) if v is None or v + _SCREEN_MARGIN * max(1.0, abs(v)) >= cut]
-    del screen
     values = {}
     for i in survivors:
         moments = moments_at(i)
@@ -347,7 +355,7 @@ def _select(ctx: PrecisionContext, fstar, working, moments_at, points):
     for i, value in values.items():
         if value.ei + slack >= top and (best is None or _tie_key(points[i]) < _tie_key(points[best])):
             best = i
-    return best, values[best], clamps
+    return best, values[best]
 
 
 @dataclass(frozen=True)
@@ -370,11 +378,15 @@ class StepTiming:
 
     Wall seconds of the fit (the new Gram rows and the extended factor), of
     the candidate sync and of the EI argmax, the number of covariances the
-    sync evaluated, and whether it re-solved the kept covariance columns at
-    a new factor (a raised solve precision).  The ``MarkovPosterior`` of an
-    unjittered Ornstein-Uhlenbeck run evaluates no covariance and re-solves
-    nothing: 0 and False.  Timings vary between runs, so they go to the
-    timings sidecar, never into the deterministic reports.
+    sync evaluated, whether it re-solved the kept covariance columns at a
+    new factor (a raised solve precision), and the number of float ln EI
+    values the argmax's screen computed (``screened``): every candidate
+    after a ``CandidatePosterior`` sync, and on a run whose state is the
+    ``MarkovPosterior`` of an unjittered Ornstein-Uhlenbeck kernel only the
+    candidates the sync recomputed, unless f* moved.  That state evaluates
+    no covariance and re-solves nothing: 0 and False.  Timings vary between
+    runs, so they go to the timings sidecar, never into the deterministic
+    reports.
     """
 
     size: int
@@ -383,6 +395,7 @@ class StepTiming:
     select_s: float
     sync_covariances: int
     sync_resolved: bool
+    screened: int
 
 
 @dataclass(frozen=True)
@@ -443,12 +456,13 @@ def run_trajectory(
     ``CandidatePosterior``; an unjittered Ornstein-Uhlenbeck run recomputes
     only the candidates between the new point's neighbours by the Markov
     closed form, see ``MarkovPosterior``), scores EI on every remaining
-    candidate, appends the argmax, and evaluates the objective there.  On a
-    factorization failure the run stops cleanly and returns the partial
-    trajectory with the failing design size recorded.  ``jitter`` turns on
-    the exploratory diagonal shift (recorded per iteration); the default
-    run never regularizes.  ``timings`` of the result say where each step's
-    time went (see ``StepTiming``).
+    candidate (its float screen recomputed only where the sync changed the
+    moments, unless f* moved), appends the argmax, and evaluates the
+    objective there.  On a factorization failure the run stops cleanly and
+    returns the partial trajectory with the failing design size recorded.
+    ``jitter`` turns on the exploratory diagonal shift (recorded per
+    iteration); the default run never regularizes.  ``timings`` of the
+    result say where each step's time went (see ``StepTiming``).
     """
     if steps < 1:
         raise EILabError(f"steps must be >= 1, got {steps}")
@@ -481,7 +495,7 @@ def run_trajectory(
             fit_done = time.perf_counter()
             covariances, resolved = candidates.sync(fitted)
             sync_done = time.perf_counter()
-            best, clamps, index = _argmax(fitted, candidates)
+            best, clamps, index, screened = _argmax(fitted, candidates)
         except NonPositivePivot as exc:
             aborted_at = state.size
             abort_reason = f"NonPositivePivot: {exc}"
@@ -494,6 +508,7 @@ def run_trajectory(
                 select_s=time.perf_counter() - sync_done,
                 sync_covariances=covariances,
                 sync_resolved=resolved,
+                screened=screened,
             )
         )
         candidates.remove(index)

@@ -214,6 +214,11 @@ class CandidatePosterior:
     ``kernels.covariance_column``).  An entry's bits depend only on the
     kernel, the context, c and x_K, so they are those of the one-candidate
     state whatever else the set holds.
+
+    The state also keeps the EI argmax's float screen (``screen``): each
+    candidate's last score and clamp flag, and the f* they were scored
+    against.  A sync marks the candidates whose moments it changed, every
+    one here, so that the next screen scores only those.
     """
 
     def __init__(self, points):
@@ -222,6 +227,11 @@ class CandidatePosterior:
         self._g = self._z = self._var = self._mean = None
         # e^(-p^2/4a) per mirror pair +-p of a Gaussian kernel, for the run.
         self._decay = {}
+        # The kept screen; a clamp flag of None marks a candidate whose
+        # moments changed since it was scored.
+        self._log_ei = [None] * len(self.points)
+        self._clamped = [None] * len(self.points)
+        self._screen_fstar = None
 
     def __len__(self):
         return len(self.points)
@@ -250,6 +260,7 @@ class CandidatePosterior:
         for k in range(solved, state.size):
             self._advance(fitted, k, k < kept, prec, rnd)
         self._fitted = fitted
+        self._clamped = [None] * n
         return n * (state.size - kept), solved < kept
 
     def _kept(self, fitted):
@@ -328,9 +339,32 @@ class CandidatePosterior:
         mp = self._fitted.ctx.mp
         return PosteriorMoments(point=self.points[i], mean=mp.make_mpf(mean), variance=mp.make_mpf(variance))
 
+    def screen(self, fstar, score):
+        """Every candidate's ``score(mean, variance)`` against f* ``fstar``,
+        in index order, with the clamp count and the number of scores made.
+
+        ``fstar`` is a raw mpf tuple; ``score`` reads a candidate's raw
+        working moments.  Only the candidates whose moments changed since
+        the last screen are read from ``working_moments``, which raises
+        ``NonPositivePivot`` for them as it does, and scored; every
+        candidate is when ``fstar`` is not the last screen's.  The others
+        keep their score and clamp flag, so the list and the count equal
+        those of a screen of the whole set.  The list is the state's own,
+        valid until the next sync or ``remove``.
+        """
+        log_ei, clamped = self._log_ei, self._clamped
+        if fstar == self._screen_fstar:
+            indices = [i for i, flag in enumerate(clamped) if flag is None]
+        else:
+            indices = range(len(clamped))
+        for i, (mean, variance, flag) in zip(indices, self.working_moments(indices)):
+            log_ei[i], clamped[i] = score(mean, variance), flag
+        self._screen_fstar = fstar
+        return log_ei, sum(clamped), len(indices)
+
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""
-        del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i]
+        del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i], self._log_ei[i], self._clamped[i]
 
 
 class MarkovPosterior(CandidatePosterior):
@@ -358,14 +392,11 @@ class MarkovPosterior(CandidatePosterior):
     keeps its (rho, q) pair towards either neighbour.  A sync that adds x_K
     finds by bisection the candidates between the neighbours x_K had before
     it arrived, and recomputes only those: the pair towards x_K (one
-    exponential each), one Q per new gap, and the moments.  It evaluates no
-    covariance.  The fit still decides a pivot abort.  A jittered fit is
-    refused: its posterior is not the Markov bridge.
+    exponential each), one Q per new gap, and the moments, and it marks
+    only those for the next ``screen``.  It evaluates no covariance.  The
+    fit still decides a pivot abort.  A jittered fit is refused: its
+    posterior is not the Markov bridge.
     """
-
-    def __init__(self, points):
-        self.points = list(points)
-        self._fitted = None
 
     def sync(self, fitted: FittedPosterior):
         """Bring the moments up to the design of ``fitted``, refused with
@@ -382,6 +413,7 @@ class MarkovPosterior(CandidatePosterior):
             self._left, self._right = [(fzero, fone)] * n, [(fzero, fone)] * n
             self._mean, self._var = [None] * n, [None] * n
         xs = self._xs
+        gamma = resolve_param(state.kernel.gamma, ctx.mp)._mpf_
         for x, f in zip(state.points[kept:], state.values[kept:]):
             j = bisect_left(xs, x)
             lo = bisect_right(points, xs[j - 1]) if j else 0
@@ -395,26 +427,27 @@ class MarkovPosterior(CandidatePosterior):
             x = x._mpf_
             self._right[lo:split] = ou_correlations(state.kernel, [mpf_sub(x, c._mpf_) for c in points[lo:split]], ctx)
             self._left[split:hi] = ou_correlations(state.kernel, [mpf_sub(c._mpf_, x) for c in points[split:hi]], ctx)
-            self._bridge(fitted, j - 1, lo, split)
-            self._bridge(fitted, j, split, hi)
+            self._bridge(fitted, gamma, j - 1, lo, split)
+            self._bridge(fitted, gamma, j, split, hi)
         self._fitted = fitted
         return 0, False
 
-    def _bridge(self, fitted, l, lo, hi):
+    def _bridge(self, fitted, gamma, l, lo, hi):
         """Moments of candidates lo..hi-1, which lie between the sorted
-        design points l and l + 1, from their kept (rho, q) pairs.  -1 and
-        the design size stand for beyond the hull, where that side's pair
-        reads rho = 0 and q = 1, and Q = 1."""
+        design points l and l + 1, from their kept (rho, q) pairs and the
+        kernel's ``gamma`` (a raw tuple), marked for the next screen.  -1
+        and the design size stand for beyond the hull, where that side's
+        pair reads rho = 0 and q = 1, and Q = 1."""
         if lo == hi:
             return
-        ctx, kernel = fitted.ctx, fitted.state.kernel
+        ctx = fitted.ctx
         prec, rnd = ctx.mp._prec_rounding
         xs, fs, r = self._xs, self._fs, l + 1
         f_l, f_r = fs[l] if l >= 0 else fzero, fs[r] if r < len(xs) else fzero
         q_lr = fone
         if 0 <= l and r < len(xs):
-            ((_, q_lr),) = ou_correlations(kernel, [mpf_sub(xs[r]._mpf_, xs[l]._mpf_)], ctx)
-        gamma = resolve_param(kernel.gamma, ctx.mp)._mpf_
+            ((_, q_lr),) = ou_correlations(fitted.state.kernel, [mpf_sub(xs[r]._mpf_, xs[l]._mpf_)], ctx)
+        self._clamped[lo:hi] = [None] * (hi - lo)
 
         def mul(a, b):
             return mpf_mul(a, b, prec, rnd)
@@ -426,7 +459,7 @@ class MarkovPosterior(CandidatePosterior):
             self._mean[i] = mpf_div(mean, q_lr, prec, rnd)
 
     def remove(self, i) -> None:
-        del self.points[i], self._left[i], self._right[i], self._var[i], self._mean[i]
+        del self.points[i], self._left[i], self._right[i], self._var[i], self._mean[i], self._log_ei[i], self._clamped[i]
 
 
 _ORACLE_MAX_DESIGN = 8

@@ -14,9 +14,17 @@ from dataclasses import dataclass, field
 
 from .ei import ei_integral_oracle, expected_improvement, improvement_tail, improvement_tail_quadrature
 from .errors import DimensionMismatch, EILabError, require_distinct
-from .kernels import GaussianKernel, KernelSpec, SpectralPowerKernel, covariance, rate_function, spectral_power_law
+from .kernels import (
+    GaussianKernel,
+    KernelSpec,
+    OrnsteinUhlenbeckKernel,
+    SpectralPowerKernel,
+    covariance,
+    rate_function,
+    spectral_power_law,
+)
 from .linalg import gram_det
-from .posterior import FittedPosterior, TrajectoryState, variance_spectral_oracle
+from .posterior import FittedPosterior, MarkovPosterior, TrajectoryState, variance_spectral_oracle
 from .precision import PrecisionContext
 # Not called here: perfbench/tracing.py wraps these two module attributes by name.
 from .precision import raw_context
@@ -404,6 +412,39 @@ def posterior_oracle_trials(ctx: PrecisionContext, seed: int, trials: int = 10):
         oracle = variance_spectral_oracle(state, query, ctx)
         context = {"trial": trial, "query": ctx.to_str(mp.mpf(query), 20)}
         reports.append(_agreement_report(ctx, "posterior-oracle", len(pts), direct, oracle, oracle, tol, context))
+    return reports
+
+
+def markov_posterior_trials(ctx: PrecisionContext, seed: int):
+    """Markov closed form (``MarkovPosterior``) vs the Cholesky moments
+    (``FittedPosterior.moments``) on 10 random Ornstein-Uhlenbeck designs of
+    1..6 points, queried inside every gap and beyond both ends of the hull.
+
+    Two reports per query: the variance relative to itself, and the mean
+    relative to the largest |f|; the hard tolerance is 10**-(digits/4).
+    """
+    mp = ctx.mp
+    rng = random.Random(seed)
+    tol = ctx.tol(-(ctx.digits // 4))
+    reports = []
+    for trial in range(10):
+        kernel = OrnsteinUhlenbeckKernel(theta=rng.uniform(0.5, 4.0), gamma=rng.uniform(0.5, 2.0))
+        pts = sorted(_distinct_uniform(rng, rng.randint(1, 6), min_gap=2e-2))
+        values = [mp.mpf(rng.uniform(-1.2, 0.2)) for _ in pts]
+        queries = [a + (b - a) * rng.uniform(0.05, 0.95) for a, b in zip(pts, pts[1:])]
+        queries += [pts[0] - rng.uniform(0.05, 1.0), pts[-1] + rng.uniform(0.05, 1.0)]
+        state = TrajectoryState(kernel, ctx, tuple(mp.mpf(p) for p in pts), tuple(values), min(values))
+        fitted = FittedPosterior(state)
+        markov = MarkovPosterior(sorted(mp.mpf(q) for q in queries))
+        markov.sync(fitted)
+        scale = max(abs(v) for v in values)
+        for i, c in enumerate(markov.points):
+            fast, slow = markov.moments(i), fitted.moments(c)
+            context = {"trial": trial, "query": ctx.to_str(c, 20)}
+            reports.append(_agreement_report(
+                ctx, "markov-variance", len(pts), fast.variance, slow.variance, slow.variance, tol, context
+            ))
+            reports.append(_agreement_report(ctx, "markov-mean", len(pts), fast.mean, slow.mean, scale, tol, context))
     return reports
 
 

@@ -11,7 +11,7 @@ def _argmax_ei(state, grid):
     fitted = eilab.FittedPosterior(state)
     candidates = ei._grid_candidates(state, grid)
     candidates.sync(fitted)
-    best, _, _ = ei._argmax(fitted, candidates)
+    best, _, _, _ = ei._argmax(fitted, candidates)
     return best
 
 

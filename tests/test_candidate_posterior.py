@@ -247,7 +247,7 @@ def test_one_step_makes_no_per_candidate_covariance_call_or_moments(ctx60, gauss
             exps = spy(kernels_module, "mpf_exp")
             evaluated, _ = candidates.sync(fitted)
             synced_exps = exps.call_count
-            best, clamps, index = ei_module._argmax(fitted, candidates)
+            best, clamps, index, _ = ei_module._argmax(fitted, candidates)
         new_points = size if size == 2 else 1
         assert [cov.call_count for cov in per_lag] == [0, 0]
         assert column.call_count == new_points

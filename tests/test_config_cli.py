@@ -201,10 +201,27 @@ def test_step_timings_go_to_the_sidecar_only(tmp_path):
     # one column entry per remaining candidate per step: the grid has
     # 2 * 61 points, the seed 0 is not among them, and each step takes one
     assert [s["sync_covariances"] for s in steps] == [122, 121, 120]
+    # the screen scores every candidate a Cholesky sync changed: all of them
+    assert [s["screened"] for s in steps] == [122, 121, 120]
     assert not any(s["sync_resolved"] for s in steps)
     assert all(s[k] >= 0 for s in steps for k in ("fit_s", "sync_s", "select_s"))
     report = (tmp_path / "o" / "report.json").read_text()
-    assert "fit_s" not in report and "sync_covariances" not in report
+    assert "fit_s" not in report and "sync_covariances" not in report and "screened" not in report
+    # The Markov sync of an Ornstein-Uhlenbeck run from the optimum of
+    # -exp(-x^2), where f* never moves, changes only the candidates between
+    # the new point's neighbours: after the first step the screen scores
+    # fewer candidates than remain.
+    cfg.write_text(
+        "digits = 60\nsteps = 5\ngrid.l_max = 60\nkernel.variant = ou\nobjective = neg_gauss\nout = {}\n".format(
+            tmp_path / "ou"
+        ),
+        encoding="utf-8",
+    )
+    assert cli.main(["contrast", "--config", str(cfg)]) == 0
+    steps = json.loads((tmp_path / "ou" / "timings.json").read_text())["steps"]
+    assert [s["sync_covariances"] for s in steps] == [0] * 5
+    assert steps[0]["screened"] == 122
+    assert all(0 < s["screened"] < 122 - k for k, s in enumerate(steps[1:], start=1))
 
 
 def test_env_overrides(tmp_path, monkeypatch):

@@ -6,7 +6,10 @@ closed form.  The reference here scores every candidate with ``_ei_value``
 and applies the same top, tie slack and tie-break; winner and EI must agree
 exactly.  The screen reads raw working-precision tuples from the candidate
 state; it is also held, float for float, against a copy of the screen that
-read every candidate through ``PosteriorMoments``.
+read every candidate through ``PosteriorMoments``.  The screen the
+candidate state keeps across the steps of a run, scoring only the
+candidates whose moments changed, is held equal to a fresh screen of every
+candidate.
 """
 
 import math
@@ -18,7 +21,7 @@ from mpmath.libmp import mpf_pos
 import eilab
 from eilab import ei
 from eilab.ei import _SCREEN_MARGIN, _ei_value, _log_tau, _screen, _screen_log_ei, _select, _split, _tie_key
-from eilab.posterior import CandidatePosterior, PosteriorMoments
+from eilab.posterior import CandidatePosterior, MarkovPosterior, PosteriorMoments
 from eilab.precision import raw_context
 
 
@@ -62,7 +65,8 @@ def _exhaustive(ctx, fstar, moments):
 
 def _screened(ctx, fstar, moments):
     working = ((m.mean._mpf_, m.variance._mpf_, False) for m in moments)
-    best, evaluation, _ = _select(ctx, fstar, working, moments.__getitem__, [m.point for m in moments])
+    screen, _ = ei._screen(ctx, fstar, working)
+    best, evaluation = _select(ctx, fstar, screen, moments.__getitem__, [m.point for m in moments])
     assert evaluation.point is moments[best].point
     return best, evaluation.ei
 
@@ -220,7 +224,8 @@ def test_clamps_are_counted_and_a_deep_negative_variance_aborts(ctx60):
     fitted, candidates = _synced(ctx60, ["0"], [x for x, _, _ in raw])
     for i, (_, mean, variance) in enumerate(raw):
         _poke(fitted, candidates, i, mean, variance)
-    best, evaluation, clamps = _select(ctx60, fstar, candidates.working_moments(), candidates.moments, candidates.points)
+    screen, clamps = _screen(ctx60, fstar, candidates.working_moments())
+    best, evaluation = _select(ctx60, fstar, screen, candidates.moments, candidates.points)
     assert clamps == 1
     moments = [candidates.moments(i) for i in range(len(raw))]
     assert [clamped for _, _, clamped in candidates.working_moments()] == [False, True, False]
@@ -228,7 +233,7 @@ def test_clamps_are_counted_and_a_deep_negative_variance_aborts(ctx60):
     assert (best, evaluation.ei) == _exhaustive(ctx60, fstar, moments)
     _poke(fitted, candidates, 1, variance="-1e-10")
     with pytest.raises(eilab.NonPositivePivot, match="negative beyond the cancellation budget"):
-        _select(ctx60, fstar, candidates.working_moments(), candidates.moments, candidates.points)
+        _screen(ctx60, fstar, candidates.working_moments())
 
 
 def _moments_before_the_raw_screen(fitted, candidates, i):
@@ -369,3 +374,45 @@ def test_real_design_rescores_only_the_front_runners(ctx60, gauss_unit, ei_calls
     index, value = _exhaustive(ctx60, state.best, moments)
     assert best.point == moments[index].point and best.ei == value
 
+
+@pytest.mark.parametrize("x1", ["0", "0.5"])
+def test_kept_screen_of_an_ou_run_is_the_screen_of_every_candidate(ctx60, x1):
+    # The run's steps replayed on one Markov state: after each argmax the
+    # kept screen and clamp count equal a fresh screen of every candidate,
+    # None entries included, and the step scored the candidates between the
+    # new point's old neighbours only, or every candidate at the first step
+    # and when f* moved.  From 0 f* never moves (0 is the optimum of
+    # -exp(-x^2)); from 0.5 it moves once.
+    ou = eilab.OrnsteinUhlenbeckKernel(theta="1")
+    grid = eilab.CandidateGrid(l_max=120)
+    run = eilab.run_trajectory(ou, "neg_gauss", x1, 29, grid, ctx60)
+    assert not run.aborted
+    f = eilab.objective_function("neg_gauss", ou, ctx60)
+    state = eilab.TrajectoryState.start(ou, ctx60, ctx60.mpf(x1), f(ctx60.mpf(x1)))
+    candidates = ei._grid_candidates(state, grid)
+    assert type(candidates) is MarkovPosterior
+    fitted = fstar = None
+    moved = 0
+    for timing in run.timings:
+        fitted = eilab.FittedPosterior(state, extends=fitted)
+        candidates.sync(fitted)
+        new = state.points[-1]
+        lower = max((x for x in state.points if x < new), default=-2)
+        upper = min((x for x in state.points if x > new), default=2)
+        slice_size = sum(lower < c < upper for c in candidates.points)
+        best, clamps, index, screened = ei._argmax(fitted, candidates)
+        if fstar is None or state.best != fstar:
+            moved += fstar is not None
+            assert screened == len(candidates)
+        else:
+            assert screened == slice_size < len(candidates)
+        assert screened == timing.screened
+        kept, kept_clamps, rescored = candidates.screen(state.best._mpf_, ei._scorer(ctx60, state.best))
+        assert rescored == 0
+        assert (kept, kept_clamps) == _screen(ctx60, state.best, candidates.working_moments())
+        assert clamps == kept_clamps
+        fstar = state.best
+        candidates.remove(index)
+        state = eilab.add_point(state, best.point, f(best.point))
+    assert state.points == run.state.points
+    assert moved == (x1 == "0.5")

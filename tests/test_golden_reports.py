@@ -95,6 +95,8 @@ GOLDEN = {
     "verify-lemma-vandermonde/table.csv": "faeb7d3fdc31d819ea375d34eb961a04836d4e0dc8d7942b37b4c2e3ec1fd67b",
     "verify-lemma3-tails/report.json": "6c6dd4bdc66dea6438c07e8ee372b3b266b467e1a868a85c64248a42695fb276",
     "verify-lemma3-tails/table.csv": "784149c8ac6affbde97cc5c7dc77ba91fd30476a243bbbe57278bd094d08d619",
+    "verify-posterior-markov/report.json": "5c7a87e6dd28d6965d55696b6c6a53b1d6b9b7333040bb0224f94acb1caddd67",
+    "verify-posterior-markov/table.csv": "1b4b945a5f7d8d053412e477d7f7e23c0adf982fa2f4daedc31831ca7cc2b6c5",
     "verify-posterior-oracle/report.json": "dcb2ff1ccfc2cee7f914f92892e8b0bc00830e3e4df7109642ca6ec8be011fe3",
     "verify-posterior-oracle/table.csv": "5f5f2301a76f7a4b3a4dfd555db10363ee8b776e9aef63e210c24ce5b7d96048",
     "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",

@@ -1,7 +1,10 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 import eilab
-from eilab import ei, verifier
+from eilab import ei, posterior, verifier
 
 
 def test_lagrange_midpoint(ctx60):
@@ -182,6 +185,31 @@ def test_tail_check_sees_a_wrong_ei_closed_form(ctx60, monkeypatch):
 def test_tail_check_rejects_negative_h(ctx60):
     with pytest.raises(eilab.EILabError):
         eilab.tail_integral_check(["-1"], ctx60)
+
+
+def test_markov_suite_holds_the_closed_form_against_the_cholesky_moments(ctx60, monkeypatch):
+    # A design of k points is queried in its k - 1 gaps and beyond both
+    # ends of its hull, two reports per query.  Off by 10^-13 relative, the
+    # Cholesky variance or the closed form's fails every variance report.
+    reports = verifier.markov_posterior_trials(ctx60, seed=3)
+    assert all(r.satisfied for r in reports)
+    per_trial = Counter(r.context["trial"] for r in reports)
+    assert all(per_trial[r.context["trial"]] == 2 * (r.k + 1) for r in reports)
+    off = ctx60.mpf(1) + ctx60.mpf(10) ** -13
+    real_moments, real_pairs = posterior.FittedPosterior.moments, posterior.ou_correlations
+
+    def cholesky(self, x):
+        moments = real_moments(self, x)
+        return dataclasses.replace(moments, variance=moments.variance * off)
+
+    def closed_form(*args):
+        return [(rho, (ctx60.mpf(q) * off)._mpf_) for rho, q in real_pairs(*args)]
+
+    for owner, name, patched in ((posterior.FittedPosterior, "moments", cholesky), (posterior, "ou_correlations", closed_form)):
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, patched)
+            reports = verifier.markov_posterior_trials(ctx60, seed=3)
+        assert not any(r.satisfied for r in reports if r.label == "markov-variance")
 
 
 def test_sandwich_sweep_structure(ctx60):
