@@ -296,14 +296,15 @@ def _screen(ctx: PrecisionContext, fstar, working):
 def _grid_candidates(state: TrajectoryState, grid: CandidateGrid, jitter: bool = False) -> CandidatePosterior:
     """The grid's candidates off the design, in increasing order: a
     ``MarkovPosterior`` for the unjittered Ornstein-Uhlenbeck kernel, a
-    ``CandidatePosterior`` otherwise."""
+    ``CandidatePosterior`` with ``jitter`` otherwise."""
     design = set(state.points)
+    points = (c for c in grid.points(state.ctx) if c not in design)
     markov = isinstance(state.kernel, OrnsteinUhlenbeckKernel) and not jitter
-    return (MarkovPosterior if markov else CandidatePosterior)(c for c in grid.points(state.ctx) if c not in design)
+    return MarkovPosterior(points) if markov else CandidatePosterior(points, jitter)
 
 
-def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
-    """EI argmax over ``candidates``, which must be synced to ``fitted``.
+def _argmax(state: TrajectoryState, candidates: CandidatePosterior):
+    """EI argmax over ``candidates``, which must be synced to ``state``.
 
     Every candidate is screened by a float ln EI from its raw moments
     (``working_moments``), kept by the candidate state across steps: a step
@@ -318,7 +319,7 @@ def _argmax(fitted: FittedPosterior, candidates: CandidatePosterior):
     """
     if not candidates:
         raise EmptyGrid("no candidates remain after filtering design points")
-    ctx, fstar = fitted.ctx, fitted.state.best
+    ctx, fstar = state.ctx, state.best
     screen, clamps, screened = candidates.screen(fstar._mpf_, _scorer(ctx, fstar))
     best, evaluation = _select(ctx, fstar, screen, candidates.moments, candidates.points)
     return evaluation, clamps, best, screened
@@ -376,10 +377,11 @@ class StepRecord:
 class StepTiming:
     """Where one completed iteration's time went.
 
-    Wall seconds of the fit (the new Gram rows and the extended factor), of
-    the candidate sync and of the EI argmax, the number of covariances the
-    sync evaluated, whether it re-solved the kept covariance columns at a
-    new factor (a raised solve precision), and the number of float ln EI
+    Wall seconds of the candidate sync (``sync_s``; for a
+    ``CandidatePosterior`` it includes the fit, the new Gram rows and the
+    extended factor) and of the EI argmax, the number of covariances the
+    sync evaluated for the candidates, whether it re-solved the kept
+    covariance columns at a raised solve precision, and the number of float ln EI
     values the argmax's screen computed (``screened``): every candidate
     after a ``CandidatePosterior`` sync, and on a run whose state is the
     ``MarkovPosterior`` of an unjittered Ornstein-Uhlenbeck kernel only the
@@ -390,7 +392,6 @@ class StepTiming:
     """
 
     size: int
-    fit_s: float
     sync_s: float
     select_s: float
     sync_covariances: int
@@ -450,16 +451,19 @@ def run_trajectory(
 ) -> TrajectoryRun:
     """Run ``steps`` EI iterations from the seed point x1.
 
-    The grid is built once.  Each iteration extends the previous Gram
-    factor by the newest point's row, brings the candidates' posterior state
-    up to the new design (one covariance per candidate; see
-    ``CandidatePosterior``; an unjittered Ornstein-Uhlenbeck run recomputes
-    only the candidates between the new point's neighbours by the Markov
-    closed form, see ``MarkovPosterior``), scores EI on every remaining
+    The grid is built once.  Each iteration syncs the candidates' posterior
+    state to the new design: a ``CandidatePosterior`` extends its Gram
+    factor by the newest point's row and evaluates one covariance per
+    candidate; the ``MarkovPosterior`` of an unjittered Ornstein-Uhlenbeck
+    run builds no Gram matrix, and recomputes only the candidates between
+    the new point's neighbours by the Markov closed form.  The state's
+    pivots decide an abort, and give each record its ``condition`` and
+    ``solve_dps``.  The iteration then scores EI on every remaining
     candidate (its float screen recomputed only where the sync changed the
     moments, unless f* moved), appends the argmax, and evaluates the
-    objective there.  On a factorization failure the run stops cleanly and
-    returns the partial trajectory with the failing design size recorded.
+    objective there.  When a pivot fails the floor (``NonPositivePivot``),
+    the run stops cleanly and returns the partial trajectory with the
+    failing design size recorded.
     ``jitter`` turns on the exploratory diagonal shift (recorded per
     iteration); the default run never regularizes.  ``timings`` of the
     result say where each step's time went (see ``StepTiming``).
@@ -485,17 +489,14 @@ def run_trajectory(
     ]
     candidates = _grid_candidates(state, grid, jitter)
     timings = []
-    fitted = None
     aborted_at = None
     abort_reason = None
     for _ in range(steps):
         try:
             started = time.perf_counter()
-            fitted = FittedPosterior(state, jitter=jitter, extends=fitted)
-            fit_done = time.perf_counter()
-            covariances, resolved = candidates.sync(fitted)
+            covariances, resolved = candidates.sync(state)
             sync_done = time.perf_counter()
-            best, clamps, index, screened = _argmax(fitted, candidates)
+            best, clamps, index, screened = _argmax(state, candidates)
         except NonPositivePivot as exc:
             aborted_at = state.size
             abort_reason = f"NonPositivePivot: {exc}"
@@ -503,8 +504,7 @@ def run_trajectory(
         timings.append(
             StepTiming(
                 size=state.size,
-                fit_s=fit_done - started,
-                sync_s=sync_done - fit_done,
+                sync_s=sync_done - started,
                 select_s=time.perf_counter() - sync_done,
                 sync_covariances=covariances,
                 sync_resolved=resolved,
@@ -519,10 +519,10 @@ def run_trajectory(
                 point=best.point,
                 value=state.values[-1],
                 ei=best.ei,
-                condition=fitted.condition,
+                condition=candidates.condition,
                 variance_clamps=clamps,
-                solve_dps=fitted.solve_dps,
-                jitter=fitted.jitter_used,
+                solve_dps=candidates.solve_dps,
+                jitter=candidates.jitter_used,
             )
         )
     return TrajectoryRun(

@@ -38,9 +38,10 @@ from .errors import DimensionMismatch, NonPositivePivot
 from .precision import PrecisionContext, raw_context
 
 
-def _check_floor(mp, j, s, earlier, scale, unit):
+def check_pivot_floor(mp, j, s, earlier, scale, unit):
     """Raise ``NonPositivePivot`` when pivot ``j`` = s is at or below its
-    roundoff floor; ``earlier`` are the pivots before it."""
+    roundoff floor; ``earlier`` are the pivots before it, ``scale`` the
+    largest diagonal entry and ``unit`` 10**-working_dps, all as mpf."""
     # Error in this pivot is at most ~u * scale amplified by the smallest
     # prior pivot: entries L[:,k] carry absolute error ~u*scale/L[k][k].
     amp = mp.sqrt(scale / min(earlier)) if earlier else mp.mpf(1)
@@ -53,6 +54,18 @@ def _check_floor(mp, j, s, earlier, scale, unit):
             index=j,
             pivot=s,
         )
+
+
+def conditioning(pivots, ctx: PrecisionContext):
+    """(pivot ratio, solve precision) of a factor with ``pivots`` (mpf).
+
+    The ratio max/min of the pivots is the conditioning diagnostic; the
+    solve precision recovers ~working_dps correct digits even when the ratio
+    eats log10(ratio) of them.
+    """
+    ratio = max(pivots) / min(pivots)
+    extra = int(ctx.mp.ceil(ctx.mp.log10(ratio)))
+    return ratio, ctx.working_dps + extra + 10 if extra >= 5 else ctx.working_dps
 
 
 def exact_residual(b, a, c):
@@ -109,7 +122,7 @@ def _border(mp, a, rows, pivots, wdps=None):
         scale = max(a[i][i] for i in range(n))
         if m and scale > max(a[i][i] for i in range(m)):
             for j in range(m):
-                _check_floor(mp, j, pivots[j], pivots[:j], scale, unit)
+                check_pivot_floor(mp, j, pivots[j], pivots[:j], scale, unit)
     for i in range(m, n):
         row = []
         for j in range(i):
@@ -117,7 +130,7 @@ def _border(mp, a, rows, pivots, wdps=None):
             row.append(mpf_div(exact_residual(a[i][j]._mpf_, row, lj[:j]), lj[j], prec, rnd))
         s = mp.make_mpf(mpf_pos(exact_residual(a[i][i]._mpf_, row, row), prec, rnd))
         if wdps is not None:
-            _check_floor(mp, i, s, pivots, scale, unit)
+            check_pivot_floor(mp, i, s, pivots, scale, unit)
         elif s <= 0:
             raise NonPositivePivot(
                 f"pivot {i} = {mp.nstr(s, 8)} is not positive",
@@ -171,14 +184,7 @@ class CholeskyFactor:
         _border(mp, a, rows, pivots, wdps=ctx.working_dps)
         self._rows = rows
         self.pivots = pivots
-        self.pivot_ratio = max(pivots) / min(pivots)
-        # Solve precision: recover ~working_dps correct digits even when the
-        # pivot ratio eats log10(ratio) of them.
-        extra = int(mp.ceil(mp.log10(self.pivot_ratio)))
-        if extra >= 5:
-            self.solve_dps = ctx.working_dps + extra + 10
-        else:
-            self.solve_dps = ctx.working_dps
+        self.pivot_ratio, self.solve_dps = conditioning(pivots, ctx)
         smp = raw_context(self.solve_dps)
         if smp is mp:
             # The floor-checked rows are the factor at the solve precision.

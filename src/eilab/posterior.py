@@ -36,7 +36,7 @@ from .kernels import (
     spectral_density,
     spectral_power_law,
 )
-from .linalg import CholeskyFactor, exact_residual
+from .linalg import CholeskyFactor, check_pivot_floor, conditioning, exact_residual
 from .precision import PrecisionContext, pack, unpack
 from .quadrature import integrate, quadrature_context
 
@@ -153,8 +153,6 @@ class FittedPosterior:
         # e^(-x_k^2/4a) per design point of a Gaussian kernel, shared along
         # the fits one run extends and filled by the candidate columns.
         self._decay = extends._decay if extends else {}
-        self._clamp_threshold = ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))
-        self.condition = factor.pivot_ratio
 
     def moments(self, x) -> PosteriorMoments:
         """Working-precision moments at ``x``: at a design point its observed
@@ -166,7 +164,7 @@ class FittedPosterior:
             if x == p:
                 return PosteriorMoments(point=x, mean=self.state.values[k], variance=mp.mpf(0))
         candidate = CandidatePosterior([x])
-        candidate.sync(self)
+        candidate._sync(self, 0)
         return candidate.moments(0)
 
     def weights(self, x):
@@ -179,6 +177,13 @@ class FittedPosterior:
 
 class CandidatePosterior:
     """Posterior moments over a fixed candidate set, kept across a growing design.
+
+    ``sync`` brings the state up to a design: it extends the fit of the
+    last design synced by the new points' Gram rows (``FittedPosterior``
+    with ``extends=``, jittered when the state was built with ``jitter``),
+    and then each candidate's forward substitution.  After a sync the state
+    gives the run its factor's pivot ratio (``condition``), solve precision
+    (``solve_dps``) and ``jitter_used``.
 
     For each candidate c the state holds its covariance column g(c), the
     covariances against the design points at working precision (packed, see
@@ -199,9 +204,9 @@ class CandidatePosterior:
     do not change when a point is appended, so a state grown step by step
     holds bit for bit the z, variance and mean of a state synced once to
     the last fit; ``FittedPosterior.moments`` is such a one-candidate
-    state.  When the solve precision or the jitter changes, z, the variance
-    and the mean are re-solved from the kept column at the new factor, with
-    no covariance evaluated again.  Values are raw ``mpf`` tuples; the
+    state.  When the solve precision rises, z, the variance and the mean
+    are re-solved from the kept column at the new factor, with no
+    covariance evaluated again.  Values are raw ``mpf`` tuples; the
     variance and mean updates round each product and each sum at the solve
     context's precision.  ``working_moments`` reads them back at working
     precision, still raw, for the whole set at once; ``moments`` wraps one
@@ -221,9 +226,10 @@ class CandidatePosterior:
     one here, so that the next screen scores only those.
     """
 
-    def __init__(self, points):
+    def __init__(self, points, jitter=False):
         self.points = list(points)
-        self._fitted = None
+        self.jitter_used = bool(jitter)
+        self._state = self._fitted = None
         self._g = self._z = self._var = self._mean = None
         # e^(-p^2/4a) per mirror pair +-p of a Gaussian kernel, for the run.
         self._decay = {}
@@ -236,18 +242,35 @@ class CandidatePosterior:
     def __len__(self):
         return len(self.points)
 
-    def sync(self, fitted: FittedPosterior):
-        """Bring the state up to the design and factor of ``fitted``.
+    def sync(self, state: TrajectoryState):
+        """Bring the state up to the design ``state``.
 
-        ``fitted`` is the first fit synced, or one whose points and values
-        extend those of the last; ``EILabError`` is raised otherwise.
-        Returns the number of covariances evaluated and whether the kept
-        forward-substitution entries were re-solved at the new factor.
+        ``state`` is the first design synced, or one whose points and values
+        extend those of the last; ``EILabError`` is raised otherwise, before
+        anything is evaluated.  Raises ``NonPositivePivot`` when the extended
+        factor fails the pivot floor.  Returns the number of covariances
+        evaluated for the candidates and whether the kept
+        forward-substitution entries were re-solved at a raised solve
+        precision.
         """
+        kept = self._kept(state)
+        return self._sync(FittedPosterior(state, jitter=self.jitter_used, extends=self._fitted), kept)
+
+    def _kept(self, state):
+        """The size of the design last synced (0 before the first sync),
+        after checking that ``state`` extends its points and values."""
+        prev = self._state
+        kept = prev.size if prev else 0
+        if kept and (state.points[:kept], state.values[:kept]) != (prev.points, prev.values):
+            raise EILabError("the design does not extend the last synced one")
+        return kept
+
+    def _sync(self, fitted, kept):
+        """``sync`` to the fit ``fitted`` of a design whose first ``kept``
+        points the state holds."""
         state, prev = fitted.state, self._fitted
         n = len(self.points)
-        kept = self._kept(fitted)
-        solved = kept if prev and (prev.solve_dps, prev.jitter_used) == (fitted.solve_dps, fitted.jitter_used) else 0
+        solved = kept if prev and prev.solve_dps == fitted.solve_dps else 0
         if not kept:
             self._g = [[] for _ in range(n)]
         if not solved:
@@ -259,20 +282,10 @@ class CandidatePosterior:
         prec, rnd = fitted._factor.solve_mp._prec_rounding
         for k in range(solved, state.size):
             self._advance(fitted, k, k < kept, prec, rnd)
-        self._fitted = fitted
+        self._state, self._fitted = state, fitted
+        self.condition, self.solve_dps = fitted._factor.pivot_ratio, fitted.solve_dps
         self._clamped = [None] * n
         return n * (state.size - kept), solved < kept
-
-    def _kept(self, fitted):
-        """The size of the design last synced (0 before the first sync),
-        after checking that ``fitted`` extends its points and values."""
-        prev = self._fitted
-        if not prev:
-            return 0
-        kept, state = prev.state.size, fitted.state
-        if (state.points[:kept], state.values[:kept]) != (prev.state.points, prev.state.values):
-            raise EILabError("the fit does not extend the last synced design")
-        return kept
 
     def _advance(self, fitted, k, kept, prec, rnd):
         """Add forward-substitution entry ``k`` for every candidate.  Column
@@ -306,12 +319,11 @@ class CandidatePosterior:
         precision exhaustion rather than benign roundoff, it raises
         ``NonPositivePivot`` when its candidate is reached.
         """
-        fitted = self._fitted
-        ctx = fitted.ctx
+        ctx = self._state.ctx
         mp = ctx.mp
         prec, rnd = mp._prec_rounding
-        rounded = fitted.solve_dps != ctx.working_dps
-        budget = mpf_neg(fitted._clamp_threshold._mpf_)
+        rounded = self.solve_dps != ctx.working_dps
+        budget = mpf_neg(ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))._mpf_)
         means, variances = self._mean, self._var
         for i in range(len(means)) if indices is None else indices:
             mean, variance = means[i], variances[i]
@@ -336,7 +348,7 @@ class CandidatePosterior:
         cancellation budget.
         """
         ((mean, variance, _),) = self.working_moments((i,))
-        mp = self._fitted.ctx.mp
+        mp = self._state.ctx.mp
         return PosteriorMoments(point=self.points[i], mean=mp.make_mpf(mean), variance=mp.make_mpf(variance))
 
     def screen(self, fstar, score):
@@ -367,9 +379,16 @@ class CandidatePosterior:
         del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i], self._log_ei[i], self._clamped[i]
 
 
+def _bridge_variance(gamma, left, right, q_lr, prec, rnd):
+    """gamma q_l q_r / Q from the (rho, q) pairs towards the left and right
+    neighbour and the gap's Q, raw tuples, each product and the quotient
+    rounded once."""
+    return mpf_div(mpf_mul(mpf_mul(gamma, left[1], prec, rnd), right[1], prec, rnd), q_lr, prec, rnd)
+
+
 class MarkovPosterior(CandidatePosterior):
-    """``CandidatePosterior`` for the Ornstein-Uhlenbeck kernel, by the
-    Markov closed form.
+    """``CandidatePosterior`` for the unjittered Ornstein-Uhlenbeck kernel,
+    by the Markov closed form, with no Gram matrix.
 
     The Ornstein-Uhlenbeck process is Markov (Rasmussen & Williams, GPML
     2006, App. B; Hartikainen & Sarkka, IEEE MLSP 2010), so the moments at
@@ -389,72 +408,94 @@ class MarkovPosterior(CandidatePosterior):
 
     The candidates stay sorted (``CandidateGrid.points`` gives them so, and
     ``remove`` keeps the order), and so does the design.  Each candidate
-    keeps its (rho, q) pair towards either neighbour.  A sync that adds x_K
-    finds by bisection the candidates between the neighbours x_K had before
-    it arrived, and recomputes only those: the pair towards x_K (one
-    exponential each), one Q per new gap, and the moments, and it marks
-    only those for the next ``screen``.  It evaluates no covariance.  The
-    fit still decides a pivot abort.  A jittered fit is refused: its
+    keeps its (rho, q) pair towards either neighbour, and each gap of the
+    design its Q.  A sync that adds x_K finds by bisection the candidates
+    between the neighbours x_K had before it arrived, and recomputes only
+    those: the pair towards x_K (one exponential each) and the moments, and
+    it marks only those for the next ``screen``.  x_K's own pairs towards
+    those neighbours (one exponential each) give the Q of the two new gaps.
+
+    The state also keeps the Cholesky pivots of the design (``pivots``, in
+    insertion order).  Pivot K is the variance at x_K given x_1..x_{K-1}
+    (GPML 2006, sec. 2.2 and App. A): the bridge variance between x_K's old
+    neighbours, from x_K's pairs and the old gap's Q, and gamma for the
+    first point.  Each is held to the pivot floor of ``linalg`` at scale
+    gamma (``check_pivot_floor``), and ``condition`` and ``solve_dps``
+    follow from them (``linalg.conditioning``), so a sync evaluates no
+    covariance and builds no fit.  The state has no jitter: a jittered
     posterior is not the Markov bridge.
     """
 
-    def sync(self, fitted: FittedPosterior):
-        """Bring the moments up to the design of ``fitted``, refused with
-        ``EILabError`` as ``CandidatePosterior.sync`` refuses it, or when
-        jittered; returns (0, False), no covariance evaluated or re-solved."""
-        kept = self._kept(fitted)
-        if fitted.jitter_used:
-            raise EILabError("a jittered fit has no Markov closed form")
-        ctx, state, points = fitted.ctx, fitted.state, self.points
-        n = len(points)
+    def __init__(self, points):
+        # no jitter: a jittered posterior is not the Markov bridge
+        super().__init__(points)
+
+    def sync(self, state: TrajectoryState):
+        """Bring the moments and pivots up to the design ``state``, refused
+        with ``EILabError`` as ``CandidatePosterior.sync`` refuses it.
+
+        Raises ``NonPositivePivot`` when a new pivot fails the floor, after
+        which the state serves no further sync.  Returns (0, False): no
+        covariance evaluated or re-solved.
+        """
+        kept = self._kept(state)
+        ctx, kernel, points, n = state.ctx, state.kernel, self.points, len(self.points)
+        mp = ctx.mp
+        prec, rnd = mp._prec_rounding
         if not kept:
-            self._xs, self._fs = [], []
+            self._xs, self._fs, self.pivots = [], [], []
+            # Q of each gap of the sorted design; the two beyond the hull read 1
+            self._gaps = [fone]
             # (rho, q) towards each candidate's left and right neighbour
             self._left, self._right = [(fzero, fone)] * n, [(fzero, fone)] * n
             self._mean, self._var = [None] * n, [None] * n
-        xs = self._xs
-        gamma = resolve_param(state.kernel.gamma, ctx.mp)._mpf_
+        xs, pivots = self._xs, self.pivots
+        gamma = resolve_param(kernel.gamma, mp)._mpf_
+        scale, unit = mp.make_mpf(gamma), mp.mpf(10) ** (-ctx.working_dps)
         for x, f in zip(state.points[kept:], state.values[kept:]):
             j = bisect_left(xs, x)
             lo = bisect_right(points, xs[j - 1]) if j else 0
             hi = bisect_left(points, xs[j]) if j < len(xs) else n
             split = bisect_right(points, x, lo, hi)
+            # x's pairs towards its old neighbours give its pivot and the Q
+            # of the two gaps it splits the old one into (mpf_sub rounds
+            # nothing at its default precision 0: the lags are exact)
+            xr = x._mpf_
+            left = ou_correlations(kernel, [mpf_sub(xr, xs[j - 1]._mpf_)], ctx)[0] if j else (fzero, fone)
+            right = ou_correlations(kernel, [mpf_sub(xs[j]._mpf_, xr)], ctx)[0] if j < len(xs) else (fzero, fone)
+            pivot = mp.make_mpf(_bridge_variance(gamma, left, right, self._gaps[j], prec, rnd))
+            check_pivot_floor(mp, len(pivots), pivot, pivots, scale, unit)
+            pivots.append(pivot)
+            self._gaps[j : j + 1] = [left[1], right[1]]
             xs.insert(j, x)
             self._fs.insert(j, f._mpf_)
             # x is the new right neighbour of the candidates below it and
-            # the new left one of those above: one exponential each, at the
-            # exact lag (mpf_sub rounds nothing at its default precision 0)
-            x = x._mpf_
-            self._right[lo:split] = ou_correlations(state.kernel, [mpf_sub(x, c._mpf_) for c in points[lo:split]], ctx)
-            self._left[split:hi] = ou_correlations(state.kernel, [mpf_sub(c._mpf_, x) for c in points[split:hi]], ctx)
-            self._bridge(fitted, gamma, j - 1, lo, split)
-            self._bridge(fitted, gamma, j, split, hi)
-        self._fitted = fitted
+            # the new left one of those above: one exponential each
+            self._right[lo:split] = ou_correlations(kernel, [mpf_sub(xr, c._mpf_) for c in points[lo:split]], ctx)
+            self._left[split:hi] = ou_correlations(kernel, [mpf_sub(c._mpf_, xr) for c in points[split:hi]], ctx)
+            self._bridge(gamma, j - 1, lo, split, prec, rnd)
+            self._bridge(gamma, j, split, hi, prec, rnd)
+        self._state = state
+        self.condition, self.solve_dps = conditioning(pivots, ctx)
         return 0, False
 
-    def _bridge(self, fitted, gamma, l, lo, hi):
+    def _bridge(self, gamma, l, lo, hi, prec, rnd):
         """Moments of candidates lo..hi-1, which lie between the sorted
-        design points l and l + 1, from their kept (rho, q) pairs and the
-        kernel's ``gamma`` (a raw tuple), marked for the next screen.  -1
-        and the design size stand for beyond the hull, where that side's
-        pair reads rho = 0 and q = 1, and Q = 1."""
-        if lo == hi:
-            return
-        ctx = fitted.ctx
-        prec, rnd = ctx.mp._prec_rounding
+        design points l and l + 1, from their kept (rho, q) pairs, the
+        gap's Q and the kernel's ``gamma`` (a raw tuple), marked for the
+        next screen.  -1 and the design size stand for beyond the hull,
+        where that side's pair reads rho = 0 and q = 1, and Q = 1."""
         xs, fs, r = self._xs, self._fs, l + 1
         f_l, f_r = fs[l] if l >= 0 else fzero, fs[r] if r < len(xs) else fzero
-        q_lr = fone
-        if 0 <= l and r < len(xs):
-            ((_, q_lr),) = ou_correlations(fitted.state.kernel, [mpf_sub(xs[r]._mpf_, xs[l]._mpf_)], ctx)
+        q_lr = self._gaps[r]
         self._clamped[lo:hi] = [None] * (hi - lo)
 
         def mul(a, b):
             return mpf_mul(a, b, prec, rnd)
 
         for i in range(lo, hi):
-            (rho_l, q_l), (rho_r, q_r) = self._left[i], self._right[i]
-            self._var[i] = mpf_div(mul(mul(gamma, q_l), q_r), q_lr, prec, rnd)
+            (rho_l, q_l), (rho_r, q_r) = left, right = self._left[i], self._right[i]
+            self._var[i] = _bridge_variance(gamma, left, right, q_lr, prec, rnd)
             mean = mpf_add(mul(mul(rho_l, q_r), f_l), mul(mul(rho_r, q_l), f_r), prec, rnd)
             self._mean[i] = mpf_div(mean, q_lr, prec, rnd)
 

@@ -436,7 +436,7 @@ def markov_posterior_trials(ctx: PrecisionContext, seed: int):
         state = TrajectoryState(kernel, ctx, tuple(mp.mpf(p) for p in pts), tuple(values), min(values))
         fitted = FittedPosterior(state)
         markov = MarkovPosterior(sorted(mp.mpf(q) for q in queries))
-        markov.sync(fitted)
+        markov.sync(state)
         scale = max(abs(v) for v in values)
         for i, c in enumerate(markov.points):
             fast, slow = markov.moments(i), fitted.moments(c)

@@ -6,12 +6,11 @@ from eilab import ei
 
 def _argmax_ei(state, grid):
     """The EI argmax over ``grid`` for ``state``, scored as one step of
-    ``run_trajectory`` scores it: the candidates synced to a fresh fit, then
+    ``run_trajectory`` scores it: the candidates synced to the design, then
     ``ei._argmax`` (float screen, closed-form rescoring, tie-break)."""
-    fitted = eilab.FittedPosterior(state)
     candidates = ei._grid_candidates(state, grid)
-    candidates.sync(fitted)
-    best, _, _, _ = ei._argmax(fitted, candidates)
+    candidates.sync(state)
+    best, _, _, _ = ei._argmax(state, candidates)
     return best
 
 

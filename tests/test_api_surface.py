@@ -173,3 +173,33 @@ def test_only_the_ei_module_evaluates_the_gaussian_tail():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "erfc":
                 offenders.append(f"{path.name}:{node.lineno} .erfc(")
     assert not offenders
+
+
+def _nodes_of_method(tree, cls, method):
+    """The ids of the nodes of ``cls.method`` in ``tree``."""
+    return {
+        id(node)
+        for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == cls
+        for fn in c.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == method
+        for node in ast.walk(fn)
+    }
+
+
+def test_only_the_pivot_floor_and_the_clamp_budget_construct_the_abort():
+    # The abort rule has one home: ``linalg``'s pivot floor, which the
+    # Markov pivots call too, and the cancellation budget of
+    # ``CandidatePosterior.working_moments``.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = _parse(path)
+        allowed = _nodes_of_method(tree, "CandidatePosterior", "working_moments") if path.name == "posterior.py" else set()
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name == "NonPositivePivot" and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno} NonPositivePivot(")
+    assert not offenders

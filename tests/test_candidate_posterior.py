@@ -2,10 +2,10 @@
 
 ``run_trajectory`` scores the grid from a ``CandidatePosterior`` that gains
 one covariance and one forward-substitution entry per candidate per step.
-These tests replay runs step by step, syncing the candidates to a fit grown
-from the previous step's, and hold every candidate's moments bit for bit
-against ``FittedPosterior.moments`` of a fresh fit, a one-candidate state
-synced once.  The mean is also held, to digits/2, against sum_k lambda_k f_k
+These tests replay runs step by step, syncing the candidates to each
+step's design (the state extends its own fit), and hold every candidate's
+moments bit for bit against ``FittedPosterior.moments`` of a fresh fit, a
+one-candidate state synced once.  The mean is also held, to digits/2, against sum_k lambda_k f_k
 with the weights lambda = G^-1 g of ``FittedPosterior.weights``, a route
 that shares no update with the candidate state.  The tests also count the
 covariances each sync evaluates, and the objects one step makes per candidate.
@@ -14,7 +14,9 @@ An unjittered Ornstein-Uhlenbeck run scores from a ``MarkovPosterior``
 instead, the closed form from each candidate's two design neighbours.  It is
 held to roundoff against the Cholesky moments at twice the working digits,
 its run against the same run on the Cholesky state, and a step is held to
-recomputing only the candidates between the new point's neighbours.
+recomputing only the candidates between the new point's neighbours.  Its
+pivots are held against a fresh Cholesky factor, its aborts against the
+fit's, and its run is held to building no fit, factor or covariance.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from eilab import ei as ei_module
 from eilab import kernels as kernels_module
 from eilab import posterior as posterior_module
 from eilab.ei import _ei_value, _tie_key
+from eilab.linalg import CholeskyFactor
 from eilab.posterior import CandidatePosterior, MarkovPosterior
 from eilab.precision import pack, unpack
 
@@ -43,11 +46,11 @@ def test_packed_column_entry_unpacks_to_the_raw_tuple(man, exp):
     assert unpack(pack(raw)) == raw
 
 
-def _counted_sync(candidates, fitted):
-    """Sync, checking the reported covariance count against the entries the
-    column calls evaluated."""
+def _counted_sync(candidates, state):
+    """Sync to ``state``, checking the reported covariance count against the
+    entries the column calls evaluated."""
     with mock.patch.object(posterior_module, "covariance_column", wraps=posterior_module.covariance_column) as column:
-        evaluated, resolved = candidates.sync(fitted)
+        evaluated, resolved = candidates.sync(state)
     assert evaluated == sum(len(call.args[2]) for call in column.call_args_list)
     return evaluated, resolved
 
@@ -80,18 +83,14 @@ def _replay(kernel, objective, x1, steps, grid, ctx, jitter=False):
     checking each step against the direct path and the old argmax."""
     run = eilab.run_trajectory(kernel, objective, x1, steps, grid, ctx, jitter=jitter)
     pts, vals = run.state.points, run.state.values
-    candidates = CandidatePosterior(c for c in grid.points(ctx) if c != pts[0])
+    candidates = CandidatePosterior((c for c in grid.points(ctx) if c != pts[0]), jitter)
     tol = ctx.tol(-(ctx.digits // 2))
-    grown = None
     for size, record in enumerate(run.records[1:], start=1):
-        state = eilab.TrajectoryState(
-            kernel=kernel, ctx=ctx, points=pts[:size], values=vals[:size], best=min(vals[:size])
-        )
+        state = _design(kernel, ctx, pts[:size], vals[:size])
         fitted = eilab.FittedPosterior(state, jitter=jitter)
-        grown = eilab.FittedPosterior(state, jitter=jitter, extends=grown)
         # one covariance per remaining candidate, also when the solve
         # precision rises and the kept columns are re-solved
-        evaluated, resolved = _counted_sync(candidates, grown)
+        evaluated, resolved = _counted_sync(candidates, state)
         assert evaluated == len(candidates)
         assert resolved == (size > 1 and run.records[size - 1].solve_dps != fitted.solve_dps)
         slow_best, eis = _assert_matches_direct(candidates, fitted)
@@ -150,9 +149,8 @@ def test_run_exhausting_the_grid_raises_empty_grid(ctx60, gauss_unit):
         eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 3, eilab.CandidateGrid(l_max=0), ctx60)
 
 
-def _fit(kernel, ctx, points, values):
-    state = eilab.TrajectoryState(kernel=kernel, ctx=ctx, points=tuple(points), values=tuple(values), best=min(values))
-    return eilab.FittedPosterior(state)
+def _design(kernel, ctx, points, values):
+    return eilab.TrajectoryState(kernel=kernel, ctx=ctx, points=tuple(points), values=tuple(values), best=min(values))
 
 
 def _assert_close_to_direct(candidates, fitted):
@@ -180,33 +178,34 @@ def test_sync_refuses_a_design_that_does_not_extend(ctx60, name):
     per_point = 0 if markov else len(candidates)
     matches = _assert_close_to_direct if markov else _assert_matches_direct
 
-    def fitted(*xs):
+    def design(*xs):
         xs = [mp.mpf(0)] + [mp.mpf(x) for x in xs]
-        return _fit(kernel, ctx60, xs, [f(x) for x in xs])
+        return _design(kernel, ctx60, xs, [f(x) for x in xs])
 
-    assert _counted_sync(candidates, fitted("0.5")) == (2 * per_point, False)
+    assert _counted_sync(candidates, design("0.5")) == (2 * per_point, False)
     # replace the last point, or shrink the design: refused before any
     # covariance is evaluated, and the synced state stays as it was
-    for fit in (fitted("-0.5"), fitted()):
+    for state in (design("-0.5"), design()):
         with mock.patch.object(posterior_module, "covariance_column") as column:
             with pytest.raises(eilab.EILabError, match="does not extend"):
-                candidates.sync(fit)
+                candidates.sync(state)
         assert column.call_count == 0
     # growing by three points at once evaluates three column entries each
-    fit = fitted("0.5", "0.35", "-0.45", "0.25")
-    evaluated, _ = _counted_sync(candidates, fit)
+    state = design("0.5", "0.35", "-0.45", "0.25")
+    evaluated, _ = _counted_sync(candidates, state)
     assert evaluated == 3 * per_point
-    matches(candidates, fit)
-    # the same design under jitter re-solves the kept columns; the Markov
-    # state has no closed form for it and refuses
-    jittered = eilab.FittedPosterior(fit.state, jitter=True)
+    matches(candidates, eilab.FittedPosterior(state))
+    # jitter is the state's from its construction: a jittered state synced
+    # once matches the jittered fit; the Markov state has no closed form
+    # for it and takes no jitter
     if markov:
-        with pytest.raises(eilab.EILabError, match="jittered"):
-            candidates.sync(jittered)
-        matches(candidates, fit)
+        with pytest.raises(TypeError):
+            MarkovPosterior(points, jitter=True)
     else:
-        assert _counted_sync(candidates, jittered) == (0, True)
-        matches(candidates, jittered)
+        jittered = CandidatePosterior(points, jitter=True)
+        assert _counted_sync(jittered, state) == (5 * per_point, False)
+        assert jittered.jitter_used and not candidates.jitter_used
+        matches(jittered, eilab.FittedPosterior(state, jitter=True))
 
 
 def test_sync_refuses_changed_values(ctx60, gauss_unit):
@@ -215,13 +214,13 @@ def test_sync_refuses_changed_values(ctx60, gauss_unit):
     mp = ctx60.mp
     candidates = CandidatePosterior([mp.mpf(k) / 10 for k in range(-9, 10) if k not in (0, 5, 3)])
     xs = [mp.mpf(0), mp.mpf("0.5"), mp.mpf("0.3")]
-    candidates.sync(_fit(gauss_unit, ctx60, xs[:2], [mp.mpf(1), mp.mpf(2)]))
+    candidates.sync(_design(gauss_unit, ctx60, xs[:2], [mp.mpf(1), mp.mpf(2)]))
     for size in (2, 3):
         with pytest.raises(eilab.EILabError, match="does not extend"):
-            candidates.sync(_fit(gauss_unit, ctx60, xs[:size], [mp.mpf(1), mp.mpf(-3), mp.mpf(0)][:size]))
-    fit = _fit(gauss_unit, ctx60, xs, [mp.mpf(1), mp.mpf(2), mp.mpf(0)])
-    assert _counted_sync(candidates, fit) == (len(candidates), False)
-    _assert_matches_direct(candidates, fit)
+            candidates.sync(_design(gauss_unit, ctx60, xs[:size], [mp.mpf(1), mp.mpf(-3), mp.mpf(0)][:size]))
+    state = _design(gauss_unit, ctx60, xs, [mp.mpf(1), mp.mpf(2), mp.mpf(0)])
+    assert _counted_sync(candidates, state) == (len(candidates), False)
+    _assert_matches_direct(candidates, eilab.FittedPosterior(state))
 
 
 def test_one_step_makes_no_per_candidate_covariance_call_or_moments(ctx60, gauss_unit):
@@ -229,13 +228,15 @@ def test_one_step_makes_no_per_candidate_covariance_call_or_moments(ctx60, gauss
     # call, and the argmax builds PosteriorMoments for the screen survivors
     # only: one per closed-form EI.  The Gaussian column at x0 != 0 makes one
     # exp per mirror pair of the 602 grid candidates, and one for its origin.
+    # The sync's fit evaluates the new points' Gram rows and G(0) one lag at
+    # a time, one exp each, however many candidates there are.
     mp = ctx60.mp
     f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
     xs = [mp.mpf(0), mp.mpf("0.5"), mp.mpf("-0.35")]
     grid = eilab.CandidateGrid(l_max=300)
     candidates = CandidatePosterior(c for c in grid.points(ctx60) if c not in xs)
     for size in (2, 3):
-        fitted = _fit(gauss_unit, ctx60, xs[:size], [f(x) for x in xs[:size]])
+        state = _design(gauss_unit, ctx60, xs[:size], [f(x) for x in xs[:size]])
         with contextlib.ExitStack() as stack:
             spy = lambda module, name: stack.enter_context(
                 mock.patch.object(module, name, wraps=getattr(module, name))
@@ -245,15 +246,17 @@ def test_one_step_makes_no_per_candidate_covariance_call_or_moments(ctx60, gauss
             made = spy(posterior_module, "PosteriorMoments")
             scored = spy(ei_module, "_ei_value")
             exps = spy(kernels_module, "mpf_exp")
-            evaluated, _ = candidates.sync(fitted)
+            evaluated, _ = candidates.sync(state)
             synced_exps = exps.call_count
-            best, clamps, index, _ = ei_module._argmax(fitted, candidates)
+            best, clamps, index, _ = ei_module._argmax(state, candidates)
         new_points = size if size == 2 else 1
-        assert [cov.call_count for cov in per_lag] == [0, 0]
+        gram = sum(k + 1 for k in range(size - new_points, size)) + 1
+        assert [cov.call_count for cov in per_lag] == [gram, 0]
         assert column.call_count == new_points
         assert evaluated == new_points * len(candidates)
         if size == 3:
-            assert len(candidates) == 602 and synced_exps <= 301 + 1
+            # plus one for each lag of the fit
+            assert len(candidates) == 602 and synced_exps <= 301 + 1 + gram
         assert 1 <= made.call_count == scored.call_count <= 4
         assert best.point == candidates.points[index]
 
@@ -270,12 +273,10 @@ def test_one_markov_step_recomputes_only_the_candidates_between_the_new_points_n
     grid = eilab.CandidateGrid(l_max=300)
     candidates = MarkovPosterior(c for c in grid.points(ctx60) if c not in xs)
     assert candidates.points == sorted(candidates.points)
-    fitted = _fit(ou, ctx60, xs[:3], [f(x) for x in xs[:3]])
-    candidates.sync(fitted)
+    state = _design(ou, ctx60, xs[:3], [f(x) for x in xs[:3]])
+    candidates.sync(state)
     means, variances = list(candidates._mean), list(candidates._var)
-    grown = eilab.FittedPosterior(
-        eilab.add_point(fitted.state, xs[3], f(xs[3])), extends=fitted
-    )
+    grown = eilab.add_point(state, xs[3], f(xs[3]))
     with contextlib.ExitStack() as stack:
         spy = lambda module, name: stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
         exps = spy(kernels_module, "mpf_exp")
@@ -290,7 +291,7 @@ def test_one_markov_step_recomputes_only_the_candidates_between_the_new_points_n
     assert renewed == between and 0 < 2 * len(between) < len(candidates)
     assert exps.call_count <= len(between) + 2
     assert column.call_count == 0
-    _assert_close_to_direct(candidates, grown)
+    _assert_close_to_direct(candidates, eilab.FittedPosterior(grown))
 
 
 _DYADIC = st.integers(min_value=1, max_value=2**11).map(lambda k: str(k / 2**8))
@@ -309,7 +310,10 @@ def test_markov_closed_form_matches_the_cholesky_moments_at_twice_the_digits(dig
     # cancels near a design point and the digits of the Gram condition
     # (below 10^10 here).  The bound is relative 10^-digits: on the
     # variance, and on the mean against the largest |f| (the mean's weights
-    # are positive and sum to at most 1).
+    # are positive and sum to at most 1).  The state's pivots, the bridge
+    # variance at each x_K given the points before it, are held to the same
+    # bound against a fresh Cholesky factor at twice the digits, and so is
+    # ``condition``; ``solve_dps`` is the working-precision fit's.
     ctx = eilab.PrecisionContext(digits=digits, guard_digits=20)
     ref = eilab.PrecisionContext(digits=2 * digits, guard_digits=40)
     mp = ctx.mp
@@ -323,9 +327,17 @@ def test_markov_closed_form_matches_the_cholesky_moments_at_twice_the_digits(dig
     beyond = [ordered[0] - data.draw(fraction), ordered[-1] + data.draw(fraction)]
     near = [x + s * mp.mpf("1e-40") for x in xs for s in (-1, 1)]
     candidates = MarkovPosterior(sorted(inside + beyond + near))
-    candidates.sync(_fit(kernel, ctx, xs, fs))
-    reference = _fit(kernel, ref, [ref.mpf(x) for x in xs], [ref.mpf(v) for v in fs])
+    candidates.sync(_design(kernel, ctx, xs, fs))
+    design = _design(kernel, ref, [ref.mpf(x) for x in xs], [ref.mpf(v) for v in fs])
+    reference = eilab.FittedPosterior(design)
     tol = ref.tol(-digits)
+    gram = [[eilab.covariance(kernel, a - b, ref) for b in design.points[: i + 1]] for i, a in enumerate(design.points)]
+    factor = CholeskyFactor(gram, ref)
+    assert len(candidates.pivots) == len(factor.pivots)
+    for k, (fast, slow) in enumerate(zip(candidates.pivots, factor.pivots)):
+        assert abs(ref.mpf(fast) - slow) <= tol * slow, f"pivot {k}"
+    assert abs(ref.mpf(candidates.condition) - factor.pivot_ratio) <= tol * factor.pivot_ratio
+    assert candidates.solve_dps == eilab.FittedPosterior(_design(kernel, ctx, xs, fs)).solve_dps
     scale = max(abs(ref.mpf(v)) for v in fs)
     for i, c in enumerate(candidates.points):
         fast, slow = candidates.moments(i), reference.moments(ref.mpf(c))
@@ -347,3 +359,54 @@ def test_ou_coverage_run_makes_the_cholesky_choices(ou_coverage_run, ctx60, monk
     for fast, slow in zip(ou_coverage_run.records[1:], cholesky.records[1:], strict=True):
         assert (fast.variance_clamps, fast.solve_dps) == (slow.variance_clamps, slow.solve_dps)
         assert abs(fast.ei - slow.ei) <= tol * slow.ei
+
+
+@pytest.mark.parametrize("d, index", [("1e-90", 2), ("1e-70", None)])
+def test_markov_and_cholesky_pivots_abort_alike(ctx60, d, index):
+    # The design {0, 0.5, d}: the pivot of d, about 2 theta gamma d, is
+    # below the floor (about 6e-79 at 60+20 digits) at 1e-90 and above it
+    # at 1e-70.  Near d = 2e-79 the Cholesky pivot is roundoff, so the two
+    # routes need not agree there.
+    ou = _KERNELS["ou"]
+    f = eilab.objective_function("neg_gauss", ou, ctx60)
+    xs = [ctx60.mpf(x) for x in ("0", "0.5", d)]
+    state = _design(ou, ctx60, xs, [f(x) for x in xs])
+    candidates = MarkovPosterior([ctx60.mpf("-0.25"), ctx60.mpf("0.25")])
+    if index is None:
+        assert candidates.sync(state) == (0, False)
+        assert candidates.solve_dps == eilab.FittedPosterior(state).solve_dps
+        return
+    for sync in (eilab.FittedPosterior, candidates.sync):
+        with pytest.raises(eilab.NonPositivePivot) as raised:
+            sync(state)
+        assert raised.value.index == index
+
+
+def test_unjittered_ou_run_builds_no_fit_factor_or_covariance(ou_coverage_run, ctx60):
+    # The Markov state's pivots give the 29-step run its aborts, conditions
+    # and solve precisions: no fit, no Cholesky factor and no covariance.
+    # One jittered step under the same spies makes all three.
+    grid = eilab.CandidateGrid(l_max=500)
+    kernel = ou_coverage_run.state.kernel
+
+    def counted(steps, jitter):
+        with contextlib.ExitStack() as stack:
+            spies = [
+                stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+                for module, name in (
+                    (posterior_module, "FittedPosterior"),
+                    (ei_module, "FittedPosterior"),
+                    (posterior_module, "CholeskyFactor"),
+                    (posterior_module, "covariance"),
+                    (ei_module, "covariance"),
+                    (kernels_module, "covariance"),
+                )
+            ]
+            run = eilab.run_trajectory(kernel, "neg_gauss", 0, steps, grid, ctx60, jitter=jitter)
+        return run, [spy.call_count for spy in spies]
+
+    run, calls = counted(29, False)
+    assert run == ou_coverage_run
+    assert calls == [0] * 6
+    _, calls = counted(1, True)
+    assert calls[0] == calls[2] == 1 and calls[3] > 0

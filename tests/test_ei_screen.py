@@ -204,7 +204,7 @@ def _synced(ctx, design, candidates):
     values = tuple(-eilab.covariance(kernel, x, ctx) for x in xs)
     fitted = eilab.FittedPosterior(eilab.TrajectoryState(kernel=kernel, ctx=ctx, points=xs, values=values, best=min(values)))
     state = CandidatePosterior(mp.mpf(c) for c in candidates)
-    state.sync(fitted)
+    state.sync(fitted.state)
     return fitted, state
 
 
@@ -391,16 +391,15 @@ def test_kept_screen_of_an_ou_run_is_the_screen_of_every_candidate(ctx60, x1):
     state = eilab.TrajectoryState.start(ou, ctx60, ctx60.mpf(x1), f(ctx60.mpf(x1)))
     candidates = ei._grid_candidates(state, grid)
     assert type(candidates) is MarkovPosterior
-    fitted = fstar = None
+    fstar = None
     moved = 0
     for timing in run.timings:
-        fitted = eilab.FittedPosterior(state, extends=fitted)
-        candidates.sync(fitted)
+        candidates.sync(state)
         new = state.points[-1]
         lower = max((x for x in state.points if x < new), default=-2)
         upper = min((x for x in state.points if x > new), default=2)
         slice_size = sum(lower < c < upper for c in candidates.points)
-        best, clamps, index, screened = ei._argmax(fitted, candidates)
+        best, clamps, index, screened = ei._argmax(state, candidates)
         if fstar is None or state.best != fstar:
             moved += fstar is not None
             assert screened == len(candidates)

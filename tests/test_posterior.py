@@ -3,6 +3,7 @@ import random
 import pytest
 
 import eilab
+from eilab.posterior import CandidatePosterior
 
 
 def _state(ctx, kernel, points, values):
@@ -218,7 +219,8 @@ def test_ou_kernel_posterior(ctx60):
     # rough kernel: same formulas, no collapse pathologies
     ou = eilab.OrnsteinUhlenbeckKernel(theta="1")
     state = _state(ctx60, ou, ["-0.5", "0", "0.5"], ["-0.3", "-1", "-0.3"])
-    fitted = eilab.FittedPosterior(state)
-    m = fitted.moments("0.25")
+    m = eilab.FittedPosterior(state).moments("0.25")
     assert m.variance > 0
-    assert fitted.condition < ctx60.mpf("1e6")
+    candidates = CandidatePosterior([m.point])
+    candidates.sync(state)
+    assert candidates.condition < ctx60.mpf("1e6")
