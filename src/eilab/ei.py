@@ -72,13 +72,12 @@ class CandidateGrid:
         eps = mp.mpf(self.epsilon)
         if not eps > 0:
             raise EILabError("grid epsilon must be positive")
-        out = set()
-        for l in range(self.l_max + 1):
-            v = mp.exp(-l * eps)
-            out.update((v, -v))
+        # e^(-l eps) falls with l, so -v_0..-v_L, v_L..v_0 is one ascending
+        # run that the sort takes in one pass before merging in the extras.
+        values = [mp.exp(-l * eps) for l in range(self.l_max + 1)]
         extras = (mp.mpf(raw) for raw in self.extra_points)
-        out.update(c for c in extras if abs(c) <= 1)
-        return sorted(out)
+        out = sorted([-v for v in values] + values[::-1] + [c for c in extras if abs(c) <= 1])
+        return [c for k, c in enumerate(out) if not k or c != out[k - 1]]
 
 
 @dataclass(frozen=True)
@@ -208,6 +207,13 @@ def _tie_key(x):
 # winner nor tied with it.
 _SCREEN_MARGIN = 1e-9
 
+# Slack of a score from working-tier moments (``CandidatePosterior.screen``):
+# such a score stands only where ln EI provably moves by less than this,
+# relative to max(1, |ln EI|), between the working moments and the exact
+# ones.  Added to the float error above it stays below 2e-14, so the margin
+# still exceeds the screen's error by a factor above 10^4.
+_WORKING_SLACK = 1e-15
+
 _LN2 = math.log(2)
 _LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 # Depth of the continued fraction in _log_tau.  Depth 40 already reaches
@@ -267,13 +273,68 @@ def _screen_log_ei(variance, gap):
     return value if math.isfinite(value) else None
 
 
+def _log_abs(raw):
+    """ln |x| for a raw mpf, -inf at 0."""
+    if not raw[1]:
+        return -math.inf
+    f, e = _split(raw)
+    return math.log(f) + e * _LN2
+
+
+def _log_add(a, b):
+    """ln(e^a + e^b) without overflow."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
+def _settled(value, variance, gap, error):
+    """Whether the float ln EI ``value`` of moments with variance s^2 =
+    ``variance`` and f* - m = ``gap`` provably moves by less than
+    ``_WORKING_SLACK * max(1, |value|)`` when the mean moves by at most
+    E_mean and the variance by at most E_var, ``error`` = (E_mean, E_var),
+    E_var below s^2; all raw mpf tuples.
+
+    With EI = s tau(u) and u = (f* - m) / s, d ln EI / dm = -Phi(u) / (s tau)
+    and d ln EI / d(s^2) = phi(u) / (2 s^2 tau).  Phi / tau <= |u| + 2.6:
+    for u < 0 it is 1/C(-u) in the notation of ``_log_tau``, below
+    |u| + sqrt(2) by Sampford's bound on the Mills ratio
+    (R(t) < 4 / (3t + sqrt(t^2 + 8)); Ann. Math. Statist. 24, 1953), and for
+    u >= 0 below 1 / tau(0) = sqrt(2 pi).  phi / tau = 1 - u Phi / tau is
+    then below (|u| + 2.6)^2.  Over the box of moments within the bounds
+    the variance is at least s_min^2 = s^2 - E_var and
+    |u| <= U = (|f* - m| + E_mean) / s_min, so the move is at most
+    (U + 2.6) E_mean / s_min + (U + 2.6)^2 E_var / (2 s_min^2); it is
+    doubled for the float rounding of this reckoning.
+    """
+    log_var = _log_abs(variance)
+    log_mean_error, log_var_error = _log_abs(error[0]), _log_abs(error[1])
+    ratio = math.exp(log_var_error - log_var)
+    if ratio >= 0.5:
+        return False
+    log_var_min = log_var + math.log1p(-ratio)
+    log_s_min = log_var_min / 2
+    slope = _log_add(_log_add(_log_abs(gap), log_mean_error) - log_s_min, math.log(2.6))
+    move = _LN2 + _log_add(slope + log_mean_error - log_s_min, 2 * slope + log_var_error - _LN2 - log_var_min)
+    return move < math.log(_WORKING_SLACK * max(1.0, abs(value)))
+
+
 def _scorer(ctx: PrecisionContext, fstar):
     """``_screen_log_ei`` as a function of one candidate's raw working
     (mean, variance): f* - m is one mpf subtraction at working precision
-    (the mean cancels against f*)."""
+    (the mean cancels against f*).  Given ``error`` = (E_mean, E_var), the
+    bounds of working-tier moments, it gives None unless the value is
+    finite and ``_settled``."""
     prec, rnd = ctx.mp._prec_rounding
     fstar = fstar._mpf_
-    return lambda mean, variance: _screen_log_ei(variance, mpf_sub(fstar, mean, prec, rnd))
+
+    def score(mean, variance, error=None):
+        gap = mpf_sub(fstar, mean, prec, rnd)
+        value = _screen_log_ei(variance, gap)
+        if error is None or value is not None and _settled(value, variance, gap, error):
+            return value
+        return None
+
+    return score
 
 
 def _screen(ctx: PrecisionContext, fstar, working):
@@ -306,11 +367,13 @@ def _grid_candidates(state: TrajectoryState, grid: CandidateGrid, jitter: bool =
 def _argmax(state: TrajectoryState, candidates: CandidatePosterior):
     """EI argmax over ``candidates``, which must be synced to ``state``.
 
-    Every candidate is screened by a float ln EI from its raw moments
-    (``working_moments``), kept by the candidate state across steps: a step
+    Every candidate is screened by a float ln EI from its raw moments (its
+    working tier where the error bounds settle the score, else
+    ``working_moments``), kept by the candidate state across steps: a step
     scores only the candidates whose moments its sync changed, or every
     candidate when f* moved (``CandidatePosterior.screen``), and the kept
-    values equal those of ``_screen`` over every candidate.  Only those
+    values equal those of ``_screen`` over every candidate read exactly,
+    within ``_WORKING_SLACK`` where the working tier settled them.  Only those
     within the margin ``_SCREEN_MARGIN`` of the float maximum get
     ``PosteriorMoments`` and the closed form, which cannot change the
     winner (see ``_select``).  Returns the winner's evaluation, the number
@@ -380,15 +443,18 @@ class StepTiming:
     Wall seconds of the candidate sync (``sync_s``; for a
     ``CandidatePosterior`` it includes the fit, the new Gram rows and the
     extended factor) and of the EI argmax, the number of covariances the
-    sync evaluated for the candidates, whether it re-solved the kept
-    covariance columns at a raised solve precision, and the number of float ln EI
-    values the argmax's screen computed (``screened``): every candidate
-    after a ``CandidatePosterior`` sync, and on a run whose state is the
+    sync evaluated for the candidates, whether the solve precision rose at
+    this step (``sync_resolved``), the number of candidates solved at a
+    raised solve precision in the step (``raised_solves``: the exact tier's
+    re-solves and the candidates the argmax moved into it, see
+    ``CandidatePosterior``), and the number of float ln EI values the
+    argmax's screen computed (``screened``): every candidate after a
+    ``CandidatePosterior`` sync, and on a run whose state is the
     ``MarkovPosterior`` of an unjittered Ornstein-Uhlenbeck kernel only the
     candidates the sync recomputed, unless f* moved.  That state evaluates
-    no covariance and re-solves nothing: 0 and False.  Timings vary between
-    runs, so they go to the timings sidecar, never into the deterministic
-    reports.
+    no covariance and solves nothing at a raised precision: 0, False and 0.
+    Timings vary between runs, so they go to the timings sidecar, never
+    into the deterministic reports.
     """
 
     size: int
@@ -396,6 +462,7 @@ class StepTiming:
     select_s: float
     sync_covariances: int
     sync_resolved: bool
+    raised_solves: int
     screened: int
 
 
@@ -508,6 +575,7 @@ def run_trajectory(
                 select_s=time.perf_counter() - sync_done,
                 sync_covariances=covariances,
                 sync_resolved=resolved,
+                raised_solves=candidates.raised_solves,
                 screened=screened,
             )
         )

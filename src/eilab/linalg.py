@@ -180,9 +180,12 @@ class CholeskyFactor:
         self.ctx = ctx
         self.n = len(a)
         self._a = a
-        rows, pivots = (list(extends._rows), list(extends.pivots)) if extends else ([], [])
+        rows, pivots = (list(extends.working_lower), list(extends.pivots)) if extends else ([], [])
         _border(mp, a, rows, pivots, wdps=ctx.working_dps)
-        self._rows = rows
+        # The floor-checked factor at the working precision, rows of raw
+        # mpf tuples; it is ``lower`` when the solve precision is the
+        # working one.
+        self.working_lower = rows
         self.pivots = pivots
         self.pivot_ratio, self.solve_dps = conditioning(pivots, ctx)
         smp = raw_context(self.solve_dps)
@@ -228,13 +231,54 @@ class CholeskyFactor:
             raise DimensionMismatch(
                 f"rhs has length {len(rhs)}, expected {self.n}"
             )
-        smp = self.solve_mp
-        prec, rnd = smp._prec_rounding
-        y = [v._mpf_ for v in leading]
-        for i in range(len(y), self.n):
-            row = self.lower[i]
-            y.append(mpf_div(exact_residual(smp.mpf(rhs[i])._mpf_, row[:i], y), row[i], prec, rnd))
-        return [smp.make_mpf(v) for v in y]
+        return forward_substitution(self.solve_mp, self.lower, rhs, leading)
+
+    def working_error(self):
+        """First-order bound E on the relative error of a forward
+        substitution against ``working_lower`` at the working precision,
+        against the exact one of the stored matrix.
+
+        E = 3 K u ||L||_F^2 ||L^-1||_F^2 with u = 2^(1 - prec) of the working
+        context.  Every entry of the factor and of a solve is an exact
+        residual rounded once, so the factor's backward error is
+        |dA_ij| <= 3u |L_ij| |L_jj| and a solve's is diagonal,
+        |dL_kk| <= u |L_kk| (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed. 2002, secs. 8.1-8.2 and 10.1).  To first order,
+        z = L^-1 g then moves the quadratic form z . z by at most
+        (3 kappa + 2 sqrt(kappa)) u |z|^2, with kappa = ||L||^2 ||L^-1||^2
+        in the 2-norm, and a product z . w by at most that times
+        |z| |w| / |z|^2; rounding the K-term sums adds 2 K u.  The
+        Frobenius norms cover all three: their product is at least kappa
+        and at least K^2.  O(K^3) at the working precision.
+        """
+        mp, n = self.ctx.mp, self.n
+        rows = [[mp.make_mpf(v) for v in row] for row in self.working_lower]
+        inverse = mp.zero
+        for j in range(n):
+            # column j of L^-1, from its diagonal down
+            column = []
+            for i in range(j, n):
+                column.append(((i == j) - mp.fdot(rows[i][j:i], column)) / rows[i][i])
+            inverse += mp.fsum(v * v for v in column)
+        norm = mp.fsum(v * v for row in rows for v in row)
+        return 3 * n * mp.ldexp(1, 1 - mp.prec) * norm * inverse
+
+
+def forward_substitution(mp, lower, rhs, leading=()):
+    """y = L^-1 rhs under context ``mp`` for the lower factor ``lower``
+    (rows of raw mpf tuples), ``rhs`` converted to it, as mpf.
+
+    ``leading`` may hold the first entries of y, as solved against the
+    leading rows of ``lower`` under the same context; only the entries
+    after them are computed.  Each entry is its ``exact_residual`` divided
+    by the diagonal, rounded once.
+    """
+    prec, rnd = mp._prec_rounding
+    y = [v._mpf_ for v in leading]
+    for i in range(len(y), len(lower)):
+        row = lower[i]
+        y.append(mpf_div(exact_residual(mp.mpf(rhs[i])._mpf_, row[:i], y), row[i], prec, rnd))
+    return [mp.make_mpf(v) for v in y]
 
 
 def gram_det(vectors, ctx: PrecisionContext):

@@ -10,8 +10,10 @@ against the design, and f the observed values.  Both come out of a single
 factorization of G applied to the two right-hand sides.
 
 Numerical contract: the Gram entries, g, and f are always evaluated at the
-context's working precision, and the linear algebra inherits the elevated
-solve precision of ``CholeskyFactor``.  Keeping the *entries* at working
+context's working precision, and every moment read inherits the elevated
+solve precision of ``CholeskyFactor`` (the working tier of
+``CandidatePosterior`` solves at working precision, and is only scored
+within its error bounds).  Keeping the *entries* at working
 precision is deliberate: with the objective f = -G the value vector is then
 bit-identical to a column of G, and the interpolation identity
 mean(x) = -G(x) survives in floating point instead of being destroyed by
@@ -36,7 +38,7 @@ from .kernels import (
     spectral_density,
     spectral_power_law,
 )
-from .linalg import CholeskyFactor, check_pivot_floor, conditioning, exact_residual
+from .linalg import CholeskyFactor, check_pivot_floor, conditioning, exact_residual, forward_substitution
 from .precision import PrecisionContext, pack, unpack
 from .quadrature import integrate, quadrature_context
 
@@ -139,7 +141,6 @@ class FittedPosterior:
             raise EILabError("extends is not the fit of a leading design of this state")
         rows = [[covariance(kernel, pts[i] - pts[j], ctx) for j in range(i + 1)] for i in range(m, len(pts))]
         factor = CholeskyFactor(rows, ctx, jitter=jitter, extends=extends._factor if extends else None)
-        self.jitter_used = factor.jitter_used
         self.solve_dps = factor.solve_dps
         self.state = state
         self.ctx = ctx
@@ -149,6 +150,12 @@ class FittedPosterior:
         # are its own.
         leading = extends._w_hi if extends and extends.solve_dps == factor.solve_dps else ()
         self._w_hi = factor.solve_lower(state.values, leading)
+        # w against the working-precision factor, for the working tier of a
+        # candidate state; never re-solved, for its rows never change.
+        if factor.solve_mp is ctx.mp:
+            self._w = self._w_hi
+        else:
+            self._w = forward_substitution(ctx.mp, factor.working_lower, state.values, extends._w if extends else ())
         self._g0_hi = factor.solve_mp.mpf(covariance(kernel, 0, ctx))
         # e^(-x_k^2/4a) per design point of a Gaussian kernel, shared along
         # the fits one run extends and filled by the candidate columns.
@@ -164,8 +171,27 @@ class FittedPosterior:
             if x == p:
                 return PosteriorMoments(point=x, mean=self.state.values[k], variance=mp.mpf(0))
         candidate = CandidatePosterior([x])
+        # straight into the exact tier: a one-candidate state has no other
+        candidate._exact[0] = True
         candidate._sync(self, 0)
         return candidate.moments(0)
+
+    def working_error(self):
+        """(E_mean, E_var): first-order bounds, raw working-precision
+        tuples, on how far a candidate's mean and variance solved against
+        the working-precision factor (the working tier of
+        ``CandidatePosterior``) sit from the exact ones.
+
+        E_var = E G(0) and E_mean = E sqrt(G(0)) |w|, with E the factor's
+        ``working_error``: |z|^2 <= G(0) for z = L^-1 g(c) at every c.  The
+        exact tier's own error is that bound at the solve precision, smaller
+        by 10^(working_dps - solve_dps) <= 10^-15, and E takes u at twice
+        the unit roundoff.
+        """
+        mp = self.ctx.mp
+        g0 = mp.mpf(self._g0_hi)
+        error = self._factor.working_error()
+        return (error * mp.sqrt(g0) * mp.sqrt(mp.fsum(w * w for w in self._w)))._mpf_, (error * g0)._mpf_
 
     def weights(self, x):
         """Interpolation weights lambda = G^-1 g(x) at working precision."""
@@ -189,11 +215,11 @@ class CandidatePosterior:
     covariances against the design points at working precision (packed, see
     ``precision.pack``), and
     z(c) = L^-1 g(c), the variance G(0) - sum z^2 and the mean sum z_j w_j
-    with w = L^-1 f, at the solve precision of the factor it was last synced
-    to.  When the design gains one point x_K, ``sync`` costs one covariance
-    and K exact products per candidate: the new column entries g_K(c) =
-    G(c - x_K) of every candidate, from one ``kernels.covariance_column``
-    call, and the new forward-substitution entry
+    with w = L^-1 f.  When the design gains one point x_K, ``sync`` costs
+    one covariance and K exact products per candidate: the new column
+    entries g_K(c) = G(c - x_K) of every candidate, from one
+    ``kernels.covariance_column`` call, and the new forward-substitution
+    entry
 
         z_K(c) = (g_K(c) - sum_{j<K} L_{K,j} z_j(c)) / L_{K,K}
 
@@ -203,15 +229,32 @@ class CandidatePosterior:
     ``CholeskyFactor.solve_lower``.  The leading rows of L and entries of w
     do not change when a point is appended, so a state grown step by step
     holds bit for bit the z, variance and mean of a state synced once to
-    the last fit; ``FittedPosterior.moments`` is such a one-candidate
-    state.  When the solve precision rises, z, the variance and the mean
-    are re-solved from the kept column at the new factor, with no
-    covariance evaluated again.  Values are raw ``mpf`` tuples; the
-    variance and mean updates round each product and each sum at the solve
-    context's precision.  ``working_moments`` reads them back at working
-    precision, still raw, for the whole set at once; ``moments`` wraps one
-    candidate's in ``PosteriorMoments``.  A state serves one run:
-    one kernel, one precision context, and one design that only grows.
+    the last fit.
+
+    A candidate's z, variance and mean sit in one of two tiers.  The
+    working tier solves against the factor's working-precision rows
+    (``CholeskyFactor.working_lower``) and w at working precision: it gains
+    one entry per step and is never re-solved.  The exact tier solves at
+    the factor's solve precision, and is re-solved from the kept column,
+    with no covariance evaluated again, at each rise of that precision.
+    While the solve precision is the working one the two tiers are the same
+    numbers.  After a rise, a candidate joins the exact tier, solved there
+    from its kept column, when it is read: by ``working_moments`` or
+    ``moments``, and by ``screen`` unless the working tier's error bounds
+    (``FittedPosterior.working_error``) settle its score.  It stays there
+    for the run.  Every read returns the exact tier, so a value read is bit
+    for bit the one an eager re-solve of every candidate gives;
+    ``FittedPosterior.moments`` is a one-candidate state that starts in the
+    exact tier.  ``raised_solves`` counts the candidates solved at a raised
+    solve precision since the last sync began: the exact tier's re-solves
+    and the candidates that joined it.
+
+    Values are raw ``mpf`` tuples; the variance and mean updates round each
+    product and each sum at their tier's precision.  ``working_moments``
+    reads them back at working precision, still raw, for the whole set at
+    once; ``moments`` wraps one candidate's in ``PosteriorMoments``.  A
+    state serves one run: one kernel, one precision context, and one design
+    that only grows.
 
     Under a Gaussian kernel the state also keeps D(c) = e^(-c^2/4a), one
     per mirror pair +-c, for the whole run, so each column costs one
@@ -226,11 +269,17 @@ class CandidatePosterior:
     one here, so that the next screen scores only those.
     """
 
+    # Whether the working tier differs from the exact one: the synced
+    # factor's solve precision is above the working one.
+    _tiered = False
+
     def __init__(self, points, jitter=False):
         self.points = list(points)
         self.jitter_used = bool(jitter)
         self._state = self._fitted = None
         self._g = self._z = self._var = self._mean = None
+        self._exact = [False] * len(self.points)
+        self.raised_solves = 0
         # e^(-p^2/4a) per mirror pair +-p of a Gaussian kernel, for the run.
         self._decay = {}
         # The kept screen; a clamp flag of None marks a candidate whose
@@ -249,9 +298,7 @@ class CandidatePosterior:
         extend those of the last; ``EILabError`` is raised otherwise, before
         anything is evaluated.  Raises ``NonPositivePivot`` when the extended
         factor fails the pivot floor.  Returns the number of covariances
-        evaluated for the candidates and whether the kept
-        forward-substitution entries were re-solved at a raised solve
-        precision.
+        evaluated for the candidates and whether the solve precision rose.
         """
         kept = self._kept(state)
         return self._sync(FittedPosterior(state, jitter=self.jitter_used, extends=self._fitted), kept)
@@ -268,51 +315,59 @@ class CandidatePosterior:
     def _sync(self, fitted, kept):
         """``sync`` to the fit ``fitted`` of a design whose first ``kept``
         points the state holds."""
-        state, prev = fitted.state, self._fitted
+        state, prev, ctx = fitted.state, self._fitted, fitted.ctx
         n = len(self.points)
-        solved = kept if prev and prev.solve_dps == fitted.solve_dps else 0
+        rose = prev is not None and fitted.solve_dps != prev.solve_dps
         if not kept:
             self._g = [[] for _ in range(n)]
-        if not solved:
-            # Free the old state before the new one grows.
-            self._z = self._var = self._mean = None
             self._z = [[] for _ in range(n)]
             self._var = [fitted._g0_hi._mpf_] * n
             self._mean = [fzero] * n
-        prec, rnd = fitted._factor.solve_mp._prec_rounding
-        for k in range(solved, state.size):
-            self._advance(fitted, k, k < kept, prec, rnd)
+        for k in range(kept, state.size):
+            self._advance(fitted, k, rose)
         self._state, self._fitted = state, fitted
         self.condition, self.solve_dps = fitted._factor.pivot_ratio, fitted.solve_dps
+        self._tiered = fitted.solve_dps != ctx.working_dps
+        resolved = [i for i, exact in enumerate(self._exact) if exact] if rose else ()
+        for i in resolved:
+            self._solve(i)
+        self.raised_solves = len(resolved)
         self._clamped = [None] * n
-        return n * (state.size - kept), solved < kept
+        return n * (state.size - kept), rose
 
-    def _advance(self, fitted, k, kept, prec, rnd):
-        """Add forward-substitution entry ``k`` for every candidate.  Column
-        entry k is read from the kept columns when ``kept``; otherwise it is
-        evaluated here for every candidate in one ``covariance_column`` call
-        and kept."""
-        lower = fitted._factor.lower
-        row, diag = lower[k][:k], lower[k][k]
-        w = fitted._w_hi[k]._mpf_
-        columns, zs, var, mean = self._g, self._z, self._var, self._mean
-        if kept:
-            column = (unpack(g[k]) for g in columns)
-        else:
-            state = fitted.state
-            column = covariance_column(state.kernel, state.points[k], self.points, fitted.ctx, self._decay, fitted._decay)
-            for g, s in zip(columns, column):
-                g.append(pack(s))
-        for i, (z, s) in enumerate(zip(zs, column)):
-            s = mpf_div(exact_residual(s, row, z), diag, prec, rnd)
-            z.append(s)
-            var[i] = mpf_sub(var[i], mpf_mul(s, s, prec, rnd), prec, rnd)
-            mean[i] = mpf_add(mean[i], mpf_mul(s, w, prec, rnd), prec, rnd)
+    def _advance(self, fitted, k, rose):
+        """Add forward-substitution entry ``k`` for every candidate, from
+        column entry k, evaluated here for every candidate in one
+        ``covariance_column`` call and kept: in each candidate's tier, but
+        not in the exact tier when the solve precision ``rose`` (its
+        re-solve reads the kept column)."""
+        factor, state = fitted._factor, fitted.state
+        tiers = (
+            (factor.working_lower[k], fitted._w[k]._mpf_, *fitted.ctx.mp._prec_rounding),
+            (factor.lower[k], fitted._w_hi[k]._mpf_, *factor.solve_mp._prec_rounding),
+        )
+        columns, zs, var, mean, exact = self._g, self._z, self._var, self._mean, self._exact
+        column = covariance_column(state.kernel, state.points[k], self.points, fitted.ctx, self._decay, fitted._decay)
+        for i, s in enumerate(column):
+            columns[i].append(pack(s))
+            if not (rose and exact[i]):
+                var[i], mean[i] = _substitute(s, *tiers[exact[i]], zs[i], var[i], mean[i])
+
+    def _solve(self, i):
+        """Solve candidate ``i`` in the exact tier of the synced fit, from
+        its kept column."""
+        fitted = self._fitted
+        prec, rnd = fitted._factor.solve_mp._prec_rounding
+        z, var, mean = [], fitted._g0_hi._mpf_, fzero
+        for row, w, g in zip(fitted._factor.lower, fitted._w_hi, self._g[i]):
+            var, mean = _substitute(unpack(g), row, w._mpf_, prec, rnd, z, var, mean)
+        self._z[i], self._var[i], self._mean[i] = z, var, mean
 
     def working_moments(self, indices=None):
         """Yield (mean, variance, clamped) at working precision, as raw mpf
         tuples, for the candidates at ``indices`` (every one, in index
-        order, by default) for the synced design.
+        order, by default) for the synced design, from the exact tier,
+        which each joins as it is reached.
 
         A negative variance is cancellation roundoff: it is clamped to zero
         and flagged.  Below -10**(-digits + 2 guard), the level that marks
@@ -322,10 +377,14 @@ class CandidatePosterior:
         ctx = self._state.ctx
         mp = ctx.mp
         prec, rnd = mp._prec_rounding
-        rounded = self.solve_dps != ctx.working_dps
+        rounded, tiered = self.solve_dps != ctx.working_dps, self._tiered
         budget = mpf_neg(ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))._mpf_)
-        means, variances = self._mean, self._var
+        means, variances, exact = self._mean, self._var, self._exact
         for i in range(len(means)) if indices is None else indices:
+            if tiered and not exact[i]:
+                self._solve(i)
+                exact[i] = True
+                self.raised_solves += 1
             mean, variance = means[i], variances[i]
             if rounded:
                 mean, variance = mpf_pos(mean, prec, rnd), mpf_pos(variance, prec, rnd)
@@ -352,31 +411,61 @@ class CandidatePosterior:
         return PosteriorMoments(point=self.points[i], mean=mp.make_mpf(mean), variance=mp.make_mpf(variance))
 
     def screen(self, fstar, score):
-        """Every candidate's ``score(mean, variance)`` against f* ``fstar``,
-        in index order, with the clamp count and the number of scores made.
+        """Every candidate's float score against f* ``fstar``, in index
+        order, with the clamp count and the number of candidates scored.
 
-        ``fstar`` is a raw mpf tuple; ``score`` reads a candidate's raw
-        working moments.  Only the candidates whose moments changed since
-        the last screen are read from ``working_moments``, which raises
-        ``NonPositivePivot`` for them as it does, and scored; every
-        candidate is when ``fstar`` is not the last screen's.  The others
-        keep their score and clamp flag, so the list and the count equal
-        those of a screen of the whole set.  The list is the state's own,
-        valid until the next sync or ``remove``.
+        ``fstar`` is a raw mpf tuple.  ``score(mean, variance)`` scores a
+        candidate's raw working moments; ``score(mean, variance, error)``
+        scores its working-tier ones, ``error`` being (E_mean, E_var) of
+        ``FittedPosterior.working_error``, or gives None when those bounds
+        cannot settle the score.  Only the candidates whose moments changed
+        since the last screen are scored; every candidate is when ``fstar``
+        is not the last screen's.  A candidate in the working tier whose
+        variance exceeds E_var, so that its exact variance is positive (no
+        clamp, no abort), is scored from its working moments when they
+        settle the score.  Every other is read from ``working_moments``, in
+        index order, which raises ``NonPositivePivot`` as it does.
+        Candidates not scored keep their score and clamp flag, so the count
+        equals that of a screen of the whole set read exactly, and each
+        score that of the exact moments to within the settled slack.  The
+        list is the state's own, valid until the next sync or ``remove``.
         """
         log_ei, clamped = self._log_ei, self._clamped
         if fstar == self._screen_fstar:
             indices = [i for i, flag in enumerate(clamped) if flag is None]
         else:
             indices = range(len(clamped))
-        for i, (mean, variance, flag) in zip(indices, self.working_moments(indices)):
+        pending = indices
+        if self._tiered:
+            error = self._fitted.working_error()
+            means, variances, exact = self._mean, self._var, self._exact
+            pending = []
+            for i in indices:
+                if not exact[i] and mpf_lt(error[1], variances[i]):
+                    value = score(means[i], variances[i], error)
+                    if value is not None:
+                        log_ei[i], clamped[i] = value, False
+                        continue
+                pending.append(i)
+        for i, (mean, variance, flag) in zip(pending, self.working_moments(pending)):
             log_ei[i], clamped[i] = score(mean, variance), flag
         self._screen_fstar = fstar
         return log_ei, sum(clamped), len(indices)
 
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""
-        del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i], self._log_ei[i], self._clamped[i]
+        del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i], self._exact[i]
+        del self._log_ei[i], self._clamped[i]
+
+
+def _substitute(s, row, w, prec, rnd, z, var, mean):
+    """Append to ``z`` its next forward-substitution entry, from column
+    entry ``s`` and the factor row ``row`` (its diagonal last), and return
+    ``var`` and ``mean`` moved by it, with ``w`` the matching entry of
+    L^-1 f: raw tuples, each operation rounded at ``prec``."""
+    s = mpf_div(exact_residual(s, row, z), row[len(z)], prec, rnd)
+    z.append(s)
+    return mpf_sub(var, mpf_mul(s, s, prec, rnd), prec, rnd), mpf_add(mean, mpf_mul(s, w, prec, rnd), prec, rnd)
 
 
 def _bridge_variance(gamma, left, right, q_lr, prec, rnd):

@@ -10,6 +10,13 @@ with the weights lambda = G^-1 g of ``FittedPosterior.weights``, a route
 that shares no update with the candidate state.  The tests also count the
 covariances each sync evaluates, and the objects one step makes per candidate.
 
+After a rise of the solve precision the state solves a candidate exactly
+only when it is read or its score cannot be settled from the working tier:
+the working tier is held within its error bound of a solve at twice the
+digits, the collapse workload's rise step to solving only its screen
+survivors exactly, a clamping run's counts and abort to those of a fully
+read state, and a candidate once read to staying in the exact tier.
+
 An unjittered Ornstein-Uhlenbeck run scores from a ``MarkovPosterior``
 instead, the closed form from each candidate's two design neighbours.  It is
 held to roundoff against the Cholesky moments at twice the working digits,
@@ -23,7 +30,7 @@ import contextlib
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath.libmp import from_man_exp
 
 import eilab
@@ -33,7 +40,7 @@ from eilab import posterior as posterior_module
 from eilab.ei import _ei_value, _tie_key
 from eilab.linalg import CholeskyFactor
 from eilab.posterior import CandidatePosterior, MarkovPosterior
-from eilab.precision import pack, unpack
+from eilab.precision import pack, raw_context, unpack
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -112,8 +119,10 @@ def test_gaussian_run_resolves_on_raised_solve_precision(ctx300, gauss_unit):
     run = _replay(gauss_unit, "neg_kernel", 0, 6, eilab.CandidateGrid(l_max=600), ctx300)
     assert not run.aborted
     dps = [rec.solve_dps for rec in run.records[1:]]
-    # the factor's solve precision rises 320 -> 340 at step 6: the candidate
-    # state is re-solved at the new precision from the kept columns
+    # the factor's solve precision rises 320 -> 340 at step 6; every
+    # candidate is read here (``_assert_matches_direct``), so each joins the
+    # exact tier, solved at the new precision from its kept column, and
+    # matches the direct query bit for bit
     assert dps[:5] == [320] * 5 and dps[5] == 340
     assert [t.sync_resolved for t in run.timings] == [False] * 5 + [True]
 
@@ -410,3 +419,149 @@ def test_unjittered_ou_run_builds_no_fit_factor_or_covariance(ou_coverage_run, c
     assert calls == [0] * 6
     _, calls = counted(1, True)
     assert calls[0] == calls[2] == 1 and calls[3] > 0
+
+
+# The paper's collapse design x_1..x_7 as signed grid indices on e^{-0.02 l}.
+_COLLAPSE = [(1, None), (-1, 23), (1, 13), (1, 74), (-1, 115), (1, 281), (-1, 591)]
+
+
+def _exact_reference(candidates, i, mp2):
+    """Candidate ``i``'s variance G(0) - g^T A^-1 g and mean g^T A^-1 f from
+    its kept column g, the fit's stored Gram entries A and values f, solved
+    under ``mp2``."""
+    fitted = candidates._fitted
+    triangle = fitted._factor._a
+    n = len(triangle)
+    gram = mp2.matrix(n, n)
+    for r, row in enumerate(triangle):
+        for c, entry in enumerate(row):
+            gram[r, c] = gram[c, r] = mp2.mpf(entry)
+    g = [mp2.make_mpf(unpack(entry)) for entry in candidates._g[i]]
+    weights = mp2.lu_solve(gram, mp2.matrix(g))
+    g0 = mp2.mpf(fitted._g0_hi)
+    variance = g0 - mp2.fdot(g, weights)
+    mean = mp2.fdot(weights, [mp2.mpf(v) for v in fitted.state.values])
+    return mean, variance
+
+
+@pytest.mark.parametrize("digits", [60, 300])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_working_tier_is_within_its_bound_of_the_exact_moments(digits, data):
+    # Random Gaussian designs of 2-7 points (a in [2^-8, 1], points at a
+    # spacing of at least 2^-12, random values) and prefixes of the
+    # paper's collapse design with f = -G, candidates inside every gap,
+    # beyond both hull ends and 1e-40 from every design point.  Right after
+    # a sync every candidate is in the working tier, solved against the
+    # working-precision factor; ``FittedPosterior.working_error`` bounds
+    # its distance to the exact moments of the same kept columns and Gram
+    # entries, here solved at twice the working digits, and to the exact
+    # tier the state solves at its solve precision.
+    ctx = eilab.PrecisionContext(digits=digits, guard_digits=20)
+    mp = ctx.mp
+    mp2 = raw_context(2 * ctx.working_dps)
+    if data.draw(st.booleans(), label="collapse"):
+        kernel = eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
+        signed = _COLLAPSE[: data.draw(st.integers(min_value=2, max_value=len(_COLLAPSE)))]
+        xs = [mp.zero if l is None else s * mp.exp(-l * mp.mpf("0.02")) for s, l in signed]
+        fs = [-eilab.covariance(kernel, x, ctx) for x in xs]
+    else:
+        a = data.draw(st.integers(min_value=1, max_value=2**8)) / 2**8
+        kernel = eilab.GaussianKernel(a=str(a), gamma="1")
+        ks = data.draw(st.lists(st.integers(min_value=-(2**12), max_value=2**12), min_size=2, max_size=7, unique=True))
+        xs = [mp.mpf(k) / 2**12 for k in ks]
+        fs = [mp.mpf(v) / 2**10 for v in data.draw(st.lists(st.integers(-(2**12), 2**12), min_size=len(xs), max_size=len(xs)))]
+    ordered = sorted(xs)
+    fraction = st.integers(min_value=1, max_value=2**10 - 1).map(lambda j: mp.mpf(j) / 2**10)
+    inside = [lo + (hi - lo) * data.draw(fraction) for lo, hi in zip(ordered, ordered[1:])]
+    beyond = [ordered[0] - data.draw(fraction), ordered[-1] + data.draw(fraction)]
+    near = [x + s * mp.mpf("1e-40") for x in xs for s in (-1, 1)]
+    state = _design(kernel, ctx, xs, fs)
+    candidates = CandidatePosterior(sorted(inside + beyond + near))
+    try:
+        candidates.sync(state)
+    except eilab.NonPositivePivot:
+        assume(False)
+    e_mean, e_var = (mp2.make_mpf(e) for e in candidates._fitted.working_error())
+    working = [(mp2.make_mpf(m), mp2.make_mpf(v)) for m, v in zip(candidates._mean, candidates._var)]
+    for i, (mean, variance) in enumerate(working):
+        ref_mean, ref_variance = _exact_reference(candidates, i, mp2)
+        candidates._solve(i)
+        exact_mean, exact_variance = mp2.make_mpf(candidates._mean[i]), mp2.make_mpf(candidates._var[i])
+        at = mp.nstr(candidates.points[i], 12)
+        assert abs(variance - ref_variance) <= e_var and abs(variance - exact_variance) <= e_var, f"variance at {at}"
+        assert abs(mean - ref_mean) <= e_mean and abs(mean - exact_mean) <= e_mean, f"mean at {at}"
+
+
+def test_collapse_rise_step_solves_only_the_screen_survivors(ctx300, gauss_unit):
+    # The collapse workload's run: its solve precision rises at the last
+    # step only, where the candidates the argmax reads, its screen
+    # survivors, are the only ones solved at the raised precision; every
+    # other candidate is scored from the working tier.
+    grid = eilab.CandidateGrid(l_max=600)
+    run = eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 6, grid, ctx300)
+    assert [t.sync_resolved for t in run.timings] == [False] * 5 + [True]
+    f = eilab.objective_function("neg_kernel", gauss_unit, ctx300)
+    state = eilab.TrajectoryState.start(gauss_unit, ctx300, 0, f(ctx300.mpf(0)))
+    candidates = ei_module._grid_candidates(state, grid)
+    for timing, record in zip(run.timings, run.records[1:], strict=True):
+        candidates.sync(state)
+        with mock.patch.object(candidates, "moments", wraps=candidates.moments) as read:
+            best, _, index, _ = ei_module._argmax(state, candidates)
+        assert best.point == record.point and candidates.raised_solves == timing.raised_solves
+        if timing.sync_resolved:
+            assert 1 <= timing.raised_solves == read.call_count <= 4
+        else:
+            assert timing.raised_solves == 0
+        candidates.remove(index)
+        state = eilab.add_point(state, best.point, f(best.point))
+
+
+def test_lazy_screen_clamps_and_aborts_as_a_fully_read_state(ctx60, gauss_unit):
+    # A 60-digit collapse run on the grid cut at l_max = 2600: its solve
+    # precision rises at design sizes 6, 7 and 8, it clamps 364 variances at
+    # the last completed step, and the pivot floor aborts it at 9.  Replayed on
+    # the run's lazy state and on a state whose every candidate is read
+    # (``working_moments``), each record's clamp count is the fully read
+    # state's, each kept float score is the fully read one to within the
+    # float error, far inside the screen's margin, and the abort is the same.
+    grid = eilab.CandidateGrid(l_max=2600)
+    run = eilab.run_trajectory(gauss_unit, "neg_kernel", 0, 9, grid, ctx60)
+    assert run.aborted_at == 9 and run.records[-1].variance_clamps > 0
+    assert run.records[6].solve_dps > ctx60.working_dps
+    f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
+    state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, f(ctx60.mpf(0)))
+    lazy, full = (ei_module._grid_candidates(state, grid) for _ in range(2))
+    for record in run.records[1:]:
+        lazy.sync(state)
+        full.sync(state)
+        screen, clamps = ei_module._screen(ctx60, state.best, full.working_moments())
+        best, lazy_clamps, index, _ = ei_module._argmax(state, lazy)
+        assert record.variance_clamps == lazy_clamps == clamps
+        for kept, read in zip(lazy._log_ei, screen, strict=True):
+            assert (kept is None) == (read is None)
+            assert read is None or abs(kept - read) <= 1e-13 * max(1.0, abs(read))
+        lazy.remove(index)
+        full.remove(index)
+        state = eilab.add_point(state, best.point, f(best.point))
+    for candidates in (lazy, full):
+        with pytest.raises(eilab.NonPositivePivot) as raised:
+            candidates.sync(state)
+        assert run.abort_reason == f"NonPositivePivot: {raised.value}"
+
+
+def test_a_candidate_read_after_a_rise_stays_in_the_exact_tier(ctx60, gauss_unit):
+    # {0, 0.05, -0.05} solves at 95 digits, and so does the design grown by
+    # 0.9: a candidate read at the first joins the exact tier, which the
+    # second sync extends at the same precision, so reading it again solves
+    # nothing; its moments are the direct query's, bit for bit.
+    mp = ctx60.mp
+    f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
+    xs = [mp.mpf(x) for x in ("0", "0.05", "-0.05", "0.9")]
+    candidates = CandidatePosterior([mp.mpf(k) / 41 for k in range(-40, 41, 3)])
+    for size, joined in ((3, 1), (4, 0)):
+        state = _design(gauss_unit, ctx60, xs[:size], [f(x) for x in xs[:size]])
+        assert candidates.sync(state) == (len(candidates) * (size - (size > 3) * 3), False)
+        assert candidates.solve_dps == 95 and candidates.raised_solves == 0
+        assert candidates.moments(5) == eilab.FittedPosterior(state).moments(candidates.points[5])
+        assert candidates.raised_solves == joined

@@ -204,10 +204,14 @@ def test_step_timings_go_to_the_sidecar_only(tmp_path):
     # the screen scores every candidate a Cholesky sync changed: all of them
     assert [s["screened"] for s in steps] == [122, 121, 120]
     assert not any(s["sync_resolved"] for s in steps)
+    # the solve precision stays at the working one: nothing is solved at a
+    # raised precision
+    assert [s["raised_solves"] for s in steps] == [0, 0, 0]
     assert all(s[k] >= 0 for s in steps for k in ("sync_s", "select_s"))
     assert "fit_s" not in steps[0]
     report = (tmp_path / "o" / "report.json").read_text()
     assert "sync_s" not in report and "sync_covariances" not in report and "screened" not in report
+    assert "raised_solves" not in report
     # The Markov sync of an Ornstein-Uhlenbeck run from the optimum of
     # -exp(-x^2), where f* never moves, changes only the candidates between
     # the new point's neighbours: after the first step the screen scores
@@ -221,6 +225,7 @@ def test_step_timings_go_to_the_sidecar_only(tmp_path):
     assert cli.main(["contrast", "--config", str(cfg)]) == 0
     steps = json.loads((tmp_path / "ou" / "timings.json").read_text())["steps"]
     assert [s["sync_covariances"] for s in steps] == [0] * 5
+    assert [s["raised_solves"] for s in steps] == [0] * 5
     assert steps[0]["screened"] == 122
     assert all(0 < s["screened"] < 122 - k for k, s in enumerate(steps[1:], start=1))
 

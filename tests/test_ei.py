@@ -78,6 +78,43 @@ def test_grid_points_match_the_two_loop_dedupe(case):
     assert grid.points(ctx) == _two_loop_points(grid, ctx)
 
 
+def _set_sorted_points(grid, ctx):
+    """``CandidateGrid.points`` as it was written with a set and a full
+    sort."""
+    mp = ctx.mp
+    eps = mp.mpf(grid.epsilon)
+    out = set()
+    for l in range(grid.l_max + 1):
+        v = mp.exp(-l * eps)
+        out.update((v, -v))
+    out.update(c for c in (mp.mpf(raw) for raw in grid.extra_points) if abs(c) <= 1)
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "epsilon, l_max, extras",
+    [
+        # the default grid, 20 002 points
+        ("0.02", 10**4, ()),
+        # at 60 + 20 digits e^(-l eps) steps down by one unit in the last
+        # place every few l: runs of neighbouring values round equal
+        ("2e-82", 200, ()),
+        # extras on a grid value (+-e^(-2 eps) as the grid computes it, and
+        # +-1), outside [-1, 1], and between grid points, one twice
+        ("0.5", 6, ("1", "-1", (1, 2), (-1, 2), "1.5", "-2", "0.3", "-0.3", "0.3", "0.999")),
+    ],
+    ids=["default", "equal-neighbours", "extras"],
+)
+def test_grid_built_in_order_is_the_sorted_set(ctx60, epsilon, l_max, extras):
+    mp = ctx60.mp
+    extras = tuple(e if isinstance(e, str) else e[0] * mp.exp(-e[1] * mp.mpf(epsilon)) for e in extras)
+    grid = eilab.CandidateGrid(epsilon=epsilon, l_max=l_max, extra_points=extras)
+    points = grid.points(ctx60)
+    assert points == _set_sorted_points(grid, ctx60)
+    if epsilon == "2e-82":
+        assert 2 < len(points) < 2 * (l_max + 1)
+
+
 def test_ei_zero_at_design_points(ctx60, gauss_unit):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1)
     ev = eilab.expected_improvement(state, 0)

@@ -15,7 +15,7 @@ candidate.
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath.libmp import mpf_pos
 
 import eilab
@@ -46,6 +46,49 @@ def _reference_log_tau(u):
 def test_float_log_tau_matches_mpmath(u):
     ref = _reference_log_tau(u)
     assert abs(_log_tau(u) - ref) <= 1e-12 * max(1, abs(ref))
+
+
+def _reference_log_ei(gap, variance):
+    """ln EI = ln s + ln tau((f* - m) / s) for mpf ``gap`` = f* - m and
+    ``variance`` = s^2 > 0, to 60 digits past the cancellation of tau."""
+    mp = raw_context(80 + 2 * max(0, int(math.log10(float(abs(gap)) / math.sqrt(float(variance)) + 1))))
+    sigma = mp.sqrt(mp.mpf(variance))
+    u = mp.mpf(gap) / sigma
+    return mp.log(sigma) + mp.log(u * mp.ncdf(u) + mp.npdf(u))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([-1, 0, 1]),  # sign of f* - m (0: mean == f*)
+    st.integers(min_value=-30, max_value=3),  # log10 |f* - m|
+    st.integers(min_value=-60, max_value=2),  # log10 variance
+    st.integers(min_value=-40, max_value=0),  # log10 (E_mean / s)
+    st.integers(min_value=-40, max_value=0),  # log10 (E_var / variance)
+)
+@example(-1, -3, -30, -40, -40)
+@example(1, 0, -2, -40, -40)
+def test_a_settled_working_score_moves_by_less_than_the_slack(sign, gap_exp, var_exp, mean_err, var_err):
+    # Over the box of moments within (E_mean, E_var) of the working ones,
+    # EI is monotone in each (increasing in s, decreasing in m), so ln EI
+    # moves most at a corner.  Where ``_settled`` settles the score, every
+    # corner's ln EI is within _WORKING_SLACK * max(1, |ln EI|) of the
+    # centre's; with relative errors of 1e-40 it settles.
+    mp = raw_context(120)
+    gap = sign * mp.mpf(10) ** gap_exp
+    variance = mp.mpf(10) ** var_exp
+    e_mean = mp.sqrt(variance) * mp.mpf(10) ** mean_err
+    e_var = variance * mp.mpf(10) ** var_err * (1 - mp.mpf(10) ** -3)
+    value = _screen_log_ei(variance._mpf_, gap._mpf_)
+    assume(value is not None)
+    settled = ei._settled(value, variance._mpf_, gap._mpf_, (e_mean._mpf_, e_var._mpf_))
+    if max(mean_err, var_err) == -40 and abs(gap) / mp.sqrt(variance) < 10**10:
+        assert settled
+    if settled:
+        centre = _reference_log_ei(gap, variance)
+        slack = ei._WORKING_SLACK * max(1, abs(centre))
+        for dm in (-e_mean, e_mean):
+            for dv in (-e_var, e_var):
+                assert abs(_reference_log_ei(gap - dm, variance + dv) - centre) <= slack
 
 
 def _moments(ctx, x, mean, variance):
@@ -197,7 +240,8 @@ def test_every_ei_zero_picks_the_smallest_tie_key_of_all(ctx60):
 
 def _synced(ctx, design, candidates):
     """A candidate state synced to the fit of ``design`` under the headline
-    kernel with f = -G."""
+    kernel with f = -G, every candidate read once, so that each is in the
+    exact tier, the one ``_poke`` overwrites."""
     mp = ctx.mp
     kernel = eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
     xs = tuple(mp.mpf(x) for x in design)
@@ -205,6 +249,7 @@ def _synced(ctx, design, candidates):
     fitted = eilab.FittedPosterior(eilab.TrajectoryState(kernel=kernel, ctx=ctx, points=xs, values=values, best=min(values)))
     state = CandidatePosterior(mp.mpf(c) for c in candidates)
     state.sync(fitted.state)
+    list(state.working_moments())
     return fitted, state
 
 
@@ -328,6 +373,35 @@ def test_raw_screen_is_the_screen_of_the_moments(ctx60, design, pokes):
         assert str(raised.value) == str(exc)
         return
     assert _screen(ctx60, fitted.state.best, candidates.working_moments()) == expected
+
+
+@pytest.mark.parametrize("scale", [0.25, 2])
+def test_screen_reads_exactly_each_candidate_its_bounds_cannot_settle(ctx60, monkeypatch, scale):
+    # {0, 0.05, -0.05} solves at 95 digits: right after the sync every
+    # candidate is in the working tier.  With the fit's own bounds, tiny
+    # here, the screen settles every score from the working tier, each
+    # within 1e-13 of the score of the exact moments.  With bounds widened
+    # to E_var = E_mean = scale times the smallest working variance, none
+    # settles: at 0.25 the variances clear E_var but the scores move too
+    # much, at 2 the variances do not clear it; every candidate is read
+    # from the exact tier, and the screen is the fully read state's.
+    state = _synced(ctx60, _DESIGNS[1], [])[0].state
+    fstar = state.best
+    for widened in (False, True):
+        candidates = CandidatePosterior(ctx60.mpf(c) for c in _CANDIDATES)
+        candidates.sync(state)
+        assert candidates.solve_dps > ctx60.working_dps
+        if widened:
+            bound = (ctx60.mp.make_mpf(min(candidates._var)) * scale)._mpf_
+            monkeypatch.setattr(candidates._fitted, "working_error", lambda: (bound, bound))
+        kept, clamps, _ = candidates.screen(fstar._mpf_, ei._scorer(ctx60, fstar))
+        assert candidates.raised_solves == (len(_CANDIDATES) if widened else 0)
+        expected, expected_clamps = _screen(ctx60, fstar, candidates.working_moments())
+        assert clamps == expected_clamps
+        if widened:
+            assert kept == expected
+        else:
+            assert all(abs(a - b) <= 1e-13 * max(1.0, abs(b)) for a, b in zip(kept, expected, strict=True))
 
 
 _CANDIDATE = st.tuples(

@@ -96,10 +96,12 @@ def test_degenerate_design_raises(ctx60, gauss_unit):
     )
     with pytest.raises(eilab.NonPositivePivot):
         eilab.FittedPosterior(state)
-    # the opt-in jitter pushes past the degeneracy and says so
-    fitted = eilab.FittedPosterior(state, jitter=True)
-    assert fitted.jitter_used
-    assert fitted.moments("0.5").variance > 0
+    # the opt-in jitter pushes past the degeneracy, and the run-facing state
+    # says so
+    candidates = CandidatePosterior([mp.mpf("0.5")], jitter=True)
+    candidates.sync(state)
+    assert candidates.jitter_used
+    assert candidates.moments(0).variance > 0
 
 
 def test_extends_refuses_a_design_that_does_not_start_with_the_fit(ctx60, gauss_unit):
