@@ -130,15 +130,18 @@ def improvement_tail(ctx: PrecisionContext, h):
 def expected_improvement(state: TrajectoryState, x, fitted: FittedPosterior | None = None) -> EIEvaluation:
     """Closed-form EI at x.
 
-    ``fitted`` may carry a pre-built factorization of the current design,
-    for callers that query one design at several points; otherwise a fresh
-    one is constructed.  Grid scoring does not come here: the run loop reads
+    ``fitted`` may carry a pre-built factorization of this design, for
+    callers that query one design at several points; otherwise a fresh one
+    is constructed.  ``EILabError`` is raised when ``fitted`` is the fit of
+    another design.  Grid scoring does not come here: the run loop reads
     the moments of every candidate from a ``CandidatePosterior``.
     """
     ctx = state.ctx
     mp = ctx.mp
     if fitted is None:
         fitted = FittedPosterior(state)
+    elif fitted.state != state:
+        raise EILabError("fitted is the fit of another design")
     moments = fitted.moments(x)
     sigma = mp.sqrt(moments.variance)
     value = _ei_value(ctx, state.best, moments.mean, sigma)
@@ -287,12 +290,12 @@ def _log_add(a, b):
     return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
 
 
-def _settled(value, variance, gap, error):
+def _settled(value, variance, gap, log_error):
     """Whether the float ln EI ``value`` of moments with variance s^2 =
-    ``variance`` and f* - m = ``gap`` provably moves by less than
-    ``_WORKING_SLACK * max(1, |value|)`` when the mean moves by at most
-    E_mean and the variance by at most E_var, ``error`` = (E_mean, E_var),
-    E_var below s^2; all raw mpf tuples.
+    ``variance`` and f* - m = ``gap`` (raw mpf tuples) provably moves by
+    less than ``_WORKING_SLACK * max(1, |value|)`` when the mean moves by at
+    most E_mean and the variance by at most E_var, E_var below s^2;
+    ``log_error`` = (ln E_mean, ln E_var), in floats.
 
     With EI = s tau(u) and u = (f* - m) / s, d ln EI / dm = -Phi(u) / (s tau)
     and d ln EI / d(s^2) = phi(u) / (2 s^2 tau).  Phi / tau <= |u| + 2.6:
@@ -307,7 +310,7 @@ def _settled(value, variance, gap, error):
     doubled for the float rounding of this reckoning.
     """
     log_var = _log_abs(variance)
-    log_mean_error, log_var_error = _log_abs(error[0]), _log_abs(error[1])
+    log_mean_error, log_var_error = log_error
     ratio = math.exp(log_var_error - log_var)
     if ratio >= 0.5:
         return False
@@ -321,19 +324,27 @@ def _settled(value, variance, gap, error):
 def _scorer(ctx: PrecisionContext, fstar):
     """``_screen_log_ei`` as a function of one candidate's raw working
     (mean, variance): f* - m is one mpf subtraction at working precision
-    (the mean cancels against f*).  Given ``error`` = (E_mean, E_var), the
-    bounds of working-tier moments, it gives None unless the value is
-    finite and ``_settled``."""
+    (the mean cancels against f*).  ``within(error)``, with ``error`` =
+    (E_mean, E_var) the bounds of working-tier moments, gives the scorer of
+    such moments: None unless the value is finite and ``_settled``, with
+    the logs of the bounds taken once."""
     prec, rnd = ctx.mp._prec_rounding
     fstar = fstar._mpf_
 
-    def score(mean, variance, error=None):
-        gap = mpf_sub(fstar, mean, prec, rnd)
-        value = _screen_log_ei(variance, gap)
-        if error is None or value is not None and _settled(value, variance, gap, error):
-            return value
-        return None
+    def score(mean, variance):
+        return _screen_log_ei(variance, mpf_sub(fstar, mean, prec, rnd))
 
+    def within(error):
+        log_error = _log_abs(error[0]), _log_abs(error[1])
+
+        def bounded(mean, variance):
+            gap = mpf_sub(fstar, mean, prec, rnd)
+            value = _screen_log_ei(variance, gap)
+            return value if value is not None and _settled(value, variance, gap, log_error) else None
+
+        return bounded
+
+    score.within = within
     return score
 
 
@@ -444,15 +455,15 @@ class StepTiming:
     ``CandidatePosterior`` it includes the fit, the new Gram rows and the
     extended factor) and of the EI argmax, the number of covariances the
     sync evaluated for the candidates, whether the solve precision rose at
-    this step (``sync_resolved``), the number of candidates solved at a
-    raised solve precision in the step (``raised_solves``: the exact tier's
-    re-solves and the candidates the argmax moved into it, see
-    ``CandidatePosterior``), and the number of float ln EI values the
-    argmax's screen computed (``screened``): every candidate after a
-    ``CandidatePosterior`` sync, and on a run whose state is the
-    ``MarkovPosterior`` of an unjittered Ornstein-Uhlenbeck kernel only the
-    candidates the sync recomputed, unless f* moved.  That state evaluates
-    no covariance and solves nothing at a raised precision: 0, False and 0.
+    this step (``sync_resolved``), the number of candidates solved at the
+    raised solve precision in the step (``raised_solves``: the candidates
+    the argmax read exactly, each once, see ``CandidatePosterior``), and
+    the number of float ln EI values the argmax's screen computed
+    (``screened``): every candidate after a ``CandidatePosterior`` sync,
+    and on a run whose state is the ``MarkovPosterior`` of an unjittered
+    Ornstein-Uhlenbeck kernel only the candidates the sync recomputed,
+    unless f* moved.  That state evaluates no covariance and solves nothing
+    at a raised precision: 0, False and 0.
     Timings vary between runs, so they go to the timings sidecar, never
     into the deterministic reports.
     """

@@ -10,14 +10,14 @@ against the design, and f the observed values.  Both come out of a single
 factorization of G applied to the two right-hand sides.
 
 Numerical contract: the Gram entries, g, and f are always evaluated at the
-context's working precision, and every moment read inherits the elevated
-solve precision of ``CholeskyFactor`` (the working tier of
-``CandidatePosterior`` solves at working precision, and is only scored
-within its error bounds).  Keeping the *entries* at working
-precision is deliberate: with the objective f = -G the value vector is then
-bit-identical to a column of G, and the interpolation identity
-mean(x) = -G(x) survives in floating point instead of being destroyed by
-entry-level rounding.
+context's working precision, and every moment read is solved at the
+elevated solve precision of ``CholeskyFactor`` and rounded to working
+precision (the one tier ``CandidatePosterior`` keeps solves at working
+precision, and is only scored within its error bounds).  Keeping the
+*entries* at working precision is deliberate: with the objective f = -G
+the value vector is then bit-identical to a column of G, and the
+interpolation identity mean(x) = -G(x) survives in floating point instead
+of being destroyed by entry-level rounding.
 """
 
 from __future__ import annotations
@@ -171,8 +171,6 @@ class FittedPosterior:
             if x == p:
                 return PosteriorMoments(point=x, mean=self.state.values[k], variance=mp.mpf(0))
         candidate = CandidatePosterior([x])
-        # straight into the exact tier: a one-candidate state has no other
-        candidate._exact[0] = True
         candidate._sync(self, 0)
         return candidate.moments(0)
 
@@ -183,10 +181,10 @@ class FittedPosterior:
         ``CandidatePosterior``) sit from the exact ones.
 
         E_var = E G(0) and E_mean = E sqrt(G(0)) |w|, with E the factor's
-        ``working_error``: |z|^2 <= G(0) for z = L^-1 g(c) at every c.  The
-        exact tier's own error is that bound at the solve precision, smaller
-        by 10^(working_dps - solve_dps) <= 10^-15, and E takes u at twice
-        the unit roundoff.
+        ``working_error``: |z|^2 <= G(0) for z = L^-1 g(c) at every c.  An
+        exact read's own error is that bound at the solve precision, smaller
+        by 10^(working_dps - solve_dps) <= 10^-15, plus its rounding to
+        working precision, and E takes u at twice the unit roundoff.
         """
         mp = self.ctx.mp
         g0 = mp.mpf(self._g0_hi)
@@ -231,30 +229,27 @@ class CandidatePosterior:
     holds bit for bit the z, variance and mean of a state synced once to
     the last fit.
 
-    A candidate's z, variance and mean sit in one of two tiers.  The
-    working tier solves against the factor's working-precision rows
-    (``CholeskyFactor.working_lower``) and w at working precision: it gains
-    one entry per step and is never re-solved.  The exact tier solves at
-    the factor's solve precision, and is re-solved from the kept column,
-    with no covariance evaluated again, at each rise of that precision.
-    While the solve precision is the working one the two tiers are the same
-    numbers.  After a rise, a candidate joins the exact tier, solved there
-    from its kept column, when it is read: by ``working_moments`` or
-    ``moments``, and by ``screen`` unless the working tier's error bounds
-    (``FittedPosterior.working_error``) settle its score.  It stays there
-    for the run.  Every read returns the exact tier, so a value read is bit
-    for bit the one an eager re-solve of every candidate gives;
-    ``FittedPosterior.moments`` is a one-candidate state that starts in the
-    exact tier.  ``raised_solves`` counts the candidates solved at a raised
-    solve precision since the last sync began: the exact tier's re-solves
-    and the candidates that joined it.
+    The z, variance and mean the state holds are the working tier: solved
+    against the factor's working-precision rows
+    (``CholeskyFactor.working_lower``) and w at working precision, one
+    entry more per step, never re-solved.  While the fit solves at the
+    working precision they are the exact moments.  While it solves above
+    it, a read (``working_moments``, ``moments``, and ``screen`` where the
+    working tier's error bounds, ``FittedPosterior.working_error``, cannot
+    settle the score) solves the candidate's kept column against the
+    factor at the solve precision and rounds the result to working
+    precision (``_solve``), with no covariance evaluated again: bit for bit
+    the value of an eager solve of every candidate.  That result is kept
+    until the next sync or ``remove``, so a candidate is solved at most
+    once per step; ``raised_solves`` counts the candidates solved at the
+    raised precision since the last sync.  ``FittedPosterior.moments`` is a
+    one-candidate state read once.
 
     Values are raw ``mpf`` tuples; the variance and mean updates round each
-    product and each sum at their tier's precision.  ``working_moments``
-    reads them back at working precision, still raw, for the whole set at
-    once; ``moments`` wraps one candidate's in ``PosteriorMoments``.  A
-    state serves one run: one kernel, one precision context, and one design
-    that only grows.
+    product and each sum at working precision.  ``working_moments`` reads
+    them, still raw, for the whole set at once; ``moments`` wraps one
+    candidate's in ``PosteriorMoments``.  A state serves one run: one
+    kernel, one precision context, and one design that only grows.
 
     Under a Gaussian kernel the state also keeps D(c) = e^(-c^2/4a), one
     per mirror pair +-c, for the whole run, so each column costs one
@@ -269,8 +264,8 @@ class CandidatePosterior:
     one here, so that the next screen scores only those.
     """
 
-    # Whether the working tier differs from the exact one: the synced
-    # factor's solve precision is above the working one.
+    # Whether a read solves exactly: the synced factor's solve precision is
+    # above the working one.
     _tiered = False
 
     def __init__(self, points, jitter=False):
@@ -278,7 +273,9 @@ class CandidatePosterior:
         self.jitter_used = bool(jitter)
         self._state = self._fitted = None
         self._g = self._z = self._var = self._mean = None
-        self._exact = [False] * len(self.points)
+        # (mean, variance) of each candidate read exactly since the last
+        # sync or ``remove`` (``_solve``)
+        self._solved = {}
         self.raised_solves = 0
         # e^(-p^2/4a) per mirror pair +-p of a Gaussian kernel, for the run.
         self._decay = {}
@@ -315,59 +312,58 @@ class CandidatePosterior:
     def _sync(self, fitted, kept):
         """``sync`` to the fit ``fitted`` of a design whose first ``kept``
         points the state holds."""
-        state, prev, ctx = fitted.state, self._fitted, fitted.ctx
+        state, prev = fitted.state, self._fitted
         n = len(self.points)
-        rose = prev is not None and fitted.solve_dps != prev.solve_dps
         if not kept:
             self._g = [[] for _ in range(n)]
             self._z = [[] for _ in range(n)]
             self._var = [fitted._g0_hi._mpf_] * n
             self._mean = [fzero] * n
         for k in range(kept, state.size):
-            self._advance(fitted, k, rose)
+            self._advance(fitted, k)
         self._state, self._fitted = state, fitted
         self.condition, self.solve_dps = fitted._factor.pivot_ratio, fitted.solve_dps
-        self._tiered = fitted.solve_dps != ctx.working_dps
-        resolved = [i for i, exact in enumerate(self._exact) if exact] if rose else ()
-        for i in resolved:
-            self._solve(i)
-        self.raised_solves = len(resolved)
+        self._tiered = fitted.solve_dps != fitted.ctx.working_dps
+        self._solved.clear()
+        self.raised_solves = 0
         self._clamped = [None] * n
-        return n * (state.size - kept), rose
+        return n * (state.size - kept), prev is not None and fitted.solve_dps != prev.solve_dps
 
-    def _advance(self, fitted, k, rose):
-        """Add forward-substitution entry ``k`` for every candidate, from
-        column entry k, evaluated here for every candidate in one
-        ``covariance_column`` call and kept: in each candidate's tier, but
-        not in the exact tier when the solve precision ``rose`` (its
-        re-solve reads the kept column)."""
-        factor, state = fitted._factor, fitted.state
-        tiers = (
-            (factor.working_lower[k], fitted._w[k]._mpf_, *fitted.ctx.mp._prec_rounding),
-            (factor.lower[k], fitted._w_hi[k]._mpf_, *factor.solve_mp._prec_rounding),
-        )
-        columns, zs, var, mean, exact = self._g, self._z, self._var, self._mean, self._exact
+    def _advance(self, fitted, k):
+        """Add the working-precision forward-substitution entry ``k`` for
+        every candidate, from column entry k, evaluated here for every
+        candidate in one ``covariance_column`` call and kept."""
+        state = fitted.state
+        row, w = fitted._factor.working_lower[k], fitted._w[k]._mpf_
+        prec, rnd = fitted.ctx.mp._prec_rounding
+        columns, zs, var, mean = self._g, self._z, self._var, self._mean
         column = covariance_column(state.kernel, state.points[k], self.points, fitted.ctx, self._decay, fitted._decay)
         for i, s in enumerate(column):
             columns[i].append(pack(s))
-            if not (rose and exact[i]):
-                var[i], mean[i] = _substitute(s, *tiers[exact[i]], zs[i], var[i], mean[i])
+            var[i], mean[i] = _substitute(s, row, w, prec, rnd, zs[i], var[i], mean[i])
 
     def _solve(self, i):
-        """Solve candidate ``i`` in the exact tier of the synced fit, from
-        its kept column."""
-        fitted = self._fitted
-        prec, rnd = fitted._factor.solve_mp._prec_rounding
-        z, var, mean = [], fitted._g0_hi._mpf_, fzero
-        for row, w, g in zip(fitted._factor.lower, fitted._w_hi, self._g[i]):
-            var, mean = _substitute(unpack(g), row, w._mpf_, prec, rnd, z, var, mean)
-        self._z[i], self._var[i], self._mean[i] = z, var, mean
+        """Candidate ``i``'s (mean, variance), raw tuples: solved from its
+        kept column against the synced fit's solve-precision factor and
+        rounded to working precision, and kept until the next sync or
+        ``remove``."""
+        solved = self._solved
+        if i not in solved:
+            fitted = self._fitted
+            prec, rnd = fitted._factor.solve_mp._prec_rounding
+            z, var, mean = [], fitted._g0_hi._mpf_, fzero
+            for row, w, g in zip(fitted._factor.lower, fitted._w_hi, self._g[i]):
+                var, mean = _substitute(unpack(g), row, w._mpf_, prec, rnd, z, var, mean)
+            prec, rnd = fitted.ctx.mp._prec_rounding
+            solved[i] = mpf_pos(mean, prec, rnd), mpf_pos(var, prec, rnd)
+            self.raised_solves += 1
+        return solved[i]
 
     def working_moments(self, indices=None):
         """Yield (mean, variance, clamped) at working precision, as raw mpf
         tuples, for the candidates at ``indices`` (every one, in index
-        order, by default) for the synced design, from the exact tier,
-        which each joins as it is reached.
+        order, by default) for the synced design: while the fit solves above
+        working precision, each read exactly (``_solve``).
 
         A negative variance is cancellation roundoff: it is clamped to zero
         and flagged.  Below -10**(-digits + 2 guard), the level that marks
@@ -376,18 +372,10 @@ class CandidatePosterior:
         """
         ctx = self._state.ctx
         mp = ctx.mp
-        prec, rnd = mp._prec_rounding
-        rounded, tiered = self.solve_dps != ctx.working_dps, self._tiered
         budget = mpf_neg(ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))._mpf_)
-        means, variances, exact = self._mean, self._var, self._exact
+        means, variances, tiered = self._mean, self._var, self._tiered
         for i in range(len(means)) if indices is None else indices:
-            if tiered and not exact[i]:
-                self._solve(i)
-                exact[i] = True
-                self.raised_solves += 1
-            mean, variance = means[i], variances[i]
-            if rounded:
-                mean, variance = mpf_pos(mean, prec, rnd), mpf_pos(variance, prec, rnd)
+            mean, variance = self._solve(i) if tiered else (means[i], variances[i])
             if not variance[0]:
                 yield mean, variance, False
             elif mpf_lt(variance, budget):
@@ -415,20 +403,21 @@ class CandidatePosterior:
         order, with the clamp count and the number of candidates scored.
 
         ``fstar`` is a raw mpf tuple.  ``score(mean, variance)`` scores a
-        candidate's raw working moments; ``score(mean, variance, error)``
-        scores its working-tier ones, ``error`` being (E_mean, E_var) of
-        ``FittedPosterior.working_error``, or gives None when those bounds
-        cannot settle the score.  Only the candidates whose moments changed
-        since the last screen are scored; every candidate is when ``fstar``
-        is not the last screen's.  A candidate in the working tier whose
-        variance exceeds E_var, so that its exact variance is positive (no
-        clamp, no abort), is scored from its working moments when they
-        settle the score.  Every other is read from ``working_moments``, in
-        index order, which raises ``NonPositivePivot`` as it does.
-        Candidates not scored keep their score and clamp flag, so the count
-        equals that of a screen of the whole set read exactly, and each
-        score that of the exact moments to within the settled slack.  The
-        list is the state's own, valid until the next sync or ``remove``.
+        candidate's raw working moments; ``score.within(error)``, ``error``
+        being (E_mean, E_var) of ``FittedPosterior.working_error``, gives
+        the scorer of its working-tier ones, which gives None when those
+        bounds cannot settle the score.  Only the candidates whose moments
+        changed since the last screen are scored; every candidate is when
+        ``fstar`` is not the last screen's.  While a read solves exactly, a
+        candidate whose working variance exceeds E_var, so that its exact
+        variance is positive (no clamp, no abort), is scored from its
+        working moments when they settle the score.  Every other is read
+        from ``working_moments``, in index order, which raises
+        ``NonPositivePivot`` as it does.  Candidates not scored keep their
+        score and clamp flag, so the count equals that of a screen of the
+        whole set read exactly, and each score that of the exact moments to
+        within the settled slack.  The list is the state's own, valid until
+        the next sync or ``remove``.
         """
         log_ei, clamped = self._log_ei, self._clamped
         if fstar == self._screen_fstar:
@@ -438,11 +427,12 @@ class CandidatePosterior:
         pending = indices
         if self._tiered:
             error = self._fitted.working_error()
-            means, variances, exact = self._mean, self._var, self._exact
+            bounded = score.within(error)
+            means, variances = self._mean, self._var
             pending = []
             for i in indices:
-                if not exact[i] and mpf_lt(error[1], variances[i]):
-                    value = score(means[i], variances[i], error)
+                if mpf_lt(error[1], variances[i]):
+                    value = bounded(means[i], variances[i])
                     if value is not None:
                         log_ei[i], clamped[i] = value, False
                         continue
@@ -454,8 +444,9 @@ class CandidatePosterior:
 
     def remove(self, i) -> None:
         """Take candidate ``i`` out of the set (it joined the design)."""
-        del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i], self._exact[i]
+        del self.points[i], self._g[i], self._z[i], self._var[i], self._mean[i]
         del self._log_ei[i], self._clamped[i]
+        self._solved.clear()
 
 
 def _substitute(s, row, w, prec, rnd, z, var, mean):

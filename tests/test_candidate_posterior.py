@@ -10,12 +10,14 @@ with the weights lambda = G^-1 g of ``FittedPosterior.weights``, a route
 that shares no update with the candidate state.  The tests also count the
 covariances each sync evaluates, and the objects one step makes per candidate.
 
-After a rise of the solve precision the state solves a candidate exactly
-only when it is read or its score cannot be settled from the working tier:
-the working tier is held within its error bound of a solve at twice the
-digits, the collapse workload's rise step to solving only its screen
-survivors exactly, a clamping run's counts and abort to those of a fully
-read state, and a candidate once read to staying in the exact tier.
+While the fit solves above working precision the state solves a
+candidate exactly only when it is read or its score cannot be settled from
+the working tier: the working tier is held within its error bound of a
+solve at twice the digits, the collapse workload's rise step to solving
+only its screen survivors exactly, a clamping run's counts and abort to
+those of a fully read state, and the exact reads of a run that solves
+above working precision with no rise to the direct query, each solved once
+per step.
 
 An unjittered Ornstein-Uhlenbeck run scores from a ``MarkovPosterior``
 instead, the closed form from each candidate's two design neighbours.  It is
@@ -96,7 +98,7 @@ def _replay(kernel, objective, x1, steps, grid, ctx, jitter=False):
         state = _design(kernel, ctx, pts[:size], vals[:size])
         fitted = eilab.FittedPosterior(state, jitter=jitter)
         # one covariance per remaining candidate, also when the solve
-        # precision rises and the kept columns are re-solved
+        # precision rises
         evaluated, resolved = _counted_sync(candidates, state)
         assert evaluated == len(candidates)
         assert resolved == (size > 1 and run.records[size - 1].solve_dps != fitted.solve_dps)
@@ -120,9 +122,9 @@ def test_gaussian_run_resolves_on_raised_solve_precision(ctx300, gauss_unit):
     assert not run.aborted
     dps = [rec.solve_dps for rec in run.records[1:]]
     # the factor's solve precision rises 320 -> 340 at step 6; every
-    # candidate is read here (``_assert_matches_direct``), so each joins the
-    # exact tier, solved at the new precision from its kept column, and
-    # matches the direct query bit for bit
+    # candidate is read here (``_assert_matches_direct``), so each is solved
+    # at the new precision from its kept column, rounded to working
+    # precision, and matches the direct query bit for bit
     assert dps[:5] == [320] * 5 and dps[5] == 340
     assert [t.sync_resolved for t in run.timings] == [False] * 5 + [True]
 
@@ -451,12 +453,12 @@ def test_working_tier_is_within_its_bound_of_the_exact_moments(digits, data):
     # Random Gaussian designs of 2-7 points (a in [2^-8, 1], points at a
     # spacing of at least 2^-12, random values) and prefixes of the
     # paper's collapse design with f = -G, candidates inside every gap,
-    # beyond both hull ends and 1e-40 from every design point.  Right after
-    # a sync every candidate is in the working tier, solved against the
+    # beyond both hull ends and 1e-40 from every design point.  The state
+    # holds every candidate's working tier, solved against the
     # working-precision factor; ``FittedPosterior.working_error`` bounds
     # its distance to the exact moments of the same kept columns and Gram
     # entries, here solved at twice the working digits, and to the exact
-    # tier the state solves at its solve precision.
+    # read the state solves at its solve precision (``_solve``).
     ctx = eilab.PrecisionContext(digits=digits, guard_digits=20)
     mp = ctx.mp
     mp2 = raw_context(2 * ctx.working_dps)
@@ -483,14 +485,20 @@ def test_working_tier_is_within_its_bound_of_the_exact_moments(digits, data):
     except eilab.NonPositivePivot:
         assume(False)
     e_mean, e_var = (mp2.make_mpf(e) for e in candidates._fitted.working_error())
+    # the exact read's own bound: E at the solve precision (with a factor
+    # 10 for the bits of a decimal digit), plus its rounding to working
+    # precision
+    shrink = mp2.mpf(10) ** (ctx.working_dps - candidates.solve_dps + 1)
+    unit = mp2.ldexp(1, -mp.prec)
     working = [(mp2.make_mpf(m), mp2.make_mpf(v)) for m, v in zip(candidates._mean, candidates._var)]
     for i, (mean, variance) in enumerate(working):
         ref_mean, ref_variance = _exact_reference(candidates, i, mp2)
-        candidates._solve(i)
-        exact_mean, exact_variance = mp2.make_mpf(candidates._mean[i]), mp2.make_mpf(candidates._var[i])
+        exact_mean, exact_variance = (mp2.make_mpf(v) for v in candidates._solve(i))
         at = mp.nstr(candidates.points[i], 12)
         assert abs(variance - ref_variance) <= e_var and abs(variance - exact_variance) <= e_var, f"variance at {at}"
         assert abs(mean - ref_mean) <= e_mean and abs(mean - exact_mean) <= e_mean, f"mean at {at}"
+        assert abs(exact_variance - ref_variance) <= e_var * shrink + unit * abs(ref_variance), f"exact variance at {at}"
+        assert abs(exact_mean - ref_mean) <= e_mean * shrink + unit * abs(ref_mean), f"exact mean at {at}"
 
 
 def test_collapse_rise_step_solves_only_the_screen_survivors(ctx300, gauss_unit):
@@ -550,18 +558,36 @@ def test_lazy_screen_clamps_and_aborts_as_a_fully_read_state(ctx60, gauss_unit):
         assert run.abort_reason == f"NonPositivePivot: {raised.value}"
 
 
-def test_a_candidate_read_after_a_rise_stays_in_the_exact_tier(ctx60, gauss_unit):
-    # {0, 0.05, -0.05} solves at 95 digits, and so does the design grown by
-    # 0.9: a candidate read at the first joins the exact tier, which the
-    # second sync extends at the same precision, so reading it again solves
-    # nothing; its moments are the direct query's, bit for bit.
-    mp = ctx60.mp
-    f = eilab.objective_function("neg_kernel", gauss_unit, ctx60)
-    xs = [mp.mpf(x) for x in ("0", "0.05", "-0.05", "0.9")]
-    candidates = CandidatePosterior([mp.mpf(k) / 41 for k in range(-40, 41, 3)])
-    for size, joined in ((3, 1), (4, 0)):
-        state = _design(gauss_unit, ctx60, xs[:size], [f(x) for x in xs[:size]])
-        assert candidates.sync(state) == (len(candidates) * (size - (size > 3) * 3), False)
-        assert candidates.solve_dps == 95 and candidates.raised_solves == 0
-        assert candidates.moments(5) == eilab.FittedPosterior(state).moments(candidates.points[5])
-        assert candidates.raised_solves == joined
+def test_exact_reads_without_a_rise_are_the_direct_query_once_per_step(ctx60):
+    # The 60-digit jittered collapse run of the golden reports: its solve
+    # precision rises 80 -> 100 -> 111 and stays at 111 for design sizes
+    # 8-12, so those steps read exactly with no rise.  Replayed on one
+    # state over every fourth grid point and the run's points (a
+    # candidate's moments do not depend on the rest of the set), every
+    # candidate's moments at every step equal the direct query bit for bit;
+    # a second read of a candidate solves nothing, and after ``remove`` a
+    # read is still the direct query's.
+    kernel = eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
+    grid = eilab.CandidateGrid(l_max=600)
+    run = eilab.run_trajectory(kernel, "neg_kernel", 0, 12, grid, ctx60, jitter=True)
+    assert [rec.solve_dps for rec in run.records[7:]] == [111] * 6
+    assert not any(t.sync_resolved for t in run.timings[7:])
+    pts, vals = run.state.points, run.state.values
+    kept = {c for c in grid.points(ctx60)[::4] if c != pts[0]}.union(pts[1:])
+    candidates = CandidatePosterior(sorted(kept), jitter=True)
+    for size in range(1, len(pts)):
+        state = _design(kernel, ctx60, pts[:size], vals[:size])
+        fitted = eilab.FittedPosterior(state, jitter=True)
+        candidates.sync(state)
+        assert candidates.raised_solves == 0
+        for i, c in enumerate(candidates.points):
+            assert candidates.moments(i) == fitted.moments(c), f"moments differ at {ctx60.mp.nstr(c, 12)}"
+        solved = candidates.raised_solves
+        assert solved == (len(candidates) if candidates.solve_dps > ctx60.working_dps else 0)
+        candidates.moments(0)
+        assert candidates.raised_solves == solved
+        index = candidates.points.index(pts[size])
+        candidates.remove(index)
+        # the candidate after the removed one now sits at its index
+        if index < len(candidates):
+            assert candidates.moments(index) == fitted.moments(candidates.points[index])

@@ -149,6 +149,21 @@ def test_argmax_is_exhaustive_maximum(ctx60, gauss_unit, argmax_ei):
         assert eilab.expected_improvement(state, c, fitted).ei <= best.ei
 
 
+def test_expected_improvement_refuses_the_fit_of_another_design(ctx60, gauss_unit):
+    # the fit of the design before x_2, or of the same points with another
+    # value, would score x with moments of the wrong design
+    state = eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1)
+    grown = eilab.add_point(state, "0.5", "-0.5")
+    revalued = eilab.add_point(state, "0.5", "-0.25")
+    for other in (state, revalued):
+        with pytest.raises(eilab.EILabError, match="another design"):
+            eilab.expected_improvement(grown, "0.3", eilab.FittedPosterior(other))
+    # an equal design built apart is the same design
+    same = eilab.add_point(eilab.TrajectoryState.start(gauss_unit, ctx60, 0, -1), "0.5", "-0.5")
+    fresh = eilab.expected_improvement(grown, "0.3")
+    assert eilab.expected_improvement(grown, "0.3", eilab.FittedPosterior(same)) == fresh
+
+
 def test_argmax_empty_grid(ctx60, gauss_unit, argmax_ei):
     state = eilab.TrajectoryState.start(gauss_unit, ctx60, 1, -1)
     state = eilab.add_point(state, -1, -1)

@@ -80,7 +80,7 @@ def test_a_settled_working_score_moves_by_less_than_the_slack(sign, gap_exp, var
     e_var = variance * mp.mpf(10) ** var_err * (1 - mp.mpf(10) ** -3)
     value = _screen_log_ei(variance._mpf_, gap._mpf_)
     assume(value is not None)
-    settled = ei._settled(value, variance._mpf_, gap._mpf_, (e_mean._mpf_, e_var._mpf_))
+    settled = ei._settled(value, variance._mpf_, gap._mpf_, (ei._log_abs(e_mean._mpf_), ei._log_abs(e_var._mpf_)))
     if max(mean_err, var_err) == -40 and abs(gap) / mp.sqrt(variance) < 10**10:
         assert settled
     if settled:
@@ -240,8 +240,9 @@ def test_every_ei_zero_picks_the_smallest_tie_key_of_all(ctx60):
 
 def _synced(ctx, design, candidates):
     """A candidate state synced to the fit of ``design`` under the headline
-    kernel with f = -G, every candidate read once, so that each is in the
-    exact tier, the one ``_poke`` overwrites."""
+    kernel with f = -G, every candidate read once, so that a state whose
+    fit solves above working precision holds this step's exact read of
+    each, the one ``_poke`` overwrites."""
     mp = ctx.mp
     kernel = eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
     xs = tuple(mp.mpf(x) for x in design)
@@ -253,14 +254,27 @@ def _synced(ctx, design, candidates):
     return fitted, state
 
 
+def _held(candidates, i):
+    """The raw (mean, variance) the state reads candidate ``i`` as: this
+    step's exact read when the fit solves above working precision, else
+    the working tier."""
+    return candidates._solved[i] if candidates._tiered else (candidates._mean[i], candidates._var[i])
+
+
 def _poke(fitted, candidates, i, mean=None, variance=None):
-    """Overwrite the mean and variance the state holds for candidate ``i``,
-    at the solve precision."""
+    """Overwrite the mean and variance the state reads for candidate ``i``
+    with values given at the solve precision, rounded to working precision
+    as an exact read (``CandidatePosterior._solve``) rounds them."""
     smp = raw_context(fitted.solve_dps)
-    if mean is not None:
-        candidates._mean[i] = smp.mpf(mean)._mpf_
-    if variance is not None:
-        candidates._var[i] = smp.mpf(variance)._mpf_
+    prec, rnd = fitted.ctx.mp._prec_rounding
+    poked = [
+        held if value is None else mpf_pos(smp.mpf(value)._mpf_, prec, rnd)
+        for held, value in zip(_held(candidates, i), (mean, variance))
+    ]
+    if candidates._tiered:
+        candidates._solved[i] = tuple(poked)
+    else:
+        candidates._mean[i], candidates._var[i] = poked
 
 
 def test_clamps_are_counted_and_a_deep_negative_variance_aborts(ctx60):
@@ -289,8 +303,8 @@ def _moments_before_the_raw_screen(fitted, candidates, i):
     ctx = fitted.ctx
     mp = ctx.mp
     prec, rnd = mp._prec_rounding
-    mean = mp.make_mpf(mpf_pos(candidates._mean[i], prec, rnd))
-    variance = mp.make_mpf(mpf_pos(candidates._var[i], prec, rnd))
+    mean, variance = _held(candidates, i)
+    mean, variance = mp.make_mpf(mpf_pos(mean, prec, rnd)), mp.make_mpf(mpf_pos(variance, prec, rnd))
     clamped = False
     if variance < 0:
         if variance < -ctx.tol(-(ctx.digits - 2 * ctx.guard_digits)):
@@ -377,14 +391,14 @@ def test_raw_screen_is_the_screen_of_the_moments(ctx60, design, pokes):
 
 @pytest.mark.parametrize("scale", [0.25, 2])
 def test_screen_reads_exactly_each_candidate_its_bounds_cannot_settle(ctx60, monkeypatch, scale):
-    # {0, 0.05, -0.05} solves at 95 digits: right after the sync every
-    # candidate is in the working tier.  With the fit's own bounds, tiny
+    # {0, 0.05, -0.05} solves at 95 digits: right after the sync no
+    # candidate has been read exactly.  With the fit's own bounds, tiny
     # here, the screen settles every score from the working tier, each
     # within 1e-13 of the score of the exact moments.  With bounds widened
     # to E_var = E_mean = scale times the smallest working variance, none
     # settles: at 0.25 the variances clear E_var but the scores move too
     # much, at 2 the variances do not clear it; every candidate is read
-    # from the exact tier, and the screen is the fully read state's.
+    # exactly, and the screen is the fully read state's.
     state = _synced(ctx60, _DESIGNS[1], [])[0].state
     fstar = state.best
     for widened in (False, True):
