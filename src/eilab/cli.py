@@ -25,6 +25,7 @@ import argparse
 import os
 import sys
 import time
+from bisect import insort
 from dataclasses import asdict
 
 from .config import ExperimentConfig, load_config
@@ -107,29 +108,19 @@ def cmd_trajectory(config: ExperimentConfig) -> RunReport:
     return report
 
 
-def _max_gap(mp, points):
-    if len(points) < 2:
-        return mp.mpf(0)
-    ordered = sorted(points)
-    return max(b - a for a, b in zip(ordered, ordered[1:]))
-
-
 def cmd_contrast(config: ExperimentConfig) -> RunReport:
-    """Run the configured kernel and report trajectory coverage per K."""
+    """Run the configured kernel and report trajectory coverage per K: the
+    largest gap between neighbours of x_1..x_K, kept sorted as the design
+    grows."""
     ctx = config.precision()
-    mp = ctx.mp
     report = RunReport(command="contrast", config=config, digits=ctx.digits)
     run = _run_into(report, config, ctx)
     report.columns = ["K", "x", "max_gap"]
-    pts = run.state.points
-    report.rows = [
-        {
-            "K": k,
-            "x": ctx.to_str(pts[k - 1]),
-            "max_gap": ctx.to_str(_max_gap(mp, pts[:k]), 30),
-        }
-        for k in range(1, len(pts) + 1)
-    ]
+    ordered = []
+    for it, x in zip(report.iterations, run.state.points):
+        insort(ordered, x)
+        gap = max((b - a for a, b in zip(ordered, ordered[1:])), default=ctx.mp.mpf(0))
+        report.rows.append({"K": it["K"], "x": it["x"], "max_gap": ctx.to_str(gap, 30)})
     return report
 
 

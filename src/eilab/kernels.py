@@ -253,20 +253,23 @@ def covariance_column(kernel: KernelSpec, x0, points, ctx: PrecisionContext, dec
     reach = (int(ctx.guard_digits * math.log2(10) / 2) + four_a[2] + four_a[3] - 3) // 2
     if origin[2] + origin[3] > reach:
         reach = -math.inf
-    growth = {}
+    # The entry of the mirror of each pair met once, keyed by the mirror's
+    # sign too (a point may repeat), until the mirror comes.
+    mirrors = {}
     column = []
     for p in points:
         sign, man, exp, bc = raw = p._mpf_
         if exp + bc > reach:
             column.append(mpf_mul(pref, gauss(mpf_sub(raw, origin, prec, rnd)), prec, rnd))
             continue
-        pair = growth.get((man, exp))
-        if pair is None:
-            pair = growth[man, exp] = (
-                mpf_mul(scale, kept(decay, man, exp, bc), prec, rnd),
-                mpf_exp(mpf_mul((0, man, exp, bc), rate, prec, rnd), prec, rnd),
-            )
-        column.append((mpf_div if sign else mpf_mul)(*pair, prec, rnd))
+        mirror = mirrors.pop((sign, man, exp), None)
+        if mirror is not None:
+            column.append(mirror)
+            continue
+        scaled = mpf_mul(scale, kept(decay, man, exp, bc), prec, rnd)
+        growth = mpf_exp(mpf_mul((0, man, exp, bc), rate, prec, rnd), prec, rnd)
+        column.append((mpf_div if sign else mpf_mul)(scaled, growth, prec, rnd))
+        mirrors[1 - sign, man, exp] = (mpf_mul if sign else mpf_div)(scaled, growth, prec, rnd)
     return column
 
 

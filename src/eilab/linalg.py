@@ -25,17 +25,20 @@ its lower triangle: row i holds its i + 1 entries up to the diagonal.
 
 Each entry of the factor and of both triangular solves is one
 ``exact_residual`` b - sum_k a_k c_k, formed exactly in integers and rounded
-once: divided by the diagonal, or taken as it is for a pivot.  Every caller
-that forms such an entry (the candidate posterior too) uses that one kernel,
-so an entry has the same bits however its factor or solve was assembled.
+once: divided by the diagonal, or taken as it is for a pivot.  A forward
+substitution keeps its solved entries packed (``precision.pack``) and forms
+each next one by ``substitution_entry``, the same exact residual read from
+the packed ints; every caller that forms such an entry (the candidate
+posterior too) uses those kernels, so an entry has the same bits however
+its factor or solve was assembled.
 """
 
 from __future__ import annotations
 
-from mpmath.libmp import from_man_exp, mpf_div, mpf_pos, mpf_sqrt
+from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_pos, mpf_sqrt
 
 from .errors import DimensionMismatch, NonPositivePivot
-from .precision import PrecisionContext, raw_context
+from .precision import PACKED_EXP_BITS, PACKED_EXP_MASK, PACKED_EXP_OFFSET, PrecisionContext, pack, raw_context, unpack
 
 
 def check_pivot_floor(mp, j, s, earlier, scale, unit):
@@ -98,6 +101,53 @@ def exact_residual(b, a, c):
                 acc = (acc << (low - e)) + m
                 low = e
     return from_man_exp(acc, low)
+
+
+def substitution_entry(b, row, z, prec, rnd):
+    """(b - sum_k row_k z_k) / row[len(z)] rounded once at ``prec``: entry
+    len(z) of a forward substitution, for a factor row ``row`` of raw mpf
+    tuples (its diagonal at len(z)) and the entries ``z`` before it packed
+    (``precision.pack``), as a raw tuple.
+
+    The numerator is ``exact_residual``'s, read from the packed ints without
+    unpacking them: each one's signed mantissa is its value above the low
+    ``PACKED_EXP_BITS`` bits, and its exponent, offset by
+    ``PACKED_EXP_OFFSET``, those bits.  The offset is carried through the
+    sum and taken off once.  The sum goes to the division unnormalized,
+    which rounds it correctly all the same, except over a power of two,
+    which ``mpf_div`` would return unnormalized.  An entry kept as a tuple
+    (its exponent outside the packed window) sends the whole sum through
+    ``exact_residual``.
+    """
+    diag, bits, mask, offset = row[len(z)], PACKED_EXP_BITS, PACKED_EXP_MASK, PACKED_EXP_OFFSET
+    sign, acc, low, _ = b
+    if sign:
+        acc = -acc
+    low += offset
+    try:
+        for (sa, ma, ea, _), v in zip(row, z):
+            m = ma * (v >> bits)
+            if m:
+                if not sa:
+                    m = -m
+                e = ea + (v & mask)
+                if not acc:
+                    acc, low = m, e
+                elif e >= low:
+                    acc += m << (e - low)
+                else:
+                    acc = (acc << (low - e)) + m
+                    low = e
+    except TypeError:
+        return mpf_div(exact_residual(b, row, [unpack(v) for v in z]), diag, prec, rnd)
+    if not acc:
+        return fzero
+    if diag[1] == 1:
+        return mpf_div(from_man_exp(acc, low - offset), diag, prec, rnd)
+    if acc < 0:
+        acc = -acc
+        return mpf_div((1, acc, low - offset, acc.bit_length()), diag, prec, rnd)
+    return mpf_div((0, acc, low - offset, acc.bit_length()), diag, prec, rnd)
 
 
 def _border(mp, a, rows, pivots, wdps=None):
@@ -270,15 +320,13 @@ def forward_substitution(mp, lower, rhs, leading=()):
 
     ``leading`` may hold the first entries of y, as solved against the
     leading rows of ``lower`` under the same context; only the entries
-    after them are computed.  Each entry is its ``exact_residual`` divided
-    by the diagonal, rounded once.
+    after them are computed.  Each entry is its ``substitution_entry``.
     """
     prec, rnd = mp._prec_rounding
-    y = [v._mpf_ for v in leading]
+    y = [pack(v._mpf_) for v in leading]
     for i in range(len(y), len(lower)):
-        row = lower[i]
-        y.append(mpf_div(exact_residual(mp.mpf(rhs[i])._mpf_, row[:i], y), row[i], prec, rnd))
-    return [mp.make_mpf(v) for v in y]
+        y.append(pack(substitution_entry(mp.mpf(rhs[i])._mpf_, lower[i], y, prec, rnd)))
+    return [mp.make_mpf(unpack(v)) for v in y]
 
 
 def gram_det(vectors, ctx: PrecisionContext):

@@ -38,7 +38,7 @@ from .kernels import (
     spectral_density,
     spectral_power_law,
 )
-from .linalg import CholeskyFactor, check_pivot_floor, conditioning, exact_residual, forward_substitution
+from .linalg import CholeskyFactor, check_pivot_floor, conditioning, forward_substitution, substitution_entry
 from .precision import PrecisionContext, pack, unpack
 from .quadrature import integrate, quadrature_context
 
@@ -164,14 +164,16 @@ class FittedPosterior:
     def moments(self, x) -> PosteriorMoments:
         """Working-precision moments at ``x``: at a design point its observed
         value with zero variance, elsewhere those of the one-candidate
-        ``CandidatePosterior`` synced to this fit."""
+        ``CandidatePosterior`` synced to this fit, read exactly: its column
+        is kept and solved at the solve precision only, with no working
+        tier (``CandidatePosterior._sync_columns``)."""
         mp = self.ctx.mp
         x = mp.mpf(x)
         for k, p in enumerate(self.state.points):
             if x == p:
                 return PosteriorMoments(point=x, mean=self.state.values[k], variance=mp.mpf(0))
         candidate = CandidatePosterior([x])
-        candidate._sync(self, 0)
+        candidate._sync_columns(self)
         return candidate.moments(0)
 
     def working_error(self):
@@ -210,8 +212,7 @@ class CandidatePosterior:
     (``solve_dps``) and ``jitter_used``.
 
     For each candidate c the state holds its covariance column g(c), the
-    covariances against the design points at working precision (packed, see
-    ``precision.pack``), and
+    covariances against the design points at working precision, and
     z(c) = L^-1 g(c), the variance G(0) - sum z^2 and the mean sum z_j w_j
     with w = L^-1 f.  When the design gains one point x_K, ``sync`` costs
     one covariance and K exact products per candidate: the new column
@@ -222,8 +223,8 @@ class CandidatePosterior:
         z_K(c) = (g_K(c) - sum_{j<K} L_{K,j} z_j(c)) / L_{K,K}
 
     (the bordered Cholesky factor organised by column; Rasmussen & Williams,
-    GPML 2006, sec. 2.2 and Alg. 2.1), its numerator the exact
-    ``linalg.exact_residual`` and the division its one rounding, as in
+    GPML 2006, sec. 2.2 and Alg. 2.1), ``linalg.substitution_entry``: its
+    numerator exact and the division its one rounding, as in
     ``CholeskyFactor.solve_lower``.  The leading rows of L and entries of w
     do not change when a point is appended, so a state grown step by step
     holds bit for bit the z, variance and mean of a state synced once to
@@ -242,14 +243,19 @@ class CandidatePosterior:
     the value of an eager solve of every candidate.  That result is kept
     until the next sync or ``remove``, so a candidate is solved at most
     once per step; ``raised_solves`` counts the candidates solved at the
-    raised precision since the last sync.  ``FittedPosterior.moments`` is a
-    one-candidate state read once.
+    raised precision since the last sync.  ``FittedPosterior.moments`` is
+    the exact read of a one-candidate state.
 
-    Values are raw ``mpf`` tuples; the variance and mean updates round each
-    product and each sum at working precision.  ``working_moments`` reads
-    them, still raw, for the whole set at once; ``moments`` wraps one
-    candidate's in ``PosteriorMoments``.  A state serves one run: one
-    kernel, one precision context, and one design that only grows.
+    Every value the state keeps per candidate (column entry,
+    forward-substitution entry, variance, mean and exact read) is one int,
+    ``precision.pack`` of its raw ``mpf`` tuple: about 55 % of the tuple's
+    memory.  The next z entry is formed from the packed ones
+    (``linalg.substitution_entry``), and the variance and mean updates
+    round each product and each sum at working precision.
+    ``working_moments`` reads them as raw tuples for the whole set at once;
+    ``moments`` wraps one candidate's in ``PosteriorMoments``.  A state
+    serves one run: one kernel, one precision context, and one design that
+    only grows.
 
     Under a Gaussian kernel the state also keeps D(c) = e^(-c^2/4a), one
     per mirror pair +-c, for the whole run, so each column costs one
@@ -273,8 +279,8 @@ class CandidatePosterior:
         self.jitter_used = bool(jitter)
         self._state = self._fitted = None
         self._g = self._z = self._var = self._mean = None
-        # (mean, variance) of each candidate read exactly since the last
-        # sync or ``remove`` (``_solve``)
+        # (mean, variance), packed, of each candidate read exactly since the
+        # last sync or ``remove`` (``_solve``)
         self._solved = {}
         self.raised_solves = 0
         # e^(-p^2/4a) per mirror pair +-p of a Gaussian kernel, for the run.
@@ -315,10 +321,9 @@ class CandidatePosterior:
         state, prev = fitted.state, self._fitted
         n = len(self.points)
         if not kept:
-            self._g = [[] for _ in range(n)]
-            self._z = [[] for _ in range(n)]
-            self._var = [fitted._g0_hi._mpf_] * n
-            self._mean = [fzero] * n
+            self._g, self._z = [[]] * n, [[]] * n
+            self._var = [pack(fitted._g0_hi._mpf_)] * n
+            self._mean = [pack(fzero)] * n
         for k in range(kept, state.size):
             self._advance(fitted, k)
         self._state, self._fitted = state, fitted
@@ -332,32 +337,52 @@ class CandidatePosterior:
     def _advance(self, fitted, k):
         """Add the working-precision forward-substitution entry ``k`` for
         every candidate, from column entry k, evaluated here for every
-        candidate in one ``covariance_column`` call and kept."""
+        candidate in one ``covariance_column`` call and kept.  Each raw
+        entry is dropped from the call's list once it is packed, so the
+        list does not outlive the step's new values.  A candidate's column
+        and z lists are rebuilt at their new length, not appended to, which
+        would leave them spare slots."""
         state = fitted.state
         row, w = fitted._factor.working_lower[k], fitted._w[k]._mpf_
         prec, rnd = fitted.ctx.mp._prec_rounding
         columns, zs, var, mean = self._g, self._z, self._var, self._mean
         column = covariance_column(state.kernel, state.points[k], self.points, fitted.ctx, self._decay, fitted._decay)
         for i, s in enumerate(column):
-            columns[i].append(pack(s))
-            var[i], mean[i] = _substitute(s, row, w, prec, rnd, zs[i], var[i], mean[i])
+            column[i] = None
+            columns[i] = [*columns[i], pack(s)]
+            entry, v, m = _substitute(s, row, w, prec, rnd, zs[i], unpack(var[i]), unpack(mean[i]))
+            zs[i], var[i], mean[i] = [*zs[i], entry], pack(v), pack(m)
+
+    def _sync_columns(self, fitted):
+        """Keep only the columns of the design of the fit ``fitted``, so
+        that every read solves exactly (``_solve``), with no working tier:
+        the one-candidate state of ``FittedPosterior.moments``."""
+        state = fitted.state
+        columns = self._g = [[]] * len(self.points)
+        for x in state.points:
+            for i, s in enumerate(covariance_column(state.kernel, x, self.points, fitted.ctx, self._decay, fitted._decay)):
+                columns[i] = [*columns[i], pack(s)]
+        self._state, self._fitted, self._tiered = state, fitted, True
 
     def _solve(self, i):
         """Candidate ``i``'s (mean, variance), raw tuples: solved from its
         kept column against the synced fit's solve-precision factor and
         rounded to working precision, and kept until the next sync or
         ``remove``."""
-        solved = self._solved
-        if i not in solved:
-            fitted = self._fitted
-            prec, rnd = fitted._factor.solve_mp._prec_rounding
-            z, var, mean = [], fitted._g0_hi._mpf_, fzero
-            for row, w, g in zip(fitted._factor.lower, fitted._w_hi, self._g[i]):
-                var, mean = _substitute(unpack(g), row, w._mpf_, prec, rnd, z, var, mean)
-            prec, rnd = fitted.ctx.mp._prec_rounding
-            solved[i] = mpf_pos(mean, prec, rnd), mpf_pos(var, prec, rnd)
-            self.raised_solves += 1
-        return solved[i]
+        solved = self._solved.get(i)
+        if solved is not None:
+            return unpack(solved[0]), unpack(solved[1])
+        fitted = self._fitted
+        prec, rnd = fitted._factor.solve_mp._prec_rounding
+        z, var, mean = [], fitted._g0_hi._mpf_, fzero
+        for row, w, g in zip(fitted._factor.lower, fitted._w_hi, self._g[i]):
+            entry, var, mean = _substitute(unpack(g), row, w._mpf_, prec, rnd, z, var, mean)
+            z.append(entry)
+        prec, rnd = fitted.ctx.mp._prec_rounding
+        mean, variance = mpf_pos(mean, prec, rnd), mpf_pos(var, prec, rnd)
+        self._solved[i] = pack(mean), pack(variance)
+        self.raised_solves += 1
+        return mean, variance
 
     def working_moments(self, indices=None):
         """Yield (mean, variance, clamped) at working precision, as raw mpf
@@ -374,8 +399,8 @@ class CandidatePosterior:
         mp = ctx.mp
         budget = mpf_neg(ctx.tol(-(ctx.digits - 2 * ctx.guard_digits))._mpf_)
         means, variances, tiered = self._mean, self._var, self._tiered
-        for i in range(len(means)) if indices is None else indices:
-            mean, variance = self._solve(i) if tiered else (means[i], variances[i])
+        for i in range(len(self.points)) if indices is None else indices:
+            mean, variance = self._solve(i) if tiered else (unpack(means[i]), unpack(variances[i]))
             if not variance[0]:
                 yield mean, variance, False
             elif mpf_lt(variance, budget):
@@ -431,8 +456,9 @@ class CandidatePosterior:
             means, variances = self._mean, self._var
             pending = []
             for i in indices:
-                if mpf_lt(error[1], variances[i]):
-                    value = bounded(means[i], variances[i])
+                variance = unpack(variances[i])
+                if mpf_lt(error[1], variance):
+                    value = bounded(unpack(means[i]), variance)
                     if value is not None:
                         log_ei[i], clamped[i] = value, False
                         continue
@@ -450,13 +476,12 @@ class CandidatePosterior:
 
 
 def _substitute(s, row, w, prec, rnd, z, var, mean):
-    """Append to ``z`` its next forward-substitution entry, from column
-    entry ``s`` and the factor row ``row`` (its diagonal last), and return
-    ``var`` and ``mean`` moved by it, with ``w`` the matching entry of
-    L^-1 f: raw tuples, each operation rounded at ``prec``."""
-    s = mpf_div(exact_residual(s, row, z), row[len(z)], prec, rnd)
-    z.append(s)
-    return mpf_sub(var, mpf_mul(s, s, prec, rnd), prec, rnd), mpf_add(mean, mpf_mul(s, w, prec, rnd), prec, rnd)
+    """The forward-substitution entry after the packed entries ``z``, from
+    column entry ``s`` and the factor row ``row`` (its diagonal last),
+    packed, and ``var`` and ``mean`` moved by it, with ``w`` the matching
+    entry of L^-1 f: raw tuples, each operation rounded at ``prec``."""
+    s = substitution_entry(s, row, z, prec, rnd)
+    return pack(s), mpf_sub(var, mpf_mul(s, s, prec, rnd), prec, rnd), mpf_add(mean, mpf_mul(s, w, prec, rnd), prec, rnd)
 
 
 def _bridge_variance(gamma, left, right, q_lr, prec, rnd):
@@ -482,9 +507,11 @@ class MarkovPosterior(CandidatePosterior):
     design's hull they are gamma q and rho f of the nearest point.  The
     lags are exact, rho, q and Q come from ``kernels.ou_correlations``
     without cancellation, and each product and quotient is rounded once at
-    working precision: the moments are raw working-precision tuples, never
+    working precision: the moments are working-precision values, never
     negative, and agree with the fit's Cholesky moments to roundoff, not bit
-    for bit.
+    for bit.  They are kept packed as ``CandidatePosterior`` keeps its own,
+    so the readers it shares with that state read both alike; the (rho, q)
+    pairs below, read only by the sync, stay raw tuples.
 
     The candidates stay sorted (``CandidateGrid.points`` gives them so, and
     ``remove`` keeps the order), and so does the design.  Each candidate
@@ -575,9 +602,9 @@ class MarkovPosterior(CandidatePosterior):
 
         for i in range(lo, hi):
             (rho_l, q_l), (rho_r, q_r) = left, right = self._left[i], self._right[i]
-            self._var[i] = _bridge_variance(gamma, left, right, q_lr, prec, rnd)
+            self._var[i] = pack(_bridge_variance(gamma, left, right, q_lr, prec, rnd))
             mean = mpf_add(mul(mul(rho_l, q_r), f_l), mul(mul(rho_r, q_l), f_r), prec, rnd)
-            self._mean[i] = mpf_div(mean, q_lr, prec, rnd)
+            self._mean[i] = pack(mpf_div(mean, q_lr, prec, rnd))
 
     def remove(self, i) -> None:
         del self.points[i], self._left[i], self._right[i], self._var[i], self._mean[i], self._log_ei[i], self._clamped[i]

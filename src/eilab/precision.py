@@ -34,34 +34,47 @@ def raw_context(dps: int) -> MPContext:
     return ctx
 
 
-# A kept raw mpf value is one int: the signed mantissa above 64 bits that
-# hold the binary exponent offset by 2^63.  It takes about 60 % of the
-# memory of the raw (sign, man, exp, bc) tuple, and unpacks to that tuple
-# exactly for any finite normalized mpf (bc is the mantissa's bit length).
-# A value whose exponent does not fit those bits (below 2^-(2^63), such as
-# exp(-x^2/4a) at a tiny a) is kept as the tuple itself.
-_EXP_BITS = 64
-_EXP_MASK = (1 << _EXP_BITS) - 1
-_EXP_OFFSET = 1 << (_EXP_BITS - 1)
+# A kept raw mpf value is one int: the signed mantissa above the low
+# PACKED_EXP_BITS bits (PACKED_EXP_MASK), which hold the binary exponent
+# plus PACKED_EXP_OFFSET.  It takes about 55 % of the memory of the raw
+# (sign, man, exp, bc) tuple, and unpacks to that tuple exactly for any
+# finite normalized mpf (bc is the mantissa's bit length).  A value whose
+# exponent does not fit those bits (below 2^-(2^63), such as exp(-x^2/4a)
+# at a tiny a) is kept as the tuple itself.
+PACKED_EXP_BITS = 64
+PACKED_EXP_OFFSET = 1 << (PACKED_EXP_BITS - 1)
+PACKED_EXP_MASK = (1 << PACKED_EXP_BITS) - 1
 
 
 def pack(raw):
     """The raw mpf tuple ``raw`` as one int, or as itself when its exponent
-    does not fit (see ``unpack``)."""
+    does not fit (see ``unpack``).
+
+    Every per-candidate value a ``posterior.CandidatePosterior`` keeps is
+    stored so (its covariance column, forward-substitution entries,
+    variance, mean and exact reads), as are the Gaussian decay factors
+    ``kernels.covariance_column`` keeps and the entries
+    ``linalg.forward_substitution`` has solved;
+    ``linalg.substitution_entry`` reads packed entries without unpacking
+    them.
+    """
     sign, man, exp, _ = raw
-    if not -_EXP_OFFSET <= exp < _EXP_OFFSET:
+    biased = exp + PACKED_EXP_OFFSET
+    if biased >> PACKED_EXP_BITS:
         return raw
-    return ((-man if sign else man) << _EXP_BITS) | (exp + _EXP_OFFSET)
+    return ((-man if sign else man) << PACKED_EXP_BITS) | biased
 
 
 def unpack(packed):
     """The raw mpf tuple that ``pack`` stored."""
-    if isinstance(packed, tuple):
+    try:
+        man = packed >> PACKED_EXP_BITS
+    except TypeError:
         return packed
-    man = packed >> _EXP_BITS
-    sign = int(man < 0)
-    man = -man if sign else man
-    return (sign, man, (packed & _EXP_MASK) - _EXP_OFFSET, man.bit_length())
+    if man < 0:
+        man = -man
+        return (1, man, (packed & PACKED_EXP_MASK) - PACKED_EXP_OFFSET, man.bit_length())
+    return (0, man, (packed & PACKED_EXP_MASK) - PACKED_EXP_OFFSET, man.bit_length())
 
 
 @dataclass(frozen=True)

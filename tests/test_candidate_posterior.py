@@ -29,18 +29,20 @@ fit's, and its run is held to building no fit, factor or covariance.
 """
 
 import contextlib
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
 import eilab
 from eilab import ei as ei_module
 from eilab import kernels as kernels_module
 from eilab import posterior as posterior_module
 from eilab.ei import _ei_value, _tie_key
-from eilab.linalg import CholeskyFactor
+from eilab.kernels import covariance_column
+from eilab.linalg import CholeskyFactor, exact_residual
 from eilab.posterior import CandidatePosterior, MarkovPosterior
 from eilab.precision import pack, raw_context, unpack
 
@@ -490,7 +492,7 @@ def test_working_tier_is_within_its_bound_of_the_exact_moments(digits, data):
     # precision
     shrink = mp2.mpf(10) ** (ctx.working_dps - candidates.solve_dps + 1)
     unit = mp2.ldexp(1, -mp.prec)
-    working = [(mp2.make_mpf(m), mp2.make_mpf(v)) for m, v in zip(candidates._mean, candidates._var)]
+    working = [(mp2.make_mpf(unpack(m)), mp2.make_mpf(unpack(v))) for m, v in zip(candidates._mean, candidates._var)]
     for i, (mean, variance) in enumerate(working):
         ref_mean, ref_variance = _exact_reference(candidates, i, mp2)
         exact_mean, exact_variance = (mp2.make_mpf(v) for v in candidates._solve(i))
@@ -591,3 +593,151 @@ def test_exact_reads_without_a_rise_are_the_direct_query_once_per_step(ctx60):
         # the candidate after the removed one now sits at its index
         if index < len(candidates):
             assert candidates.moments(index) == fitted.moments(candidates.points[index])
+
+
+def test_direct_query_substitutes_only_at_the_solve_precision(ctx60):
+    # {0, 0.05, -0.05} under the headline kernel solves at 95 digits.  The
+    # direct query evaluates each column entry once and solves the column
+    # at the solve precision only: K substitutions there and none at the
+    # working precision, the moments those of the one-candidate state
+    # synced to the same fit and read exactly.
+    kernel = eilab.GaussianKernel(a="0.25", gamma="sqrt_pi")
+    mp = ctx60.mp
+    xs = [mp.mpf(x) for x in ("0", "0.05", "-0.05")]
+    fitted = eilab.FittedPosterior(_design(kernel, ctx60, xs, [-eilab.covariance(kernel, x, ctx60) for x in xs]))
+    assert fitted.solve_dps > ctx60.working_dps
+    for x in (mp.mpf("0.3"), mp.mpf("-0.025"), mp.mpf("1e-40")):
+        one = CandidatePosterior([x])
+        one._sync(fitted, 0)
+        with mock.patch.object(posterior_module, "_substitute", wraps=posterior_module._substitute) as substituted:
+            moments = fitted.moments(x)
+        precisions = [call.args[3] for call in substituted.call_args_list]
+        assert precisions == [raw_context(fitted.solve_dps).prec] * len(xs)
+        assert moments == one.moments(0)
+
+
+def _deep_size(obj, seen):
+    """``sys.getsizeof`` of ``obj`` and of every object the lists, tuples
+    and dicts under it hold, each object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple)):
+        size += sum(_deep_size(v, seen) for v in obj)
+    elif isinstance(obj, dict):
+        size += sum(_deep_size(k, seen) + _deep_size(v, seen) for k, v in obj.items())
+    return size
+
+
+# The deep size of the values below when the state kept z, the variance and
+# the mean as raw mpf tuples (in lists) and only the columns packed,
+# measured on that code under CPython 3.11.
+_RAW_TUPLE_FOOTPRINT = 4_338_760
+
+
+def test_stored_values_take_at_most_three_quarters_of_the_raw_tuples(ctx300, gauss_unit):
+    # The collapse cut's 6-point design over its other 1 197 grid points
+    # (l_max = 600): the values the state keeps per candidate, every one
+    # packed, take at most 75 % of what they took as raw tuples (3 236 240
+    # bytes now, 74.6 %).
+    mp = ctx300.mp
+    xs = [mp.zero if l is None else s * mp.exp(-l * mp.mpf("0.02")) for s, l in _COLLAPSE[:6]]
+    state = _design(gauss_unit, ctx300, xs, [-eilab.covariance(gauss_unit, x, ctx300) for x in xs])
+    candidates = CandidatePosterior(c for c in eilab.CandidateGrid(l_max=600).points(ctx300) if c not in xs)
+    assert len(candidates) == 1197
+    candidates.sync(state)
+    stored = (candidates._g, candidates._z, candidates._var, candidates._mean, candidates._solved)
+    assert _deep_size(stored, set()) <= 0.75 * _RAW_TUPLE_FOOTPRINT
+
+
+def _unpacked(fitted, point, exact):
+    """Column, z, variance and mean at ``point`` by the unpacked computation:
+    raw tuples throughout, each z entry ``exact_residual`` divided by the
+    diagonal, against the working-precision factor and w, or with ``exact``
+    against the solve-precision ones, the moments then rounded to working
+    precision."""
+    state, factor = fitted.state, fitted._factor
+    mp = raw_context(fitted.solve_dps) if exact else fitted.ctx.mp
+    prec, rnd = mp._prec_rounding
+    rows, ws = (factor.lower, fitted._w_hi) if exact else (factor.working_lower, fitted._w)
+    column = [covariance_column(state.kernel, x, [point], fitted.ctx)[0] for x in state.points]
+    z, var, mean = [], fitted._g0_hi._mpf_, fzero
+    for k, (row, w) in enumerate(zip(rows, ws)):
+        t = mpf_div(exact_residual(column[k], row, z), row[k], prec, rnd)
+        z.append(t)
+        var = mpf_sub(var, mpf_mul(t, t, prec, rnd), prec, rnd)
+        mean = mpf_add(mean, mpf_mul(t, w._mpf_, prec, rnd), prec, rnd)
+    if exact:
+        prec, rnd = fitted.ctx.mp._prec_rounding
+        var, mean = mpf_pos(var, prec, rnd), mpf_pos(mean, prec, rnd)
+    return column, z, var, mean
+
+
+def _assert_stored_values_are_packed(candidates):
+    """Every value the state keeps per candidate (column, z, variance, mean
+    and, read first, its exact read) unpacks to the raw tuple of the
+    unpacked computation, and is kept as that tuple exactly when its
+    exponent falls outside the packed window."""
+    fitted = candidates._fitted
+
+    def held(kept, raw):
+        assert unpack(kept) == raw
+        assert isinstance(kept, tuple) == (not -(2**63) <= raw[2] < 2**63)
+
+    for i, c in enumerate(candidates.points):
+        candidates.moments(i)
+        column, z, var, mean = _unpacked(fitted, c, exact=False)
+        for kept, raw in zip(candidates._g[i] + candidates._z[i], column + z, strict=True):
+            held(kept, raw)
+        held(candidates._var[i], var)
+        held(candidates._mean[i], mean)
+        if candidates._tiered:
+            _, _, var, mean = _unpacked(fitted, c, exact=True)
+            held(candidates._solved[i][0], mean)
+            held(candidates._solved[i][1], var)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stored_values_unpack_to_the_unpacked_computation(ctx60, data):
+    # Random Gaussian designs of 1-4 points (a in [2^-8, 1], points at a
+    # spacing of at least 2^-12), their values zero or random, so that
+    # some means are exactly zero, and candidates inside every gap and
+    # beyond the hull; the designs that solve above working precision
+    # have their exact reads held too.
+    mp = ctx60.mp
+    a = data.draw(st.integers(min_value=1, max_value=2**8)) / 2**8
+    kernel = eilab.GaussianKernel(a=str(a), gamma="1")
+    ks = data.draw(st.lists(st.integers(min_value=-(2**12), max_value=2**12), min_size=1, max_size=4, unique=True))
+    xs = [mp.mpf(k) / 2**12 for k in ks]
+    fs = [mp.mpf(v) / 2**10 for v in data.draw(st.lists(st.integers(-2, 2), min_size=len(xs), max_size=len(xs)))]
+    ordered = sorted(xs)
+    points = [lo + (hi - lo) / 3 for lo, hi in zip(ordered, ordered[1:])] + [ordered[0] - 1, ordered[-1] + mp.mpf("0.5")]
+    candidates = CandidatePosterior(points)
+    try:
+        candidates.sync(_design(kernel, ctx60, xs, fs))
+    except eilab.NonPositivePivot:
+        assume(False)
+    _assert_stored_values_are_packed(candidates)
+
+
+def test_values_outside_the_packed_window_stay_tuples(ctx60):
+    # At a = 1e-30, G(c) = e^(-c^2 / 4e-30) at |c| >= 0.5 has a binary
+    # exponent below -2^63: its column and z entries, and the mean it
+    # moves, stay raw tuples, and the next step's z entry is formed from
+    # them.  The design {0, 1e-31} solves above working precision, so the
+    # exact reads are held too; zero values keep every mean at zero.
+    mp = ctx60.mp
+    kernel = eilab.GaussianKernel(a="1e-30", gamma="1")
+    xs = [mp.zero, mp.mpf("1e-31")]
+    candidates = CandidatePosterior([mp.mpf(c) for c in ("-0.5", "-1e-31", "3e-31", "1")])
+    candidates.sync(_design(kernel, ctx60, xs[:1], [mp.mpf("0.25")]))
+    candidates.sync(_design(kernel, ctx60, xs, [mp.mpf("0.25"), mp.mpf("0.5")]))
+    assert candidates._tiered
+    _assert_stored_values_are_packed(candidates)
+    assert isinstance(candidates._z[0][1], tuple) and isinstance(candidates._mean[3], tuple)
+    zero = CandidatePosterior([mp.mpf("0.5")])
+    zero.sync(_design(kernel, ctx60, xs, [mp.zero, mp.zero]))
+    _assert_stored_values_are_packed(zero)
+    assert unpack(zero._mean[0]) == fzero

@@ -22,7 +22,7 @@ import eilab
 from eilab import ei
 from eilab.ei import _SCREEN_MARGIN, _ei_value, _log_tau, _screen, _screen_log_ei, _select, _split, _tie_key
 from eilab.posterior import CandidatePosterior, MarkovPosterior, PosteriorMoments
-from eilab.precision import raw_context
+from eilab.precision import pack, raw_context, unpack
 
 
 def _reference_log_tau(u):
@@ -258,7 +258,8 @@ def _held(candidates, i):
     """The raw (mean, variance) the state reads candidate ``i`` as: this
     step's exact read when the fit solves above working precision, else
     the working tier."""
-    return candidates._solved[i] if candidates._tiered else (candidates._mean[i], candidates._var[i])
+    held = candidates._solved[i] if candidates._tiered else (candidates._mean[i], candidates._var[i])
+    return tuple(map(unpack, held))
 
 
 def _poke(fitted, candidates, i, mean=None, variance=None):
@@ -272,9 +273,9 @@ def _poke(fitted, candidates, i, mean=None, variance=None):
         for held, value in zip(_held(candidates, i), (mean, variance))
     ]
     if candidates._tiered:
-        candidates._solved[i] = tuple(poked)
+        candidates._solved[i] = tuple(map(pack, poked))
     else:
-        candidates._mean[i], candidates._var[i] = poked
+        candidates._mean[i], candidates._var[i] = map(pack, poked)
 
 
 def test_clamps_are_counted_and_a_deep_negative_variance_aborts(ctx60):
@@ -406,7 +407,7 @@ def test_screen_reads_exactly_each_candidate_its_bounds_cannot_settle(ctx60, mon
         candidates.sync(state)
         assert candidates.solve_dps > ctx60.working_dps
         if widened:
-            bound = (ctx60.mp.make_mpf(min(candidates._var)) * scale)._mpf_
+            bound = (ctx60.mp.make_mpf(min(map(unpack, candidates._var))) * scale)._mpf_
             monkeypatch.setattr(candidates._fitted, "working_error", lambda: (bound, bound))
         kept, clamps, _ = candidates.screen(fstar._mpf_, ei._scorer(ctx60, fstar))
         assert candidates.raised_solves == (len(_CANDIDATES) if widened else 0)

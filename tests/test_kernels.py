@@ -175,6 +175,8 @@ def test_separable_gaussian_column_is_accurate(kernel, digits, epsilon, l_max, o
         m = (abs(hp.mpf(p)) + abs(hp.mpf(x0))) ** 2 / (4 * hp.mpf(kernel.a))
         assert abs(hp.make_mpf(value) - reference) <= (8 + 4 * m) * unit * reference
         assert covariance_column(kernel, x0, [p], ctx) == [value]
+    # a point that repeats, before or after its mirror, keeps its own bits
+    assert covariance_column(kernel, x0, pts + pts[::-1], ctx) == column + column[::-1]
     at_zero = covariance_column(kernel, mp.zero, pts, ctx)
     assert at_zero == [_closed_form(kernel, p, mp)._mpf_ for p in pts]
     assert at_zero == [eilab.covariance(kernel, p, ctx)._mpf_ for p in pts]

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pos, mpf_sub
 
 import eilab
 from eilab.kernels import covariance
-from eilab.linalg import CholeskyFactor, exact_residual
+from eilab.linalg import CholeskyFactor, exact_residual, substitution_entry
+from eilab.precision import pack
 
 
 def _lower(matrix):
@@ -138,6 +139,8 @@ def _top(raw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_residual_case(), st.booleans())
+# 3/2 - 1/2 = 1 is formed as 2 * 2^-1
+@example((53, (0, 3, -1, 2), [(0, 1, 0, 1)], [(0, 1, -1, 1)], (0, 3, 0, 2)), True)
 def test_exact_residual_rounded_once_is_correctly_rounded(case, divide):
     """One ``mpf_div`` (or ``mpf_pos``) of the exact residual is the residual
     computed at 4x the precision plus its exponent spread (where every step
@@ -145,7 +148,8 @@ def test_exact_residual_rounded_once_is_correctly_rounded(case, divide):
     sequential loop at the working precision stays within (2K+1) ulp of it,
     the ulp taken at the sum S of the terms' magnitudes: its 2K roundings
     each err by at most half an ulp of S, and each quotient by less than one
-    ulp of S/|d|."""
+    ulp of S/|d|.  ``substitution_entry`` over the packed c_k is the same
+    quotient."""
     prec, b, a, c, d = case
     k = len(a)
     terms = [v for v in [b] + [mpf_mul(x, y) for x, y in zip(a, c)] if v[1]]
@@ -153,6 +157,13 @@ def test_exact_residual_rounded_once_is_correctly_rounded(case, divide):
     finish = (lambda r, p: mpf_div(r, d, p, "n")) if divide else (lambda r, p: mpf_pos(r, p, "n"))
     new = finish(exact_residual(b, a, c), prec)
     assert new == finish(_sequential_residual(b, a, c, wide), prec)
+    if divide:
+        # the same residual read from packed c_k, also over a power of two,
+        # which mpf_div does not normalize
+        packed = [pack(v) for v in c]
+        assert substitution_entry(b, a + [d], packed, prec, "n") == new
+        two = (0, 1, d[2], 1)
+        assert substitution_entry(b, a + [two], packed, prec, "n") == mpf_div(exact_residual(b, a, c), two, prec, "n")
 
     old = finish(_sequential_residual(b, a, c, prec), prec)
     magnitude = fzero
