@@ -332,9 +332,11 @@ def forward_substitution(mp, lower, rhs, leading=()):
 def gram_det(vectors, ctx: PrecisionContext):
     """Determinant of the Hermitian Gram matrix of complex vectors.
 
-    Entries are <v_i, v_j> = sum_t v_i[t] * conj(v_j[t]).  The result is
-    real and nonnegative up to precision noise; the (tiny) imaginary part
-    of the determinant is discarded after a sanity check.
+    Entries are <v_i, v_j> = sum_t v_i[t] * conj(v_j[t]), built for i <= j
+    only: g[j, i] is conj(g[i, j]), which round-to-nearest makes exactly
+    the entry a full build would sum.  The result is real and nonnegative
+    up to precision noise; the (tiny) imaginary part of the determinant is
+    discarded after a sanity check.
     """
     n = len(vectors)
     if n == 0:
@@ -347,11 +349,12 @@ def gram_det(vectors, ctx: PrecisionContext):
     vs = [[mp.mpc(x) for x in v] for v in vectors]
     g = mp.matrix(n, n)
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             acc = mp.mpc(0)
             for t in range(dim):
                 acc += vs[i][t] * mp.conj(vs[j][t])
             g[i, j] = acc
+            g[j, i] = mp.conj(acc)
     det = mp.det(g)
     re, im = mp.re(det), mp.im(det)
     if abs(im) > ctx.tol(-ctx.digits) * max(abs(re), mp.mpf(1)):

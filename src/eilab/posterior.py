@@ -627,13 +627,22 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
     variance, so it runs in ``quadrature_context`` with
     log10(lam_scale^2 G(0) / variance) digits added, the variance read from
     the Gram formula being checked (a zero variance falls back to the
-    working precision).  Designs are capped at 8 points to keep the oracle
-    affordable.  The Ornstein-Uhlenbeck kernel is refused before any fit:
-    tanh-sinh does not converge on its polynomially decaying integrand.
+    working precision).
+
+    At b = 2 (the Gaussian density) the integrand is even and entire, and
+    ``integrate`` takes the trapezoidal rule at step
+    h = pi / (W + sqrt(a (dps + 10) ln 10)), W = 2 max |x - x_k| bounding
+    its frequencies and dps the quadrature precision.  By Poisson summation
+    its error is the integrand's Fourier transform at the multiples of
+    2 pi / h, a sum of Gaussians of width sqrt(a) centred within W of 0: at
+    this step about 10^-(dps + 10).  At b != 2, |t|^b is not analytic at 0
+    and the oracle keeps tanh-sinh.  Designs are capped at 8 points to keep
+    the oracle affordable.  The Ornstein-Uhlenbeck kernel is refused before
+    any fit: neither rule converges on its polynomially decaying integrand.
     """
     kernel = state.kernel
     # Raises VariantUnsupported for the Ornstein-Uhlenbeck kernel.
-    spectral_power_law(kernel, ctx.mp)
+    a, b, _ = spectral_power_law(kernel, ctx.mp)
     if state.size > _ORACLE_MAX_DESIGN:
         raise EILabError(
             f"spectral variance oracle supports designs of at most "
@@ -661,6 +670,10 @@ def variance_spectral_oracle(state: TrajectoryState, x, ctx: PrecisionContext):
             e -= lk * s
         return (d * d + e * e) * spectral_density(kernel, t, qp)
 
+    step = None
+    if b == 2:
+        width = 2 * max(abs(x - p) for p in state.points)
+        step = mp.pi / (width + mp.sqrt(a * (qp.dps + 10) * mp.ln10))
     budget = 2 * ctx.digits + ctx.guard_digits
     points = spectral_breakpoints(kernel, ctx, budget, lam_scale)
-    return 2 * integrate(ctx, integrand, points, floor=ctx.tol(-budget), extra_digits=cancel)
+    return 2 * integrate(ctx, integrand, points, floor=ctx.tol(-budget), extra_digits=cancel, step=step)

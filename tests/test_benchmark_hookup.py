@@ -5,9 +5,11 @@ names as module attributes of eilab; a refactor that renames or drops one
 of them breaks ``perfbench/run.py --trace 1``, and one that changes what a
 wrapper's counter reads breaks it at the first call.  The install runs in
 a subprocess so that its wrappers do not leak into the other tests; there
-a tiny 50-digit ``trajectory`` and one ``expected_improvement`` with its
-fit, in the raised-precision branch of the closed form, run under the
-tracer, so that every counter's callback runs.
+a tiny 50-digit ``trajectory``, one ``expected_improvement`` with its
+fit, in the raised-precision branch of the closed form, and one trial each
+of the posterior-oracle, EI-oracle and Vandermonde suites run under the
+tracer, so that every counter's callback runs and the verify layers'
+spans, the oracle's quadrature nested in its own, are recorded.
 """
 
 import subprocess
@@ -30,13 +32,20 @@ state = eilab.TrajectoryState.start(eilab.GaussianKernel(a="0.25", gamma="sqrt_p
 state = eilab.add_point(state, "0.5", "-0.5")
 # next to x_2, far above f*: |u| > 16 takes the raised-precision closed form
 eilab.expected_improvement(state, "0.5000001", eilab.FittedPosterior(state))
+for suite in ("posterior_oracle_trials", "ei_oracle_trials", "vandermonde_trials"):
+    getattr(eilab.verifier, suite)(ctx, 0, trials=1)
 counts = tracer.counts
 for name in ("ei.grid.points", "posterior.query.kernel_evals", "linalg.factor.max_solve_dps", "reports.bytes", "ei.raised_evals"):
     assert counts[name] > 0, name
 assert tracer.dps_seen
 names = {span[0] for span in tracer.spans}
-for name in ("ei.score", "ei.grid", "posterior.fit", "posterior.query", "linalg.factor", "config.load", "reports.write"):
+for name in (
+    "ei.score", "ei.grid", "posterior.fit", "posterior.query", "linalg.factor", "config.load", "reports.write",
+    "posterior.oracle", "quadrature.integrate", "kernels.spectral_density", "ei.oracle", "linalg.gram_det",
+):
     assert name in names, name
+spans = tracer.spans
+assert any(s[0] == "quadrature.integrate" and s[3] >= 0 and spans[s[3]][0] == "posterior.oracle" for s in spans)
 """
 
 

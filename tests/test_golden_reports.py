@@ -97,8 +97,8 @@ GOLDEN = {
     "verify-lemma3-tails/table.csv": "784149c8ac6affbde97cc5c7dc77ba91fd30476a243bbbe57278bd094d08d619",
     "verify-posterior-markov/report.json": "5c7a87e6dd28d6965d55696b6c6a53b1d6b9b7333040bb0224f94acb1caddd67",
     "verify-posterior-markov/table.csv": "1b4b945a5f7d8d053412e477d7f7e23c0adf982fa2f4daedc31831ca7cc2b6c5",
-    "verify-posterior-oracle/report.json": "dcb2ff1ccfc2cee7f914f92892e8b0bc00830e3e4df7109642ca6ec8be011fe3",
-    "verify-posterior-oracle/table.csv": "5f5f2301a76f7a4b3a4dfd555db10363ee8b776e9aef63e210c24ce5b7d96048",
+    "verify-posterior-oracle/report.json": "58a29d58ed60d11dd617ef38a2d5fdb415e0e0f8f72d72abc859379269fe67b2",
+    "verify-posterior-oracle/table.csv": "bd1e7016bbcfc10d3a83605dcb42a8da533dd5f615c344c681a37fd67b931645",
     "verify-thm1-decay/report.json": "bb380f62704e50b659b79760ad860bca13b482eff44bbe6d88067546f346f28f",
     "verify-thm1-decay/table.csv": "a77daf1fcc38a4e915fb0d429deaeb98312fe6b6972c2b82d0f2a415240bee5b",
     "verify-thm2-sandwich/report.json": "26969341eccd1b2efb4ae78530cd74f561e570231f43e494bcc2e6a71278a606",

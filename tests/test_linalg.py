@@ -314,6 +314,24 @@ def test_gram_det_complex_hermitian(ctx60):
     assert abs(det - 4) < ctx60.tol(-(ctx60.digits - 5))
 
 
+def test_gram_det_matches_the_full_build_bit_for_bit(ctx300):
+    # The power vectors of the Vandermonde oracle on random unit-circle
+    # configurations; the full build sums every entry, both triangles.
+    mp = ctx300.mp
+    rng = random.Random(5)
+    for _ in range(12):
+        zs = [mp.expjpi(mp.mpf(rng.uniform(0.05, 6.2)) / mp.pi) for _ in range(rng.randint(1, 8))]
+        vectors = [[z**p for p in range(len(zs))] for z in zs]
+        full = mp.matrix(len(zs), len(zs))
+        for i, v in enumerate(vectors):
+            for j, w in enumerate(vectors):
+                acc = mp.mpc(0)
+                for vt, wt in zip(v, w):
+                    acc += vt * mp.conj(wt)
+                full[i, j] = acc
+        assert eilab.gram_det(vectors, ctx300)._mpf_ == mp.re(mp.det(full))._mpf_
+
+
 def test_gram_det_dependent_vectors(ctx60):
     mp = ctx60.mp
     v = [mp.mpf(1), mp.mpf(2)]

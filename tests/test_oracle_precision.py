@@ -7,7 +7,9 @@ sandwich sweep grows one fit per trial.  These tests pin each of those
 precisions, hold the lowered oracles against references computed at the
 full working precision (or above) on the acceptance seeds, and check that
 the lowered quadrature still refuses an integral it cannot resolve to
-digits/2.
+digits/2.  The trapezoidal rule that the Gaussian variance oracle takes is
+held against closed forms and the Parseval expansion on the collapse
+designs, and must refuse an even integrand that is not analytic.
 """
 
 import random
@@ -159,6 +161,77 @@ def test_ou_variance_oracle_refused_before_any_fit_or_quadrature(ctx60, monkeypa
     state = _state(ctx60, ou, ["-0.5", "0.1", "0.7"], ["0", "0", "0"])
     with pytest.raises(eilab.VariantUnsupported):
         eilab.variance_spectral_oracle(state, "0.3", ctx60)
+
+
+def _cancellation_digits(state, x, ctx):
+    """The digits the variance oracle's integrand cancels at ``x``:
+    log10(lam_scale^2 G(0) / variance), rounded up."""
+    fitted = eilab.FittedPosterior(state)
+    lam_scale = 1 + sum(abs(lk) for lk in fitted.weights(x))
+    g0 = eilab.covariance(state.kernel, 0, ctx)
+    return int(ctx.mp.ceil(ctx.mp.log10(lam_scale**2 * g0 / fitted.moments(x).variance)))
+
+
+@pytest.mark.parametrize("b", ["3", "1.5"])
+def test_variance_oracle_off_b_2_stays_on_tanh_sinh(ctx60, b, monkeypatch):
+    # |t|^b is not analytic at 0, so no trapezoid step is named: the oracle
+    # keeps tanh-sinh at the lowered precision plus its cancellation digits.
+    steps, seen = [], []
+    real = posterior.integrate
+
+    def step_spy(*args, **kwargs):
+        steps.append(kwargs.get("step"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(posterior, "integrate", step_spy)
+    _spy_integrate(monkeypatch, posterior, seen)
+    kernel = eilab.SpectralPowerKernel(a="1", b=b)
+    state = _state(ctx60, kernel, ["-0.3", "0.4"], ["0", "0"])
+    oracle = eilab.variance_spectral_oracle(state, "0.1", ctx60)
+    variance = eilab.FittedPosterior(state).moments("0.1").variance
+    assert steps == [None]
+    assert _ran_at(seen, _lowered_dps(ctx60) + _cancellation_digits(state, "0.1", ctx60))
+    assert abs(oracle - variance) <= variance * ctx60.tol(-(ctx60.digits // 4))
+
+
+def _trapezoid_step(a, dps, width, mp):
+    """The step ``variance_spectral_oracle`` names for a density
+    exp(-a t^2) and frequencies up to ``width``."""
+    return mp.pi / (width + mp.sqrt(a * (dps + 10) * mp.ln10))
+
+
+def test_trapezoid_rule_on_known_integrals(ctx60):
+    mp = quadrature_context(ctx60)
+    end = mp.sqrt((2 * ctx60.digits + ctx60.guard_digits) * mp.ln10)
+    for nu in (0, 3, 7):
+        step = _trapezoid_step(1, mp.dps, nu, mp)
+        value = integrate(ctx60, lambda t: mp.exp(-t * t) * mp.cos(nu * t), [0, end], step=step)
+        exact = ctx60.mp.sqrt(ctx60.mp.pi) * ctx60.mp.exp(-ctx60.mp.mpf(nu) ** 2 / 4) / 2
+        assert _agrees(value, exact, ctx60.digits), nu
+    # Even but not analytic at 0: the halving exposes the slow convergence.
+    with pytest.raises(eilab.QuadratureNotConverged):
+        integrate(ctx60, lambda t: mp.exp(-abs(t) ** 3), [0, end], step=_trapezoid_step(1, mp.dps, 0, mp))
+
+
+def test_variance_oracle_on_the_collapse_designs(ctx300, default_run):
+    # Prefixes K = 2..7 of the 300-digit collapse run, queried at the run's
+    # next point and at 0.3, against the Parseval expansion at twice the
+    # working digits.  At K = 7 the variance at x_8 is 7.7e-21 and the
+    # integrand cancels at least 20 digits.
+    ctx = ctx300
+    wide = eilab.PrecisionContext(digits=2 * ctx.digits, guard_digits=ctx.guard_digits)
+    points = default_run.state.points
+    kernel = default_run.state.kernel
+    cov = lambda d: eilab.covariance(kernel, d, wide)
+    for k in range(2, 8):
+        state = _state(ctx, kernel, points[:k], [0] * k)
+        for query in (points[k], ctx.mpf("0.3")):
+            oracle = eilab.variance_spectral_oracle(state, query, ctx)
+            lam = eilab.FittedPosterior(state).weights(query)
+            reference = cov(0) - 2 * sum(lk * cov(query - pk) for lk, pk in zip(lam, state.points))
+            reference += sum(li * lj * cov(pi - pj) for li, pi in zip(lam, state.points) for lj, pj in zip(lam, state.points))
+            assert _agrees(oracle, reference, ctx.digits), (k, query)
+    assert _cancellation_digits(state, points[7], ctx) >= 20
 
 
 # -- agreement with full-precision references on the acceptance seeds ---------
